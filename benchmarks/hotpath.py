@@ -1,17 +1,15 @@
-"""Hot-path benchmark harness: fast-path simulation, worker reuse, indices, sink.
+"""Hot-path benchmark harness: columnar simulation, worker reuse, indices, sink.
 
-Measures the paths PR 3 and PR 5 optimised and writes a machine-readable
-JSON report (``BENCH_crawl_hotpath.json`` at the repo root by default) so
-future PRs can track the perf trajectory:
+Measures the crawl hot paths and writes a machine-readable JSON report
+(``BENCH_crawl_hotpath.json`` at the repo root by default) so later changes
+can track the perf trajectory:
 
-* ``crawl`` — pages/s per backend.  ``serial`` reports the slow reference
-  path (``fast_path=False``), the scalar per-page fast path
-  (``batch_sim=False``, the PR 5 design), and the columnar batch path
-  (the default) cold and warm — ``columnar_pages_per_s`` is the steady
-  state a longitudinal campaign pays per day and ``columnar_over_serial``
-  is its speedup over the scalar warm loop it superseded, measured in the
-  same run so the ratio is machine-independent; pool backends report cold
-  vs warm plus
+* ``crawl`` — pages/s per backend.  ``serial`` reports the reference
+  simulator (``fast_path=False``) and the columnar simulator (the default)
+  cold and warm — ``pages_per_s`` is the steady state a longitudinal
+  campaign pays per day and ``fast_over_slow`` its speedup over the
+  reference simulator, measured in the same run so the ratio is
+  machine-independent; the process backend reports cold vs warm plus
   ``process.over_serial`` (process warm / serial warm) and
   ``process.worker_pages_per_s`` (throughput inside the workers, separating
   the simulation hot path from the single-core IPC tax).
@@ -27,7 +25,7 @@ future PRs can track the perf trajectory:
 * ``match_host`` — partner-list lookups/s cold vs memoised.
 
 Every timed section also asserts the optimisation's correctness contract
-(fast path byte-identical to the slow reference path, byte-identical
+(columnar simulator byte-identical to the reference simulator, byte-identical
 detections/files across backends, incremental == rebuilt), so the harness
 doubles as a smoke test: CI runs it with ``--smoke`` (tiny workload, one
 iteration) to keep it from rotting, and with ``--check-baseline`` to fail on
@@ -100,7 +98,7 @@ def bench_crawl(environment, detector, publishers, repeat: int) -> dict:
     n = len(publishers)
     results: dict = {}
 
-    # Slow reference path: every per-page input re-derived (pre-PR-5 design).
+    # Reference simulator: every per-page input re-derived.
     with CrawlEngine(environment, detector, CrawlConfig(seed=SEED, fast_path=False)) as engine:
         slow_result = engine.crawl(publishers)
         slow_s = min(
@@ -108,18 +106,7 @@ def bench_crawl(environment, detector, publishers, repeat: int) -> dict:
         )
     reference_json = _serialise(slow_result.detections)
 
-    # Scalar fast path (the PR 5 design): precompiled site profiles and
-    # per-worker scratch buffers, one page at a time.  Kept as the columnar
-    # path's same-machine yardstick.
-    scalar_config = CrawlConfig(seed=SEED, batch_sim=False)
-    with CrawlEngine(environment, detector, scalar_config) as engine:
-        scalar_result = engine.crawl(publishers)
-        assert _serialise(scalar_result.detections) == reference_json, "scalar path diverged"
-        scalar_warm_s = min(
-            [_timed(engine.crawl, publishers) for _ in range(max(1, repeat))]
-        )
-
-    # Columnar batch path (the default): whole shards seeded and stepped as
+    # Columnar simulator (the default): whole shards seeded and stepped as
     # numpy arrays, ad pages fused onto one reusable generator.
     with CrawlEngine(environment, detector, CrawlConfig(seed=SEED)) as engine:
         start = time.perf_counter()
@@ -131,42 +118,32 @@ def bench_crawl(environment, detector, publishers, repeat: int) -> dict:
         )
     results["serial"] = {
         # Steady-state throughput: what each day of a longitudinal campaign
-        # pays once the profile table is compiled.  The default serial path
-        # IS the columnar path, so the two keys agree by construction;
-        # ``pages_per_s`` stays for baseline continuity, the explicit name
-        # is what the CI gate and the trajectory track.
+        # pays once the profile table is compiled.  The CI gate and the
+        # trajectory track it.
         "pages_per_s": round(n / serial_warm_s, 1),
-        "columnar_pages_per_s": round(n / serial_warm_s, 1),
         "cold_pages_per_s": round(n / cold_s, 1),
-        "scalar_pages_per_s": round(n / scalar_warm_s, 1),
         "slow_path_pages_per_s": round(n / slow_s, 1),
         "fast_over_slow": round(slow_s / serial_warm_s, 2),
-        # Columnar vs the scalar warm loop, measured back-to-back on the
-        # same machine — the machine-independent speedup of this PR.
-        "columnar_over_serial": round(scalar_warm_s / serial_warm_s, 2),
     }
 
-    ship_counts = {}
-    for backend in ("thread", "process"):
-        config = CrawlConfig(seed=SEED, workers=WORKERS, backend=backend)
-        with CrawlEngine(environment, detector, config) as engine:
-            start = time.perf_counter()
-            cold_result = engine.crawl(publishers)
-            cold_s = time.perf_counter() - start
-            assert _serialise(cold_result.detections) == reference_json, backend
-            warm_s = min(
-                [_timed(engine.crawl, publishers) for _ in range(max(1, repeat))]
-            )
-            if backend == "process":
-                ship_counts = {
-                    "shared_site_tasks": engine.backend.shared_site_tasks,
-                    "fallback_tasks": engine.backend.fallback_tasks,
-                }
-        results[backend] = {
-            "cold_pages_per_s": round(n / cold_s, 1),
-            "warm_pages_per_s": round(n / warm_s, 1),
-            "warm_over_cold": round(cold_s / warm_s, 2),
+    config = CrawlConfig(seed=SEED, workers=WORKERS, backend="process")
+    with CrawlEngine(environment, detector, config) as engine:
+        start = time.perf_counter()
+        cold_result = engine.crawl(publishers)
+        cold_s = time.perf_counter() - start
+        assert _serialise(cold_result.detections) == reference_json, "process backend diverged"
+        warm_s = min(
+            [_timed(engine.crawl, publishers) for _ in range(max(1, repeat))]
+        )
+        ship_counts = {
+            "shared_site_tasks": engine.backend.shared_site_tasks,
+            "fallback_tasks": engine.backend.fallback_tasks,
         }
+    results["process"] = {
+        "cold_pages_per_s": round(n / cold_s, 1),
+        "warm_pages_per_s": round(n / warm_s, 1),
+        "warm_over_cold": round(cold_s / warm_s, 2),
+    }
 
     # Process-vs-serial is the regression guard the old report lacked: the
     # ratio is recorded so a slowdown cannot slip in silently.  On a
@@ -393,7 +370,7 @@ def bench_sink(environment, detector, publishers, detections, reps: int) -> dict
         variants = {"unbuffered": 1, "buffered": 64}
         sink_best: dict = {label: None for label in variants}
         crawl_best: dict = {label: None for label in variants}
-        config = CrawlConfig(seed=SEED, workers=WORKERS, backend="thread")
+        config = CrawlConfig(seed=SEED, workers=WORKERS, backend="process")
         with CrawlEngine(environment, detector, config) as engine:
             engine.crawl(publishers)  # warm the pool; measure steady state
             for _ in range(max(2, reps // 3)):
@@ -486,9 +463,6 @@ def append_trajectory(report: dict, baseline: dict | None, path: Path) -> dict:
         "sites": report["config"]["sites"],
         "workers": report["config"]["workers"],
         "serial_pages_per_s": serial,
-        "columnar_pages_per_s": report["crawl"]["serial"]["columnar_pages_per_s"],
-        "scalar_pages_per_s": report["crawl"]["serial"]["scalar_pages_per_s"],
-        "columnar_over_serial": report["crawl"]["serial"]["columnar_over_serial"],
         "process_warm_pages_per_s": process_warm,
         "process_over_serial": report["crawl"]["process"]["over_serial"],
         "refresh_speedup": report["index"]["refresh_speedup"],
@@ -540,22 +514,13 @@ def check_baseline(report: dict, baseline: dict | None, max_regression: float) -
         )
     if baseline is None:
         return failures
-    pairs = (
-        ("serial pages_per_s", ("crawl", "serial", "pages_per_s")),
-        ("serial columnar_pages_per_s", ("crawl", "serial", "columnar_pages_per_s")),
-    )
-    for label, keys in pairs:
-        base: object = baseline
-        now: object = report
-        for key in keys:
-            base = base.get(key) if isinstance(base, dict) else None
-            now = now.get(key) if isinstance(now, dict) else None
-        if not isinstance(base, (int, float)) or not isinstance(now, (int, float)):
-            continue
+    base = baseline.get("crawl", {}).get("serial", {}).get("pages_per_s")
+    now = report["crawl"]["serial"]["pages_per_s"]
+    if isinstance(base, (int, float)):
         floor = base * (1.0 - max_regression)
         if now < floor:
             failures.append(
-                f"{label} regressed: {now} < {floor:.1f} "
+                f"serial pages_per_s regressed: {now} < {floor:.1f} "
                 f"(committed baseline {base}, budget -{max_regression:.0%})"
             )
     return failures

@@ -38,18 +38,17 @@ def serial_json(artifacts, publishers):
 
 @pytest.mark.parametrize(
     "backend_name,workers",
-    [("serial", 1), ("thread", 4), ("process", 4)],
-    ids=["serial-1", "thread-4", "process-4"],
+    [("serial", 1), ("process", 4)],
+    ids=["serial-1", "process-4"],
 )
 def test_bench_parallel_crawl(benchmark, artifacts, publishers, serial_json, backend_name, workers):
     detector = HBDetector(build_known_partner_list(artifacts.population.registry))
-    engine = CrawlEngine(
+    with CrawlEngine(
         artifacts.environment,
         detector,
         CrawlConfig(seed=SEED, workers=workers, backend=backend_name),
-    )
-
-    result = benchmark(engine.crawl, publishers)
+    ) as engine:
+        result = benchmark(engine.crawl, publishers)
 
     assert result.pages_visited == N_SITES
     assert 0.0 < result.adoption_rate < 0.5

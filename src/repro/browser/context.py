@@ -44,20 +44,3 @@ class BrowserContext:
         self.dom.clear()
         self.requests.clear()
         self.ids.reset()
-
-    def fresh_navigation(self, rng: np.random.Generator) -> "BrowserContext":
-        """Reuse this context for a brand new clean-slate page load.
-
-        Observationally identical to :meth:`clean_slate` — clock at zero,
-        empty logs, no listeners, fresh id counters — but without
-        re-allocating the context, clock, buses and id factory.  This is the
-        fast path's per-worker scratch buffer: the underlying event/request
-        lists are cleared, not re-created, so steady-state page loads churn
-        no per-page infrastructure objects.
-        """
-        self.rng = rng
-        self.clock.reset()
-        self.dom.reset()
-        self.requests.clear()
-        self.ids.reset()
-        return self

@@ -80,9 +80,3 @@ class DomEventBus:
     def clear(self) -> None:
         """Drop recorded events (a fresh navigation in the same tab)."""
         self._events.clear()
-
-    def reset(self) -> None:
-        """Forget events *and* listeners, as if a new browser was started."""
-        self._events.clear()
-        self._listeners.clear()
-        self._wildcard_listeners.clear()

@@ -10,7 +10,6 @@ could have seen, bundled into a :class:`PageLoadResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,17 +23,18 @@ from repro.hb.runner import run_header_bidding
 from repro.hb.waterfall import (
     WaterfallOutcome,
     build_waterfall_chain,
-    build_waterfall_chain_fast,
     default_waterfall_slot,
     run_waterfall,
 )
 from repro.models import DomEvent, PageTimings, WebRequest
 from repro.utils.rng import derive_rng, fast_uniform
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ecosystem.profiles import SiteProfile, SiteProfileTable
+__all__ = ["PageLoadResult", "BrowserEngine", "NON_HB_AD_PROBABILITY"]
 
-__all__ = ["PageLoadResult", "BrowserEngine"]
+#: Probability that a page without header bidding still serves ads through
+#: the traditional waterfall, producing background ad traffic.  The columnar
+#: simulator reads the same constant for its per-page waterfall gate.
+NON_HB_AD_PROBABILITY: float = 0.55
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,9 +74,6 @@ class BrowserEngine:
     page_load_timeout_ms:
         The crawler's upper bound on a page load (the paper uses 60 s); pages
         exceeding it are reported with ``timed_out=True``.
-    non_hb_ad_probability:
-        Probability that a page without header bidding still serves ads
-        through the traditional waterfall, producing background ad traffic.
     """
 
     def __init__(
@@ -86,67 +83,37 @@ class BrowserEngine:
         seed: int = 2019,
         page_load_timeout_ms: float = 60_000.0,
         extra_dwell_ms: float = 5_000.0,
-        non_hb_ad_probability: float = 0.55,
-        profiles: "SiteProfileTable | None" = None,
     ) -> None:
         if page_load_timeout_ms <= 0:
             raise ValueError("page load timeout must be positive")
-        if profiles is not None and profiles.seed != seed:
-            raise ValueError(
-                f"profile table was compiled for seed {profiles.seed}, engine uses {seed}"
-            )
         self.environment = environment
         self.seed = seed
         self.page_load_timeout_ms = page_load_timeout_ms
         self.extra_dwell_ms = extra_dwell_ms
-        self.non_hb_ad_probability = non_hb_ad_probability
-        #: Precompiled per-site simulation inputs; ``None`` selects the slow
-        #: reference path that re-derives everything per page.
-        self.profiles = profiles
-        # Per-engine scratch context, reused across page loads on the fast
-        # path (reset per navigation); the slow path allocates per load.
-        # Consequence: a profile-equipped engine serialises its loads — one
-        # engine per worker thread (which is how the crawl backends use it),
-        # never one engine shared by concurrent load() callers.
-        self._scratch: BrowserContext | None = None
 
     # -- helpers ----------------------------------------------------------------
-    def _load_baseline_resources(
-        self, context: BrowserContext, page: Page, profile: "SiteProfile | None" = None
-    ) -> None:
+    def _load_baseline_resources(self, context: BrowserContext, page: Page) -> None:
         """Record the page's ordinary (non-ad) resource fetches."""
         rng = context.rng
         requests = context.requests
         clock = context.clock
-        if profile is not None:
-            for url in profile.resource_urls:
-                requests.record_outgoing(url, initiator=page.url)
-                clock.advance(fast_uniform(rng, 5.0, 40.0))
-        else:
-            for host, path in page.baseline_resources:
-                requests.record_fetch(host, path, initiator=page.url)
-                clock.advance(float(rng.uniform(5.0, 40.0)))
+        for host, path in page.baseline_resources:
+            requests.record_fetch(host, path, initiator=page.url)
+            clock.advance(float(rng.uniform(5.0, 40.0)))
         for script_url in page.header_script_urls:
             requests.record_outgoing(script_url, initiator=page.url)
             clock.advance(fast_uniform(rng, 3.0, 20.0))
 
     def _run_background_waterfall(
-        self,
-        context: BrowserContext,
-        publisher: Publisher,
-        profile: "SiteProfile | None" = None,
+        self, context: BrowserContext, publisher: Publisher
     ) -> tuple[WaterfallOutcome, ...]:
         """Ad activity on non-HB pages: the traditional waterfall, if any."""
         rng = context.rng
-        if rng.random() > self.non_hb_ad_probability:
+        if rng.random() > NON_HB_AD_PROBABILITY:
             return ()
         outcomes = []
         n_slots = int(rng.integers(1, 4))
-        site_wf = profile.waterfall if profile is not None else None
-        if site_wf is not None:
-            chain = build_waterfall_chain_fast(site_wf, rng)
-        else:
-            chain = build_waterfall_chain(self.environment.registry, rng)
+        chain = build_waterfall_chain(self.environment.registry, rng)
         for index in range(n_slots):
             slot = default_waterfall_slot(rng, code=f"wf-{publisher.domain}-{index}")
             outcome = run_waterfall(
@@ -157,7 +124,6 @@ class BrowserEngine:
                 context=context,
                 page_url=publisher.url,
                 latency_scale=publisher.latency_scale,
-                compiled=site_wf.profiles if site_wf is not None else None,
             )
             outcomes.append(outcome)
             context.clock.advance(outcome.total_latency_ms * 0.25)
@@ -167,16 +133,8 @@ class BrowserEngine:
     def load(self, publisher: Publisher, *, visit_index: int = 0) -> PageLoadResult:
         """Load one publisher page with a clean-slate browser instance."""
         rng = derive_rng(self.seed, "visit", publisher.domain, visit_index)
-        profile: "SiteProfile | None" = None
-        if self.profiles is not None:
-            profile = self.profiles.profile_for(publisher)
-            if self._scratch is None:
-                self._scratch = BrowserContext.clean_slate(rng)
-            context = self._scratch.fresh_navigation(rng)
-            page = profile.page
-        else:
-            context = BrowserContext.clean_slate(rng)
-            page = build_page(publisher, seed=self.seed)
+        context = BrowserContext.clean_slate(rng)
+        page = build_page(publisher, seed=self.seed)
 
         navigation_start = context.clock.now()
         context.requests.record_outgoing(page.url, initiator="")
@@ -186,11 +144,11 @@ class BrowserEngine:
         hb_outcome: HeaderBiddingOutcome | None = None
         waterfall_outcomes: tuple[WaterfallOutcome, ...] = ()
         if publisher.uses_hb:
-            hb_outcome = run_header_bidding(publisher, context, self.environment, profile=profile)
+            hb_outcome = run_header_bidding(publisher, context, self.environment)
         else:
-            waterfall_outcomes = self._run_background_waterfall(context, publisher, profile)
+            waterfall_outcomes = self._run_background_waterfall(context, publisher)
 
-        self._load_baseline_resources(context, page, profile)
+        self._load_baseline_resources(context, page)
         context.clock.advance(page.content_load_ms)
         dom_content_loaded = header_parsed + page.content_load_ms * 0.6
         load_event = context.clock.now()

@@ -113,14 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--slow-path", action="store_true",
-        help="bypass the precompiled-site-profile fast path (reference mode; "
-        "detections are byte-identical, pages simulate slower)",
-    )
-    run.add_argument(
-        "--columnar", action=argparse.BooleanOptionalAction, default=True,
-        help="simulate whole shards as numpy arrays (columnar batch path, "
-        "default on; --no-columnar keeps the page-at-a-time loop; "
-        "detections are byte-identical either way)",
+        help="simulate with the reference browser instead of the columnar "
+        "simulator (detections are byte-identical, pages simulate slower)",
     )
     run.add_argument(
         "--oversubscribe", type=_positive_int, default=4, metavar="N",
@@ -334,11 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon.add_argument(
         "--slow-path", action="store_true",
-        help="bypass the precompiled-site-profile fast path (byte-identical, slower)",
-    )
-    daemon.add_argument(
-        "--columnar", action=argparse.BooleanOptionalAction, default=True,
-        help="columnar batch simulation (default on; byte-identical either way)",
+        help="simulate with the reference browser instead of the columnar "
+        "simulator (byte-identical, slower)",
     )
     daemon.add_argument(
         "--store-format", choices=list(STORE_FORMATS), default="columnar",
@@ -578,7 +569,6 @@ def _daemon(args: argparse.Namespace) -> int:
             crawl_backend=args.backend,
             sink_flush_every=args.flush_every,
             fast_path=not args.slow_path,
-            batch_sim=args.columnar,
             shard_oversubscribe=args.oversubscribe,
             store_format=args.store_format,
             shard_retries=args.shard_retries,
@@ -688,6 +678,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--resume requires --checkpoint")
     if args.checkpoint is not None and args.save is None:
         parser.error("--checkpoint requires --save (resume recovers the sink file)")
+    import signal
+
+    def _sigterm(signum, frame):  # pragma: no cover - signal plumbing
+        raise KeyboardInterrupt
+
+    # SIGTERM takes the Ctrl-C path, so the engine's context managers shut
+    # pool workers down instead of orphaning them; a checkpointed campaign
+    # resumes from its last recorded shard boundary either way.
+    previous = signal.signal(signal.SIGTERM, _sigterm)
     try:
         config = ExperimentConfig(
             total_sites=args.sites,
@@ -699,7 +698,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             checkpoint_path=args.checkpoint,
             resume=args.resume,
             fast_path=not args.slow_path,
-            batch_sim=args.columnar,
             shard_oversubscribe=args.oversubscribe,
             store_format=args.store_format,
             shard_retries=args.shard_retries,
@@ -713,6 +711,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if storage is not None:
         print(f"Streamed {len(artifacts.longitudinal.all_detections)} detections "
               f"to {storage.path}\n")

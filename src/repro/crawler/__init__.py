@@ -9,8 +9,7 @@ package reproduces that pipeline on top of the simulated Web.
 
 The crawl itself runs through :class:`CrawlEngine`: the site list is split
 into deterministic shards (:class:`CrawlPlan`) fanned out to an execution
-backend (:class:`SerialBackend`, :class:`ThreadPoolBackend` or
-:class:`ProcessPoolBackend`), and per-shard results are merged back in
+backend (:class:`SerialBackend` or :class:`ProcessPoolBackend`), and per-shard results are merged back in
 canonical site order — detections are byte-identical regardless of worker
 count.  :class:`Crawler` remains the backward-compatible facade.
 """
@@ -25,7 +24,6 @@ from repro.crawler.engine import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     backend_from_name,
 )
 from repro.crawler.scheduler import LongitudinalScheduler, LongitudinalCrawl
@@ -48,7 +46,6 @@ __all__ = [
     "CrawlShard",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "backend_from_name",
     "BACKEND_NAMES",

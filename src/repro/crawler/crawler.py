@@ -32,7 +32,7 @@ __all__ = ["CrawlConfig", "CrawlResult", "ShardFailure", "Crawler", "BACKEND_NAM
 
 #: Names accepted by :attr:`CrawlConfig.backend`; the backend implementations
 #: live in :mod:`repro.crawler.engine`, which re-exports this tuple.
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class CrawlConfig:
     #: Number of parallel crawl workers (shards). ``1`` reproduces the
     #: paper's strictly sequential crawl; higher values shard the site list.
     workers: int = 1
-    #: Execution backend: ``"serial"``, ``"thread"`` or ``"process"``.
+    #: Execution backend: ``"serial"`` or ``"process"``.
     #: Detections (plus ``pages_visited`` and ``timed_out_domains``) are
     #: byte-identical across backends and worker counts; only
     #: ``sessions_started`` may differ when ``restart_every_pages > 1``,
@@ -60,17 +60,12 @@ class CrawlConfig:
     #: writes fewer checkpoint files at the cost of re-crawling more shards
     #: after a crash; resumed bytes are identical for any value.
     checkpoint_every_shards: int = 1
-    #: Use precompiled site profiles and per-worker scratch buffers for page
-    #: simulation.  ``False`` selects the slow reference path that re-derives
-    #: every per-page input; detections are byte-identical either way (the
-    #: fast-path equivalence tests enforce it).
+    #: Simulate whole shards as numpy arrays over precompiled site profiles
+    #: (the columnar simulator).  ``False`` selects the reference browser
+    #: simulator, which re-derives every per-page input and serves as the
+    #: columnar path's oracle; detections are byte-identical either way (the
+    #: equivalence tests enforce it).
     fast_path: bool = True
-    #: Simulate whole shards as numpy arrays (the columnar path) instead of
-    #: page-at-a-time objects.  Only takes effect together with
-    #: :attr:`fast_path` (the columnar compiler layers on the precompiled
-    #: site profiles); detections are byte-identical either way, the
-    #: columnar path is simply several times faster per page.
-    batch_sim: bool = True
     #: Parallel crawls (``workers > 1``) split the site list into
     #: ``workers * shard_oversubscribe`` shards so that pool workers stay
     #: busy despite the rank-correlated cost skew (high-rank shards carry

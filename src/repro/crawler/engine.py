@@ -4,7 +4,7 @@ The paper's workload is embarrassingly parallel across sites: one discovery
 pass over the 35k-site top list, then daily re-crawls of the ~5k HB-enabled
 sites.  This module splits a publisher list into deterministic shards
 (:class:`CrawlPlan`), fans the shards out to workers through an
-:class:`ExecutionBackend` (serial, thread pool, or process pool), and merges
+:class:`ExecutionBackend` (serial or process pool), and merges
 the per-shard :class:`~repro.crawler.crawler.CrawlResult` objects back in
 canonical site order.
 
@@ -19,10 +19,7 @@ is serialised exactly once, into a ``multiprocessing.shared_memory`` block
 published the same way, so warm re-crawls ship **zero** publisher bytes per
 task — a shard task is a handful of integers naming its slice of the shared
 list.  Blocks are refcounted and unlinked by ``shutdown()`` /
-:meth:`CrawlEngine.close`.  On the thread backend each worker thread owns
-one cheap :meth:`~repro.detector.detector.HBDetector.clone` (instead of a
-``copy.deepcopy`` per shard) and shares the engine's precompiled
-:class:`~repro.ecosystem.profiles.SiteProfileTable`.  Pools persist across
+:meth:`CrawlEngine.close`.  Pools persist across
 :meth:`CrawlEngine.crawl` calls, so a 34-day longitudinal campaign pays the
 worker setup cost once, not once per day.  Call :meth:`CrawlEngine.close`
 (or use the engine as a context manager) to release pool workers.
@@ -30,7 +27,8 @@ worker setup cost once, not once per day.  Call :meth:`CrawlEngine.close`
 Determinism guarantee
 ---------------------
 Every page load derives its RNG stream from ``(seed, domain, visit_index)``
-(see :meth:`repro.browser.engine.BrowserEngine.load`), never from crawl
+(see :meth:`repro.browser.engine.BrowserEngine.load`, which the columnar
+simulator replicates stream for stream), never from crawl
 order, worker identity or shared session state.  Shards are contiguous
 chunks of the input list and each shard additionally carries a seed derived
 from ``(seed, "shard", index)`` for shard-local bookkeeping, so the plan
@@ -57,20 +55,11 @@ from __future__ import annotations
 
 import json
 import pickle
-import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 
-from repro.browser.engine import BrowserEngine
 from repro.crawler.crawler import (
     BACKEND_NAMES,
     CrawlConfig,
@@ -105,7 +94,6 @@ __all__ = [
     "ShardFailure",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "CrawlEngine",
     "DetectionSinkLike",
@@ -203,49 +191,30 @@ class WorkerContext:
     """Crawl state one worker owns for its whole lifetime.
 
     Built once per worker (not once per shard): the serial backend wraps the
-    caller's own objects, the thread backend clones the detector per worker
-    thread, and the process backend ships the context to each worker process
-    exactly once through a shared-memory block.
+    caller's own objects, and the process backend ships the context to each
+    worker process exactly once through a shared-memory block.
 
-    ``profiles`` is the worker's precompiled :class:`SiteProfileTable`
-    (shared between worker threads, per-process for process workers);
-    ``browser`` is the worker's long-lived :class:`BrowserEngine`, which owns
-    the per-worker scratch context the fast path reuses across page loads.
-    Both are ``None`` when ``config.fast_path`` is off.
+    ``profiles`` is the worker's precompiled :class:`SiteProfileTable`, the
+    columnar simulator's input.  It is ``None`` when ``config.fast_path`` is
+    off and shards run through the reference browser simulator.
     """
 
     environment: AuctionEnvironment
     detector: HBDetector
     config: CrawlConfig
     profiles: "SiteProfileTable | None" = None
-    browser: BrowserEngine | None = field(default=None, repr=False)
 
     @classmethod
     def build(
-        cls,
-        environment: AuctionEnvironment,
-        detector: HBDetector,
-        config: CrawlConfig,
-        *,
-        profiles: "SiteProfileTable | None" = None,
+        cls, environment: AuctionEnvironment, detector: HBDetector, config: CrawlConfig
     ) -> "WorkerContext":
-        """Assemble a context, compiling the profile table when fast-pathed."""
-        if config.fast_path and profiles is None:
+        """Assemble a context, with a profile table for the columnar simulator."""
+        profiles = None
+        if config.fast_path:
             from repro.ecosystem.profiles import SiteProfileTable
 
             profiles = SiteProfileTable(environment, seed=config.seed)
-        context = cls(
-            environment=environment, detector=detector, config=config, profiles=profiles
-        )
-        if config.fast_path:
-            context.browser = BrowserEngine(
-                environment,
-                seed=config.seed,
-                page_load_timeout_ms=config.page_load_timeout_ms,
-                extra_dwell_ms=config.extra_dwell_ms,
-                profiles=profiles,
-            )
-        return context
+        return cls(environment=environment, detector=detector, config=config, profiles=profiles)
 
 
 def _crawl_shard(
@@ -256,6 +225,8 @@ def _crawl_shard(
 ) -> CrawlResult:
     """Crawl one shard using the worker's long-lived context.
 
+    With ``config.fast_path`` the shard goes to the columnar simulator;
+    otherwise each page loads through the reference browser simulator below.
     The detector is reset at shard start, so reusing one worker for many
     shards (or many crawl days) is observationally identical to giving every
     shard a fresh detector.  Sessions are created lazily: after a timeout or
@@ -268,12 +239,7 @@ def _crawl_shard(
     streaming, pool backends pass ``None`` and stream per completed shard.
     """
     environment, detector, config = context.environment, context.detector, context.config
-    if (
-        config.fast_path
-        and getattr(config, "batch_sim", False)
-        and context.browser is not None
-        and context.profiles is not None
-    ):
+    if config.fast_path:
         from repro.ecosystem.columnar import simulate_shard_columnar
 
         return simulate_shard_columnar(context, crawl_day, on_detection, shard)
@@ -287,7 +253,6 @@ def _crawl_shard(
                 seed=config.seed,
                 page_load_timeout_ms=config.page_load_timeout_ms,
                 extra_dwell_ms=config.extra_dwell_ms,
-                engine=context.browser,
             )
             result.sessions_started += 1
         page = session.load(publisher, visit_index=crawl_day)
@@ -463,38 +428,6 @@ def _run_shard_from_shared_sites(
         shard_seed=shard_seed,
     )
     return _crawl_shard(_process_context(), crawl_day, None, shard)
-
-
-def _init_thread_worker(local: threading.local, prototype: WorkerContext) -> None:
-    """Thread pool initializer: give the worker thread its own detector clone.
-
-    The profile table is shared with the prototype (compilation is
-    deterministic and insertion is lock-guarded), but each thread owns its
-    browser engine — and with it the scratch context pages are simulated in.
-    """
-    local.context = WorkerContext.build(
-        prototype.environment,
-        prototype.detector.clone(),
-        prototype.config,
-        profiles=prototype.profiles,
-    )
-
-
-def _run_shard_in_thread(
-    local: threading.local,
-    prototype: WorkerContext,
-    shard: CrawlShard,
-    crawl_day: int,
-    fault: Callable[[], None] | None = None,
-) -> CrawlResult:
-    """Entry point for thread-pool shard tasks, using the thread's context."""
-    if fault is not None:
-        fault()
-    context = getattr(local, "context", None)
-    if context is None:  # pragma: no cover - defensive: initializer always runs
-        _init_thread_worker(local, prototype)
-        context = local.context
-    return _crawl_shard(context, crawl_day, None, shard)
 
 
 # ---------------------------------------------------------------------------
@@ -767,12 +700,20 @@ class SerialBackend(_SupervisionMixin):
         self._context = None
 
 
-class _ExecutorBackend(_SupervisionMixin):
-    """Shared machinery for ``concurrent.futures`` based backends.
+class ProcessPoolBackend(_SupervisionMixin):
+    """Fan shards out to persistent worker processes (true CPU parallelism).
+
+    Worker processes start pickle-free: the environment/detector/config
+    payload is serialised exactly once — into a shared-memory block every
+    worker attaches to — and each crawl's site list is published the same
+    way, so shard tasks ship only a handful of integers instead of their
+    publishers.  Blocks are refcounted and unlinked on :meth:`shutdown`
+    (reached through ``CrawlEngine.close``).  Worker processes are fully
+    isolated from the caller by construction.
 
     The executor is created lazily on first use and then *persists* across
     ``execute()`` calls, so per-worker setup (context build, environment
-    pickling) happens once per worker for the backend's whole lifetime
+    unpickling) happens once per worker for the backend's whole lifetime
     instead of once per crawl.  ``shutdown()`` releases the pool.
 
     With a :class:`SupervisionPolicy` installed, ``execute`` runs a
@@ -784,16 +725,31 @@ class _ExecutorBackend(_SupervisionMixin):
     the crawl.
     """
 
-    name = "executor"
+    name = "process"
     streams_inline = False
+
+    #: How many distinct published site lists to keep alive (a longitudinal
+    #: campaign alternates between at most a couple — discovery + re-crawl).
+    SITE_BLOCK_LIMIT = 4
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError("a pool backend needs at least one worker")
         self.max_workers = max_workers
         self._context: WorkerContext | None = None
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._pool_size = 0
+        self._payload: SharedPayload | None = None
+        # Published site lists: (sites, block), most recently used last.
+        self._site_blocks: list[tuple[list[Publisher], SharedPayload]] = []
+        self._current_sites: tuple[list[Publisher], SharedPayload] | None = None
+        #: Lifetime task counters: shard tasks that referenced a shared site
+        #: list vs tasks that had to ship their publishers (no published
+        #: list, or a list whose elements did not match the shard's).  The
+        #: benchmark reports these so a silent fall-off of the zero-copy
+        #: path is visible.
+        self.shared_site_tasks = 0
+        self.fallback_tasks = 0
         self._init_supervision()
 
     def prepare(self, context: WorkerContext) -> None:
@@ -814,17 +770,64 @@ class _ExecutorBackend(_SupervisionMixin):
             return
         self._context = context
 
-    def _make_executor(self, context: WorkerContext, workers: int) -> Executor:
-        raise NotImplementedError
+    def publish_sites(self, sites: Sequence[Publisher]) -> None:
+        """Publish the crawl's canonical site list in shared memory.
+
+        Re-publishing the same list (element-identical, the warm-crawl case)
+        reuses the existing block, so a 34-day campaign ships its population
+        across the process boundary once, not once per day.
+        """
+        sites = list(sites)
+        for position, (known, block) in enumerate(self._site_blocks):
+            if len(known) == len(sites) and all(a is b for a, b in zip(known, sites)):
+                self._site_blocks.append(self._site_blocks.pop(position))
+                self._current_sites = (known, block)
+                return
+        block = SharedPayload(sites)
+        self._site_blocks.append((sites, block))
+        self._current_sites = (sites, block)
+        while len(self._site_blocks) > self.SITE_BLOCK_LIMIT:
+            _, stale = self._site_blocks.pop(0)
+            stale.release()
+
+    def _make_executor(self, context: WorkerContext, workers: int) -> ProcessPoolExecutor:
+        if self._payload is None or not self._payload.live:
+            self._payload = SharedPayload(
+                (context.environment, context.detector, context.config)
+            )
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_process_worker,
+            initargs=(self._payload.name, self._payload.size),
+        )
 
     def _submit(
         self,
-        executor: Executor,
+        executor: ProcessPoolExecutor,
         shard: CrawlShard,
         crawl_day: int,
         fault: Callable[[], None] | None = None,
     ):
-        raise NotImplementedError
+        if self._current_sites is not None:
+            sites, block = self._current_sites
+            start, length = shard.start, len(shard.publishers)
+            if start + length <= len(sites) and all(
+                a is b for a, b in zip(sites[start : start + length], shard.publishers)
+            ):
+                self.shared_site_tasks += 1
+                return executor.submit(
+                    _run_shard_from_shared_sites,
+                    block.name,
+                    block.size,
+                    shard.index,
+                    start,
+                    length,
+                    shard.shard_seed,
+                    crawl_day,
+                    fault,
+                )
+        self.fallback_tasks += 1
+        return executor.submit(_run_shard_in_process, shard, crawl_day, fault)
 
     def execute(
         self,
@@ -966,143 +969,6 @@ class _ExecutorBackend(_SupervisionMixin):
             self._executor = None
         self._pool_size = 0
         self._context = None
-
-    def __enter__(self) -> "_ExecutorBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-
-class ThreadPoolBackend(_ExecutorBackend):
-    """Fan shards out to a persistent thread pool.
-
-    Page-load simulation is numpy-heavy enough that threads overlap some
-    work; more importantly the backend exercises the exact fan-out/merge
-    path of :class:`ProcessPoolBackend` without pickling, making it the
-    cheap way to test parallel semantics.  Each worker thread owns one
-    detector clone for its whole lifetime (built by the pool initializer),
-    replacing the old per-shard ``copy.deepcopy``.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__(max_workers)
-        self._local = threading.local()
-
-    def _make_executor(self, context: WorkerContext, workers: int) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=workers,
-            initializer=_init_thread_worker,
-            initargs=(self._local, context),
-        )
-
-    def _submit(
-        self,
-        executor: Executor,
-        shard: CrawlShard,
-        crawl_day: int,
-        fault: Callable[[], None] | None = None,
-    ):
-        return executor.submit(
-            _run_shard_in_thread, self._local, self._context, shard, crawl_day, fault
-        )
-
-
-class ProcessPoolBackend(_ExecutorBackend):
-    """Fan shards out to persistent worker processes (true CPU parallelism).
-
-    Worker processes start pickle-free: the environment/detector/config
-    payload is serialised exactly once — into a shared-memory block every
-    worker attaches to — and each crawl's site list is published the same
-    way, so shard tasks ship only a handful of integers instead of their
-    publishers.  Blocks are refcounted and unlinked on :meth:`shutdown`
-    (reached through ``CrawlEngine.close``).  Worker processes are fully
-    isolated from the caller by construction.
-    """
-
-    name = "process"
-
-    #: How many distinct published site lists to keep alive (a longitudinal
-    #: campaign alternates between at most a couple — discovery + re-crawl).
-    SITE_BLOCK_LIMIT = 4
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__(max_workers)
-        self._payload: SharedPayload | None = None
-        # Published site lists: (sites, block), most recently used last.
-        self._site_blocks: list[tuple[list[Publisher], SharedPayload]] = []
-        self._current_sites: tuple[list[Publisher], SharedPayload] | None = None
-        #: Lifetime task counters: shard tasks that referenced a shared site
-        #: list vs tasks that had to ship their publishers (no published
-        #: list, or a list whose elements did not match the shard's).  The
-        #: benchmark reports these so a silent fall-off of the zero-copy
-        #: path is visible.
-        self.shared_site_tasks = 0
-        self.fallback_tasks = 0
-
-    def publish_sites(self, sites: Sequence[Publisher]) -> None:
-        """Publish the crawl's canonical site list in shared memory.
-
-        Re-publishing the same list (element-identical, the warm-crawl case)
-        reuses the existing block, so a 34-day campaign ships its population
-        across the process boundary once, not once per day.
-        """
-        sites = list(sites)
-        for position, (known, block) in enumerate(self._site_blocks):
-            if len(known) == len(sites) and all(a is b for a, b in zip(known, sites)):
-                self._site_blocks.append(self._site_blocks.pop(position))
-                self._current_sites = (known, block)
-                return
-        block = SharedPayload(sites)
-        self._site_blocks.append((sites, block))
-        self._current_sites = (sites, block)
-        while len(self._site_blocks) > self.SITE_BLOCK_LIMIT:
-            _, stale = self._site_blocks.pop(0)
-            stale.release()
-
-    def _make_executor(self, context: WorkerContext, workers: int) -> Executor:
-        if self._payload is None or not self._payload.live:
-            self._payload = SharedPayload(
-                (context.environment, context.detector, context.config)
-            )
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_process_worker,
-            initargs=(self._payload.name, self._payload.size),
-        )
-
-    def _submit(
-        self,
-        executor: Executor,
-        shard: CrawlShard,
-        crawl_day: int,
-        fault: Callable[[], None] | None = None,
-    ):
-        if self._current_sites is not None:
-            sites, block = self._current_sites
-            start, length = shard.start, len(shard.publishers)
-            if start + length <= len(sites) and all(
-                a is b for a, b in zip(sites[start : start + length], shard.publishers)
-            ):
-                self.shared_site_tasks += 1
-                return executor.submit(
-                    _run_shard_from_shared_sites,
-                    block.name,
-                    block.size,
-                    shard.index,
-                    start,
-                    length,
-                    shard.shard_seed,
-                    crawl_day,
-                    fault,
-                )
-        self.fallback_tasks += 1
-        return executor.submit(_run_shard_in_process, shard, crawl_day, fault)
-
-    def shutdown(self) -> None:
-        super().shutdown()
         if self._payload is not None:
             self._payload.release()
             self._payload = None
@@ -1111,13 +977,17 @@ class ProcessPoolBackend(_ExecutorBackend):
         self._site_blocks = []
         self._current_sites = None
 
+    def __enter__(self) -> "ProcessPoolBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
 
 def backend_from_name(name: str, *, workers: int | None = None) -> ExecutionBackend:
     """Build a backend from its configuration name."""
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadPoolBackend(max_workers=workers)
     if name == "process":
         return ProcessPoolBackend(max_workers=workers)
     raise ConfigurationError(
@@ -1146,8 +1016,9 @@ class CrawlEngine:
     ----------
     environment / detector:
         The simulated demand side and the detection tool; each worker builds
-        its own long-lived context from them (clone per thread, one pickled
-        copy per process) instead of receiving copies per shard.
+        its own long-lived context from them (the caller's own objects on
+        the serial backend, one pickled copy per worker process) instead of
+        receiving copies per shard.
     config:
         Operational crawl parameters; ``config.workers`` and
         ``config.backend`` choose the default execution strategy, and the

@@ -26,15 +26,6 @@ class CrawlSession:
     The session tracks how many pages it served and whether it has been
     killed; a killed session refuses further loads, forcing the crawler to
     start a fresh one (which is also what guarantees the clean state).
-
-    ``engine`` lets a worker share one :class:`BrowserEngine` (and with it
-    the precompiled profile table and the per-worker scratch context) across
-    the many short-lived sessions a shard burns through; the engine is
-    stateless between loads, so sharing it cannot leak state across the
-    clean-slate boundary — but the scratch context makes loads sequential,
-    so a fast-path engine belongs to exactly one worker (thread), never to
-    sessions loading concurrently.  Without it the session builds its own
-    engine, the original behaviour.
     """
 
     environment: AuctionEnvironment
@@ -43,11 +34,10 @@ class CrawlSession:
     extra_dwell_ms: float = 5_000.0
     pages_loaded: int = 0
     killed: bool = False
-    engine: BrowserEngine | None = None
     _engine: BrowserEngine = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._engine = self.engine or BrowserEngine(
+        self._engine = BrowserEngine(
             self.environment,
             seed=self.seed,
             page_load_timeout_ms=self.page_load_timeout_ms,
@@ -73,5 +63,4 @@ class CrawlSession:
             seed=self.seed,
             page_load_timeout_ms=self.page_load_timeout_ms,
             extra_dwell_ms=self.extra_dwell_ms,
-            engine=self.engine,
         )

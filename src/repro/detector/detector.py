@@ -36,19 +36,6 @@ class HBDetector:
         self._web_inspector = WebRequestInspector(self.known_partners)
 
     # -- worker lifecycle ------------------------------------------------------
-    def clone(self) -> "HBDetector":
-        """A fresh detector sharing the immutable known-partner list.
-
-        This is the cheap worker-isolation primitive the crawl engine uses:
-        the curated list (the only sizeable state) is shared read-only, the
-        inspectors are rebuilt.  Orders of magnitude cheaper than
-        ``copy.deepcopy`` and observationally identical, because detection is
-        a pure function of the page's observations.  Clones preserve the
-        concrete class; subclasses whose ``__init__`` takes more than the
-        partner list must override this.
-        """
-        return type(self)(self.known_partners)
-
     def reset(self) -> None:
         """Drop any inspector state, guaranteeing a clean slate per shard.
 

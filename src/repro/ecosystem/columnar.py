@@ -3,9 +3,9 @@
 The reference pipeline simulates one page at a time: derive a per-visit
 generator, replay the page load through the browser engine (clock, DOM
 recorder, web-request log), then hand the recorded events to the detector.
-PR 5 made that loop zero-churn, which leaves the per-page *fixed costs* —
-``SeedSequence`` entropy mixing, generator construction, object traffic for
-events nobody outside the detector ever reads — as the dominant term.
+Its per-page *fixed costs* — ``SeedSequence`` entropy mixing, generator
+construction, re-deriving every site input, object traffic for events
+nobody outside the detector ever reads — dominate the crawl.
 
 This module changes the unit of work from the page to the
 :class:`~repro.crawler.engine.CrawlShard`:
@@ -31,10 +31,11 @@ This module changes the unit of work from the page to the
 
 Detections leave through :meth:`HBDetector.detect_from_observations`, so the
 classification/reconstruction logic is shared with the reference path, and
-``SiteDetection`` objects are materialised only at the sink seam.  Byte
-identity of the two paths is enforced by ``tests/test_fastpath_equivalence``
-and the stream-level parity of the kernels by
-``tests/test_columnar_samplers``.
+``SiteDetection`` objects are materialised only at the sink seam.  The
+reference pipeline is this module's oracle: byte identity of the two paths
+is enforced by ``tests/test_fastpath_equivalence`` and the stream-level
+parity of the kernels by ``tests/test_columnar_samplers`` and
+``tests/test_profiles``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.browser.engine import NON_HB_AD_PROBABILITY
 from repro.crawler.crawler import CrawlResult
 from repro.detector.dom_inspector import DomObservations, _ObservedDomBid
 from repro.detector.parameters import HBParameterSet
@@ -403,7 +405,7 @@ def _simulate_waterfall_page(sim: _SiteSim, gen: np.random.Generator) -> float:
 
     The RNG gate has already been consumed (vectorized); the generator is
     activated with the post-gate stream state.  Replicates, draw for draw,
-    ``build_waterfall_chain_fast`` + per-slot ``default_waterfall_slot`` /
+    ``build_waterfall_chain`` + per-slot ``default_waterfall_slot`` /
     ``run_waterfall`` over the compiled samplers, without materialising the
     chain/slot/outcome objects nobody reads: waterfall traffic is invisible
     to the detector (the win notification is an outgoing request without
@@ -425,7 +427,7 @@ def _simulate_waterfall_page(sim: _SiteSim, gen: np.random.Generator) -> float:
         total = 0.0
         won = False
         for (latency_flat, fill_probability, cpm_sigma, mu_by_label), floor_cpm in chain:
-            # _sample_latency, inlined with bound methods: this loop is the
+            # LatencyDraw.sample, inlined with bound methods: this loop is the
             # single hottest stretch of the columnar path.
             mu, sigma, minimum, slow_probability, slow_multiplier = latency_flat
             value = float(gen_lognormal(mu, sigma))
@@ -450,11 +452,11 @@ def _simulate_waterfall_page(sim: _SiteSim, gen: np.random.Generator) -> float:
 
 
 def _swr(gen, p_list: list, cdf_list: list, size: int) -> list:
-    """Pure-Python ``sample_without_replacement``.
+    """``gen.choice(len(p), size=size, replace=False, p=p)`` over a precomputed CDF.
 
     Stream consumption is identical — the only RNG calls are the same
-    batched ``gen.random(k)`` draws — and every float operation repeats the
-    numpy original in the same IEEE order: ``bisect_right`` is
+    batched ``gen.random(k)`` draws — and every float operation repeats
+    numpy's algorithm in the same IEEE order: ``bisect_right`` is
     ``searchsorted(side="right")``, the per-batch first-occurrence dedup is
     ``np.unique``'s sorted-index take, the redraw loop's running sum and
     elementwise division are ``np.cumsum`` (sequential for float64) and
@@ -493,11 +495,11 @@ def _swr(gen, p_list: list, cdf_list: list, size: int) -> list:
 
 
 def _sample_internal(gen, rec) -> list:
-    """``SiteProfile.sample_internal_bidders`` over the flattened pool.
+    """``AuctionEnvironment.sample_internal_bidders`` over the flattened pool.
 
     Same RNG order (count draw, then the weighted choice); returns
     ``(bidder_code, partner_name, respond_flat)`` triples instead of
-    ``PartnerProfile`` objects.
+    ``DemandPartner`` objects.
     """
     low, high, recs, p_list, cdf_list = rec
     count = int(gen.integers(low, high + 1))
@@ -526,8 +528,9 @@ def _flat_respond(prof) -> tuple:
 def _respond_draws(
     gen: np.random.Generator, flat: tuple, slot_index: int
 ) -> tuple[float, float | None]:
-    """The draw sequence of ``PartnerProfile.respond`` without the response
-    object; the latency sampling is :func:`_sample_latency` inlined."""
+    """The draw sequence of ``AuctionEnvironment.partner_response`` for one
+    precompiled partner, without the response object; returns
+    ``(latency_ms, cpm)``."""
     latency_flat, internal_flat, bid_probability, cpm_sigma, cpm_mus = flat
     mu, sigma, minimum, slow_probability, slow_multiplier = latency_flat
     value = float(gen.lognormal(mu, sigma))
@@ -950,7 +953,7 @@ def simulate_shard_columnar(
     on_detection: "Callable[[SiteDetection], None] | None",
     shard: "CrawlShard",
 ) -> CrawlResult:
-    """Simulate one shard columnar-batch style; byte-identical to ``_crawl_shard``.
+    """Simulate one shard columnar-batch style; byte-identical to the reference loop.
 
     Seeds every page's stream in one vectorized pass, draws all plain-page
     dwell times as shard-wide array operations, and runs ad pages through the
@@ -960,7 +963,6 @@ def simulate_shard_columnar(
     """
     config = context.config
     detector = context.detector
-    browser = context.browser
     table = context.profiles
     detector.reset()
     result = CrawlResult()
@@ -979,8 +981,8 @@ def simulate_shard_columnar(
     hi1, lo1 = _mul128_add(state_hi, state_lo, inc_hi, inc_lo)
     first_draw = _output_doubles(hi1, lo1)
 
-    gate_probability = browser.non_hb_ad_probability
-    timeout_ms = browser.page_load_timeout_ms
+    gate_probability = NON_HB_AD_PROBABILITY
+    timeout_ms = config.page_load_timeout_ms
 
     html = np.empty(n)
     content = np.empty(n)

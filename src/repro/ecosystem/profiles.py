@@ -6,25 +6,25 @@ partner's log-normal latency parameters at the site's latency scale, the
 combined price multiplier (size x facet x popularity x vanilla-profile) each
 partner applies per ad slot, the static fields of every bid request, the
 internal-bidder candidate pool of server-side/hybrid ad servers, and the
-waterfall chain tables of non-HB pages.  The slow path re-derives all of it
-on every load; over a 34-day longitudinal campaign that is 34 re-derivations
-per site of values that are pure functions of ``(environment, seed, site)``.
+waterfall chain tables of non-HB pages.  The reference simulator re-derives
+all of it on every load; over a 34-day longitudinal campaign that is 34
+re-derivations per site of values that are pure functions of
+``(environment, seed, site)``.
 
 This module compiles those inputs once per site into a flat, slotted
-:class:`SiteProfile` held in a :class:`SiteProfileTable`.  The hot loops in
-:mod:`repro.browser.engine`, :mod:`repro.hb.client_side`,
-:mod:`repro.hb.server_side`, :mod:`repro.hb.hybrid` and
-:mod:`repro.hb.waterfall` then read precomputed values instead of re-deriving
-them per page.
+:class:`SiteProfile` held in a :class:`SiteProfileTable`.  The columnar
+simulator (:mod:`repro.ecosystem.columnar`) then reads precomputed values
+instead of re-deriving them per page.
 
 Equivalence contract
 --------------------
-The fast path must keep emitted detections **byte-identical** to the slow
-reference path (``CrawlConfig(fast_path=False)``).  Every precomputed float
-is therefore produced by the *same arithmetic expression* (same operand
-order, same intermediate products) the slow path evaluates per page, and the
-samplers below consume the page RNG stream in exactly the same call order as
-the model classes they shortcut (:class:`~repro.ecosystem.partners.LatencyModel`,
+The columnar simulator must keep emitted detections **byte-identical** to
+the reference browser simulator (``CrawlConfig(fast_path=False)``).  Every
+precomputed float is therefore produced by the *same arithmetic expression*
+(same operand order, same intermediate products) the reference path
+evaluates per page, and the samplers built on it consume the page RNG
+stream in exactly the same call order as the model classes they shortcut
+(:class:`~repro.ecosystem.partners.LatencyModel`,
 :class:`~repro.ecosystem.partners.BidBehavior`,
 :meth:`~repro.hb.environment.AuctionEnvironment.sample_internal_bidders`).
 ``tests/test_fastpath_equivalence.py`` asserts the end-to-end guarantee.
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.browser.page import Page, build_page
 from repro.ecosystem.bidding import popularity_price_multiplier
-from repro.ecosystem.partners import DemandPartner, LatencyModel, PartnerResponse
+from repro.ecosystem.partners import DemandPartner, LatencyModel
 from repro.ecosystem.publishers import Publisher
 from repro.models import AdSlotSize, HBFacet
 
@@ -60,53 +60,7 @@ __all__ = [
     "SiteWaterfall",
     "SiteProfile",
     "SiteProfileTable",
-    "sample_without_replacement",
 ]
-
-
-def sample_without_replacement(
-    rng: np.random.Generator,
-    p: np.ndarray,
-    cdf: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """``rng.choice(len(p), size=size, replace=False, p=p)`` with a precomputed CDF.
-
-    ``Generator.choice`` spends most of its ~25 µs per call validating and
-    re-normalising ``p`` and rebuilding its cumulative distribution; the hot
-    loops here draw from the *same* distribution thousands of times per
-    crawl.  This reproduces numpy's draw algorithm — batched uniform draw,
-    right-bisect into the CDF, de-duplicate keeping first occurrences, redraw
-    over the zeroed remainder on collision — bit-identically (same stream
-    consumption, same result order).  ``tests/test_profiles.py`` asserts
-    exact agreement with ``Generator.choice``, values and stream state both,
-    so a numpy algorithm change cannot silently break byte-identity.
-    """
-    x = rng.random((size,))
-    new = cdf.searchsorted(x, side="right")
-    if size == 1:
-        return new
-    _, unique_indices = np.unique(new, return_index=True)
-    if unique_indices.size == size:  # common case: no collision
-        return new
-    unique_indices.sort()
-    new = new.take(unique_indices)
-    found = np.zeros(size, dtype=new.dtype)
-    found[: new.size] = new
-    n_uniq = new.size
-    p = p.copy()
-    while n_uniq < size:
-        x = rng.random((size - n_uniq,))
-        p[found[0:n_uniq]] = 0
-        remaining_cdf = np.cumsum(p)
-        remaining_cdf /= remaining_cdf[-1]
-        new = remaining_cdf.searchsorted(x, side="right")
-        _, unique_indices = np.unique(new, return_index=True)
-        unique_indices.sort()
-        new = new.take(unique_indices)
-        found[n_uniq : n_uniq + new.size] = new
-        n_uniq += new.size
-    return found
 
 
 #: Waterfall model parameters shared with :mod:`repro.hb.waterfall` (which
@@ -174,42 +128,17 @@ class PartnerProfile:
 
     partner: DemandPartner
     bidder_code: str
-    endpoint: str
     latency: LatencyDraw
     internal: LatencyDraw | None
     bid_probability: float
     cpm_sigma: float
     cpm_mus: tuple[float, ...]
 
-    def respond(
-        self,
-        rng: np.random.Generator,
-        slot_index: int,
-        slot_code: str,
-        size: AdSlotSize,
-    ) -> PartnerResponse:
-        """Drop-in for ``environment.partner_response`` (same RNG stream)."""
-        latency_ms = self.latency.sample(rng)
-        if self.internal is not None:
-            latency_ms += self.internal.sample(rng)
-        cpm: float | None = None
-        if rng.random() < self.bid_probability:
-            drawn = float(rng.lognormal(mean=self.cpm_mus[slot_index], sigma=self.cpm_sigma))
-            cpm = round(max(drawn, 0.0001), 5)
-        return PartnerResponse(
-            partner=self.partner,
-            slot_code=slot_code,
-            latency_ms=latency_ms,
-            bid_cpm=cpm,
-            size=size,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class WaterfallPartnerProfile:
     """Precompiled waterfall behaviour of one ad network at one site scale."""
 
-    partner: DemandPartner
     latency: LatencyDraw
     fill_probability: float
     cpm_sigma: float
@@ -256,7 +185,6 @@ class SiteProfile:
     #: ``auction_id`` is filled in per page (dict order matches
     #: :func:`repro.hb.adapters.build_bid_request`).
     bid_request_templates: tuple[tuple[str, Mapping[str, str]], ...] = ()
-    bidders_by_code: Mapping[str, DemandPartner] | None = None
     client_bidders_by_code: Mapping[str, DemandPartner] | None = None
     display_codes: frozenset[str] = frozenset()
     #: Key-value push target (``https://<ad server host>/gampad/ads``).
@@ -276,21 +204,6 @@ class SiteProfile:
     internal_weights: np.ndarray | None = None
     internal_cdf: np.ndarray | None = None
     internal_pool: tuple[int, int] = (1, 1)
-
-    def sample_internal_bidders(self, rng: np.random.Generator) -> list[PartnerProfile]:
-        """Mirror of :meth:`AuctionEnvironment.sample_internal_bidders`.
-
-        Consumes the RNG identically (count draw first, then the weighted
-        choice over the precompiled candidate pool).
-        """
-        low, high = self.internal_pool
-        count = int(rng.integers(low, high + 1))
-        profiles = self.internal_profiles
-        if not profiles:
-            return []
-        count = min(count, len(profiles))
-        chosen = sample_without_replacement(rng, self.internal_weights, self.internal_cdf, count)
-        return [profiles[int(i)] for i in chosen]
 
     def ad_server_latency(self, rng: np.random.Generator) -> float:
         """Mirror of :meth:`AuctionEnvironment.ad_server_latency`."""
@@ -446,7 +359,6 @@ class SiteProfileTable:
         return PartnerProfile(
             partner=partner,
             bidder_code=partner.bidder_code,
-            endpoint=partner.bid_endpoint(),
             latency=latency,
             internal=internal if partner.runs_internal_auction else None,
             bid_probability=partner.bidding.bid_probability,
@@ -487,7 +399,6 @@ class SiteProfileTable:
                     )
                     mu_by_label[label] = math.log(location)
                 profiles[partner.name] = WaterfallPartnerProfile(
-                    partner=partner,
                     latency=LatencyDraw.compile(partner.latency, scale * AD_SERVER_PATH_SCALE),
                     fill_probability=waterfall_fill_probability(partner.bidding.bid_probability),
                     cpm_sigma=partner.bidding.cpm_sigma,
@@ -557,7 +468,6 @@ class SiteProfileTable:
             partner_profiles=partner_profiles,
             client_partner_profiles=client_profiles,
             bid_request_templates=templates,
-            bidders_by_code={p.bidder_code: p for p in publisher.partners},
             client_bidders_by_code={p.bidder_code: p for p in client_partners},
             display_codes=frozenset(slot.code for slot in publisher.slots),
             # float(np.log(...)), not math.log: the slow path

@@ -41,7 +41,7 @@ class ExperimentConfig:
     vanilla_profile: bool = True
     #: Parallel crawl workers (shards); ``1`` is the paper's sequential crawl.
     workers: int = 1
-    #: Crawl execution backend: ``"serial"``, ``"thread"`` or ``"process"``.
+    #: Crawl execution backend: ``"serial"`` or ``"process"``.
     #: Detections are byte-identical across backends and worker counts.
     crawl_backend: str = "serial"
     #: How many detections a streaming ``--save`` sink buffers between file
@@ -58,14 +58,10 @@ class ExperimentConfig:
     resume: bool = False
     #: Persist the checkpoint every N completed shard boundaries.
     checkpoint_every_shards: int = 1
-    #: Simulate pages through precompiled site profiles and per-worker
-    #: scratch buffers (the fast path).  ``False`` re-derives every per-page
-    #: input, the slow reference path; detections are byte-identical.
+    #: Simulate with the columnar simulator over precompiled site profiles.
+    #: ``False`` selects the reference browser simulator, which re-derives
+    #: every per-page input; detections are byte-identical.
     fast_path: bool = True
-    #: Simulate whole shards as numpy arrays (the columnar batch path,
-    #: layered on the fast path's precompiled profiles).  ``False`` keeps
-    #: the page-at-a-time loop; detections are byte-identical.
-    batch_sim: bool = True
     #: Shards per worker for parallel crawls (bytes identical for any
     #: value).  Pass ``1`` to resume a parallel checkpoint written before
     #: this knob existed (its mid-flight phase planned one shard per
@@ -160,7 +156,6 @@ class ExperimentConfig:
             backend=self.crawl_backend,
             checkpoint_every_shards=self.checkpoint_every_shards,
             fast_path=self.fast_path,
-            batch_sim=self.batch_sim,
             shard_oversubscribe=self.shard_oversubscribe,
             shard_retries=self.shard_retries,
             shard_timeout=self.shard_timeout,
@@ -168,7 +163,7 @@ class ExperimentConfig:
             fault_log=self.fault_log,
         )
 
-    def with_parallelism(self, workers: int, backend: str = "thread") -> "ExperimentConfig":
+    def with_parallelism(self, workers: int, backend: str = "process") -> "ExperimentConfig":
         return replace(self, workers=workers, crawl_backend=backend)
 
     def with_checkpoint(self, path: str, *, resume: bool = False) -> "ExperimentConfig":

@@ -23,7 +23,6 @@ from repro.models import AdSlot, HBFacet, SaleChannel
 from repro.utils.rng import fast_uniform
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ecosystem.profiles import PartnerProfile
     from repro.hb.wrappers import HBWrapper
 
 __all__ = ["run_client_side", "PartnerReply", "dispatch_bid_requests", "push_to_ad_server"]
@@ -47,8 +46,6 @@ def dispatch_bid_requests(
     auction_id: str,
     *,
     facet: HBFacet,
-    partner_profiles: "Sequence[PartnerProfile] | None" = None,
-    request_templates: Sequence[tuple[str, Mapping[str, str]]] | None = None,
 ) -> list[PartnerReply]:
     """Send one bid request per partner and sample every reply.
 
@@ -56,11 +53,6 @@ def dispatch_bid_requests(
     requests leave the machine one after another; the per-request dispatch
     delay grows mildly with the number of auctioned slots, which is one of the
     mechanisms behind Figure 15 (latency grows with the number of partners).
-
-    ``partner_profiles`` / ``request_templates`` (aligned with ``partners``)
-    supply the fast path: precompiled response samplers and static bid-request
-    fields replace the per-page multiplier and adapter derivations, with the
-    RNG consumed identically.
     """
     context = wrapper.context
     environment = wrapper.environment
@@ -71,29 +63,22 @@ def dispatch_bid_requests(
     latency_scale = publisher.latency_scale
 
     dispatch_cursor = context.clock.now()
-    for index, partner in enumerate(partners):
+    for partner in partners:
         # Better-provisioned (highly ranked) sites also serialise their ad
         # calls faster, hence the same latency scale applies to the queueing.
         queue_delay = (fast_uniform(rng, 15.0, 45.0) + queue_bias) * latency_scale
         dispatch_cursor += queue_delay
-        if request_templates is not None:
-            url, template = request_templates[index]
-            params: dict[str, object] = dict(template)
-            params["auction_id"] = auction_id
-            method = "POST"
-        else:
-            spec = build_bid_request(
-                partner,
-                slots,
-                page_url=publisher.url,
-                auction_id=auction_id,
-                timeout_ms=publisher.timeout_ms,
-            )
-            url, params, method = spec.url, spec.params, spec.method
+        spec = build_bid_request(
+            partner,
+            slots,
+            page_url=publisher.url,
+            auction_id=auction_id,
+            timeout_ms=publisher.timeout_ms,
+        )
         context.requests.record_outgoing(
-            url,
-            method=method,
-            params=params,
+            spec.url,
+            method=spec.method,
+            params=spec.params,
             initiator=publisher.url,
             timestamp_ms=dispatch_cursor,
         )
@@ -102,16 +87,12 @@ def dispatch_bid_requests(
         # One HTTP exchange per partner: the partner prices every slot in the
         # same response, so the reply time is a single latency draw (the first
         # slot's), not the maximum over per-slot draws.
-        profile = partner_profiles[index] if partner_profiles is not None else None
         responses: dict[str, PartnerResponse] = {}
         response_latency: float | None = None
-        for slot_index, slot in enumerate(slots):
-            if profile is not None:
-                response = profile.respond(rng, slot_index, slot.code, slot.primary_size)
-            else:
-                response = environment.partner_response(
-                    rng, partner, slot, facet, latency_scale=latency_scale
-                )
+        for slot in slots:
+            response = environment.partner_response(
+                rng, partner, slot, facet, latency_scale=latency_scale
+            )
             responses[slot.code] = response
             if response_latency is None:
                 response_latency = response.latency_ms
@@ -166,12 +147,7 @@ def push_to_ad_server(
     context = wrapper.context
     publisher = wrapper.publisher
     environment = wrapper.environment
-    profile = wrapper.profile
-    push_url = (
-        profile.ad_server_push_url
-        if profile is not None and profile.ad_server_push_url is not None
-        else f"https://{ad_server_host}/gampad/ads"
-    )
+    push_url = f"https://{ad_server_host}/gampad/ads"
 
     params: dict[str, object] = {"auction_id": auction_id, "slots": len(slots)}
     for slot_code, bids in on_time_bids.items():
@@ -189,12 +165,7 @@ def push_to_ad_server(
         initiator=publisher.url,
         timestamp_ms=call_time_ms,
     )
-    if profile is not None:
-        latency = profile.ad_server_latency(context.rng)
-    else:
-        latency = environment.ad_server_latency(
-            context.rng, latency_scale=publisher.latency_scale
-        )
+    latency = environment.ad_server_latency(context.rng, latency_scale=publisher.latency_scale)
     response_time = call_time_ms + latency
     context.requests.record_incoming(
         push_url,
@@ -236,8 +207,6 @@ def run_client_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     """Execute one client-side header-bidding page load."""
     context = wrapper.context
     publisher = wrapper.publisher
-    profile = wrapper.profile
-    rng = context.rng
     facet = HBFacet.CLIENT_SIDE
 
     auction_id = context.ids.next("auction")
@@ -251,8 +220,6 @@ def run_client_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
         slots,
         auction_id,
         facet=facet,
-        partner_profiles=profile.partner_profiles if profile is not None else None,
-        request_templates=profile.bid_request_templates if profile is not None else None,
     )
     ad_server_call = _ad_server_call_time(wrapper, replies, auction_start)
 
@@ -304,10 +271,7 @@ def run_client_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     context.clock.advance_to(ad_server_response)
 
     winners = _decide_winners(wrapper, slots, on_time)
-    if profile is not None and profile.bidders_by_code is not None:
-        bidders_by_code = profile.bidders_by_code
-    else:
-        bidders_by_code = {partner.bidder_code: partner for partner in publisher.partners}
+    bidders_by_code = {partner.bidder_code: partner for partner in publisher.partners}
 
     slot_outcomes: list[SlotAuctionOutcome] = []
     for slot in slots:
@@ -365,14 +329,9 @@ def _render_and_notify(
     """Emit render events and the winner-notification callbacks."""
     context = wrapper.context
     publisher = wrapper.publisher
-    profile = wrapper.profile
     rng = context.rng
-    if profile is not None and profile.bidders_by_code is not None:
-        bidders_by_code: Mapping[str, DemandPartner] = profile.bidders_by_code
-        display_codes: frozenset[str] | set[str] = profile.display_codes
-    else:
-        bidders_by_code = {partner.bidder_code: partner for partner in publisher.partners}
-        display_codes = {slot.code for slot in publisher.slots}
+    bidders_by_code = {partner.bidder_code: partner for partner in publisher.partners}
+    display_codes = {slot.code for slot in publisher.slots}
 
     for outcome in slot_outcomes:
         if outcome.slot.code not in display_codes:

@@ -35,7 +35,6 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     context = wrapper.context
     publisher = wrapper.publisher
     environment = wrapper.environment
-    profile = wrapper.profile
     rng = context.rng
     facet = HBFacet.HYBRID
 
@@ -54,8 +53,6 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
         slots,
         auction_id,
         facet=facet,
-        partner_profiles=profile.client_partner_profiles if profile is not None else None,
-        request_templates=profile.bid_request_templates if profile is not None else None,
     )
     ad_server_call = _ad_server_call_time(wrapper, replies, auction_start)
 
@@ -104,27 +101,19 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
         wrapper, slots, on_time, auction_id, ad_server_call,
         ad_server_host=ad_server.primary_domain, facet=facet,
     )
-    if profile is not None and profile.hybrid_internal_delay is not None:
-        internal_delay = profile.hybrid_internal_delay.sample(rng)
-    else:
-        internal_delay = ad_server.latency.sample(rng, scale=publisher.latency_scale * 0.5)
+    internal_delay = ad_server.latency.sample(rng, scale=publisher.latency_scale * 0.5)
     ad_server_response = base_response + internal_delay
     context.clock.advance_to(ad_server_response)
 
-    if profile is not None:
-        internal_bidders: list = profile.sample_internal_bidders(rng)
-        bidders_by_code = profile.client_bidders_by_code or {}
-        render_url = profile.hybrid_render_url
-    else:
-        internal_bidders = environment.sample_internal_bidders(
-            rng, exclude=(ad_server, *client_partners)
-        )
-        bidders_by_code = {partner.bidder_code: partner for partner in client_partners}
-        render_url = f"https://{ad_server.primary_domain}/gampad/render"
+    internal_bidders = environment.sample_internal_bidders(
+        rng, exclude=(ad_server, *client_partners)
+    )
+    bidders_by_code = {partner.bidder_code: partner for partner in client_partners}
+    render_url = f"https://{ad_server.primary_domain}/gampad/render"
 
     slot_outcomes: list[SlotAuctionOutcome] = []
     winners_for_render: dict[str, tuple[str | None, float]] = {}
-    for slot_index, slot in enumerate(slots):
+    for slot in slots:
         # The ad server compares the best client-side bid with the best bid
         # from its internal auction.
         client_bids = on_time.get(slot.code, {})
@@ -136,14 +125,10 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
 
         internal_results: list[tuple[DemandPartner, float | None]] = []
         for bidder in internal_bidders:
-            if profile is not None:
-                response = bidder.respond(rng, slot_index, slot.code, slot.primary_size)
-                internal_results.append((bidder.partner, response.bid_cpm))
-            else:
-                response = environment.partner_response(
-                    rng, bidder, slot, facet, latency_scale=publisher.latency_scale
-                )
-                internal_results.append((bidder, response.bid_cpm))
+            response = environment.partner_response(
+                rng, bidder, slot, facet, latency_scale=publisher.latency_scale
+            )
+            internal_results.append((bidder, response.bid_cpm))
         internal_priced = [(p, cpm) for p, cpm in internal_results if cpm is not None]
         best_internal: tuple[DemandPartner, float] | None = None
         if internal_priced:
@@ -228,10 +213,7 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
         code: value for code, value in winners_for_render.items() if value[0] in bidders_by_code
     }
     _render_and_notify(wrapper, slot_outcomes, client_winner_map, auction_id)
-    if profile is not None:
-        display_codes: frozenset[str] | set[str] = profile.display_codes
-    else:
-        display_codes = {slot.code for slot in publisher.slots}
+    display_codes = {slot.code for slot in publisher.slots}
     for outcome in slot_outcomes:
         code = outcome.slot.code
         if code in display_codes and code not in client_winner_map:

@@ -17,7 +17,6 @@ from repro.hb.wrappers import build_wrapper, wrapper_class_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.browser.context import BrowserContext
-    from repro.ecosystem.profiles import SiteProfile
 
 __all__ = ["run_header_bidding", "wrapper_traits"]
 
@@ -26,19 +25,15 @@ def run_header_bidding(
     publisher: Publisher,
     context: "BrowserContext",
     environment: AuctionEnvironment,
-    *,
-    profile: "SiteProfile | None" = None,
 ) -> HeaderBiddingOutcome | None:
     """Run header bidding for one page load.
 
     Returns ``None`` when the publisher does not deploy HB at all, so that the
-    browser engine can use the same call site for every page.  ``profile``
-    carries the site's precompiled simulation inputs (fast path); without it
-    the facet executors re-derive everything per page.
+    browser engine can use the same call site for every page.
     """
     if not publisher.uses_hb:
         return None
-    wrapper = build_wrapper(publisher, context, environment, profile=profile)
+    wrapper = build_wrapper(publisher, context, environment)
     return wrapper.run()
 
 

@@ -30,7 +30,6 @@ def run_server_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     context = wrapper.context
     publisher = wrapper.publisher
     environment = wrapper.environment
-    profile = wrapper.profile
     rng = context.rng
     facet = HBFacet.SERVER_SIDE
 
@@ -40,18 +39,13 @@ def run_server_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     slots = publisher.auctioned_slots
 
     # One outgoing request carrying every auctioned slot.
-    if profile is not None and profile.server_request_params is not None:
-        request_url = profile.server_request_url
-        request_params: dict[str, object] = dict(profile.server_request_params)
-        request_params["correlator"] = auction_id
-    else:
-        request_url = f"https://{aggregator.primary_domain}/gampad/ads"
-        request_params = {
-            "iu": f"/{publisher.domain}/front",
-            "prev_iu_szs": "|".join(",".join(slot.accepted_labels) for slot in slots),
-            "slot_count": str(len(slots)),
-            "correlator": auction_id,
-        }
+    request_url = f"https://{aggregator.primary_domain}/gampad/ads"
+    request_params: dict[str, object] = {
+        "iu": f"/{publisher.domain}/front",
+        "prev_iu_szs": "|".join(",".join(slot.accepted_labels) for slot in slots),
+        "slot_count": str(len(slots)),
+        "correlator": auction_id,
+    }
     context.requests.record_outgoing(
         request_url,
         method="GET",
@@ -62,29 +56,20 @@ def run_server_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
 
     # The aggregator's backend consults its affiliated partners; the browser
     # only experiences the total round-trip latency of that single request.
-    if profile is not None and profile.aggregator_latency is not None:
-        round_trip = profile.aggregator_latency.sample(rng)
-        round_trip += profile.aggregator_internal.sample(rng)  # type: ignore[union-attr]
-        internal_bidders: list = profile.sample_internal_bidders(rng)
-    else:
-        round_trip = aggregator.latency.sample(rng, scale=publisher.latency_scale)
-        round_trip += aggregator.latency.sample(rng, scale=publisher.latency_scale * 0.35)
-        internal_bidders = environment.sample_internal_bidders(rng, exclude=(aggregator,))
+    round_trip = aggregator.latency.sample(rng, scale=publisher.latency_scale)
+    round_trip += aggregator.latency.sample(rng, scale=publisher.latency_scale * 0.35)
+    internal_bidders = environment.sample_internal_bidders(rng, exclude=(aggregator,))
     response_time = auction_start + round_trip
     context.clock.advance_to(response_time)
 
     slot_outcomes: list[SlotAuctionOutcome] = []
-    for slot_index, slot in enumerate(slots):
+    for slot in slots:
         internal_bids: list[tuple[DemandPartner, float | None]] = []
         for bidder in internal_bidders:
-            if profile is not None:
-                response = bidder.respond(rng, slot_index, slot.code, slot.primary_size)
-                internal_bids.append((bidder.partner, response.bid_cpm))
-            else:
-                response = environment.partner_response(
-                    rng, bidder, slot, facet, latency_scale=publisher.latency_scale
-                )
-                internal_bids.append((bidder, response.bid_cpm))
+            response = environment.partner_response(
+                rng, bidder, slot, facet, latency_scale=publisher.latency_scale
+            )
+            internal_bids.append((bidder, response.bid_cpm))
         priced = [(partner, cpm) for partner, cpm in internal_bids if cpm is not None]
         winner: DemandPartner | None = None
         clearing_cpm = 0.0
@@ -134,10 +119,7 @@ def run_server_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
         )
 
     # Render phase: only the displayable slots produce render events.
-    if profile is not None:
-        display_codes: frozenset[str] | set[str] = profile.display_codes
-    else:
-        display_codes = {slot.code for slot in publisher.slots}
+    display_codes = {slot.code for slot in publisher.slots}
     for outcome in slot_outcomes:
         if outcome.slot.code not in display_codes:
             continue

@@ -22,7 +22,7 @@ which is why HBDetector can cleanly ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.ecosystem.profiles import (
     AD_SERVER_PATH_SCALE,
     WATERFALL_MAX_LEVELS,
     WATERFALL_SLOT_SIZE_LABELS,
-    sample_without_replacement,
     waterfall_fill_probability,
     waterfall_head_size,
 )
@@ -43,10 +42,9 @@ from repro.utils.rng import fast_uniform
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.browser.context import BrowserContext
-    from repro.ecosystem.profiles import SiteWaterfall, WaterfallPartnerProfile
 
 __all__ = ["WaterfallAdNetwork", "WaterfallPassResult", "WaterfallOutcome", "run_waterfall",
-           "build_waterfall_chain", "build_waterfall_chain_fast", "AD_SERVER_PATH_SCALE"]
+           "build_waterfall_chain", "AD_SERVER_PATH_SCALE"]
 
 #: Waterfall passes run over the ad server's server-to-server connections to
 #: the ad networks (persistent, well-peered links), which are noticeably
@@ -125,31 +123,6 @@ def build_waterfall_chain(
     )
 
 
-def build_waterfall_chain_fast(
-    site_wf: "SiteWaterfall",
-    rng: np.random.Generator,
-) -> tuple[WaterfallAdNetwork, ...]:
-    """Chain construction over precompiled candidate tables.
-
-    Draws from the RNG exactly like :func:`build_waterfall_chain` (level
-    count, weighted choice, per-level floor) but reads the sorted candidate
-    pool and its normalised weights from the site's
-    :class:`~repro.ecosystem.profiles.SiteWaterfall` instead of re-sorting
-    the registry and re-normalising the weights per page.
-    """
-    n_levels = int(rng.integers(1, site_wf.max_levels + 1))
-    head, probabilities, cdf = site_wf.heads[n_levels - 1]
-    chosen_idx = sample_without_replacement(
-        rng, probabilities, cdf, min(n_levels, len(head))
-    )
-    chosen = [head[int(i)] for i in chosen_idx]
-    chosen.sort(key=lambda p: p.popularity_weight, reverse=True)
-    return tuple(
-        WaterfallAdNetwork(partner=partner, priority=level, floor_cpm=fast_uniform(rng, 0.02, 0.12))
-        for level, partner in enumerate(chosen, start=1)
-    )
-
-
 def _rtb_price(environment: AuctionEnvironment, rng: np.random.Generator,
                partner: DemandPartner, size: AdSlotSize, *, real_user: bool) -> float | None:
     """Sample the clearing price of one network's internal RTB auction.
@@ -181,18 +154,12 @@ def run_waterfall(
     page_url: str = "",
     latency_scale: float = 1.0,
     real_user: bool = False,
-    compiled: "Mapping[str, WaterfallPartnerProfile] | None" = None,
 ) -> WaterfallOutcome:
     """Run the waterfall for one ad slot.
 
     When a browser ``context`` is supplied, the win notification is recorded in
     the web-request log (with RTB-style parameters), exactly the residue a
     passive observer can see of waterfall activity.
-
-    ``compiled`` maps partner names to precompiled
-    :class:`~repro.ecosystem.profiles.WaterfallPartnerProfile` samplers (the
-    fast path); networks found there skip the per-pass latency-scale and
-    price-multiplier derivations while consuming the RNG identically.
     """
     if not chain:
         raise AuctionError("cannot run a waterfall without any ad network")
@@ -205,29 +172,8 @@ def run_waterfall(
     for network in sorted(chain, key=lambda n: n.priority):
         # One ad-server-mediated round trip per level; the network's own RTB
         # auction happens within that round trip, over server-to-server links.
-        profile = compiled.get(network.partner.name) if compiled is not None else None
-        if profile is not None:
-            latency = profile.latency.sample(rng)
-            # Same draws as _rtb_price: fill check first, then the price.
-            if rng.random() > profile.fill_probability:
-                cpm = None
-            else:
-                mu = None if real_user else profile.cpm_mu_by_label.get(slot.primary_size.label)
-                if mu is not None:
-                    drawn = float(rng.lognormal(mean=mu, sigma=profile.cpm_sigma))
-                    cpm = round(max(drawn, 0.0001), 5)
-                else:  # unprofiled size / real-user pricing: derive per pass
-                    cpm = network.partner.bidding.sample_cpm(
-                        rng,
-                        slot.primary_size,
-                        size_multiplier=environment.pricing.size_multiplier(slot.primary_size),
-                        facet_multiplier=(
-                            6.0 if real_user else environment.pricing.vanilla_profile_multiplier
-                        ),
-                    )
-        else:
-            latency = network.partner.latency.sample(rng, scale=latency_scale * AD_SERVER_PATH_SCALE)
-            cpm = _rtb_price(environment, rng, network.partner, slot.primary_size, real_user=real_user)
+        latency = network.partner.latency.sample(rng, scale=latency_scale * AD_SERVER_PATH_SCALE)
+        cpm = _rtb_price(environment, rng, network.partner, slot.primary_size, real_user=real_user)
         total_latency += latency
         accepted = cpm is not None and cpm >= network.floor_cpm
         passes.append(WaterfallPassResult(network=network, latency_ms=latency, cpm=cpm,

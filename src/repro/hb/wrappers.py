@@ -23,7 +23,6 @@ from repro.models import HBFacet, WrapperKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.browser.context import BrowserContext
-    from repro.ecosystem.profiles import SiteProfile
 
 __all__ = ["HBWrapper", "build_wrapper", "wrapper_class_for"]
 
@@ -47,8 +46,7 @@ class HBWrapper:
     emits_auction_lifecycle: bool = True
 
     def __init__(self, publisher: Publisher, context: "BrowserContext",
-                 environment: AuctionEnvironment,
-                 profile: "SiteProfile | None" = None) -> None:
+                 environment: AuctionEnvironment) -> None:
         if not publisher.uses_hb:
             raise ConfigurationError(
                 f"cannot attach an HB wrapper to non-HB publisher {publisher.domain}"
@@ -56,8 +54,6 @@ class HBWrapper:
         self.publisher = publisher
         self.context = context
         self.environment = environment
-        #: Precompiled site inputs; ``None`` selects the per-page derivations.
-        self.profile = profile
 
     # -- event emission helpers ------------------------------------------------
     def _base_payload(self, **extra: object) -> dict[str, object]:
@@ -172,8 +168,7 @@ def wrapper_class_for(kind: WrapperKind) -> type[HBWrapper]:
 
 
 def build_wrapper(publisher: Publisher, context: "BrowserContext",
-                  environment: AuctionEnvironment,
-                  profile: "SiteProfile | None" = None) -> HBWrapper:
+                  environment: AuctionEnvironment) -> HBWrapper:
     """Instantiate the wrapper class matching the publisher's configuration."""
     cls = wrapper_class_for(publisher.wrapper)
-    return cls(publisher, context, environment, profile)
+    return cls(publisher, context, environment)

@@ -134,7 +134,7 @@ class _CancellableSink(DetectionSink):
     """A detection sink that aborts the crawl once its campaign is cancelled.
 
     The engine writes every detection through the sink, so checking a flag
-    here cancels any backend — serial, thread or process — at page/shard
+    here cancels any backend — serial or process — at page/shard
     granularity without touching the engine: the raise unwinds through the
     engine's normal error path, after the last completed shard boundary was
     checkpointed and flushed.

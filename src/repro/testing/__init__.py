@@ -1,8 +1,7 @@
 """Reusable fault-injection tooling for exercising crawl robustness.
 
-Promoted from ``tests/crash_harness.py`` so that benchmarks, the service,
-and the CLI (``repro run --inject-faults``) can inject faults without
-reaching into the test tree.
+Shared by the tests, benchmarks, the service and the CLI
+(``repro run --inject-faults``).
 """
 
 from repro.testing.faults import (

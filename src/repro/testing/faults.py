@@ -100,7 +100,7 @@ class FaultAction:
         if self.kind == "crash":
             # In a forked/spawned pool worker, die the way an OOM kill
             # would: no exception, no cleanup, the pool just breaks.  In
-            # thread/serial workers a hard kill would take the whole run
+            # the serial backend a hard kill would take the whole run
             # down, so the crash degrades to an uncatchable-by-the-shard
             # exception instead.
             if multiprocessing.parent_process() is not None:

@@ -96,6 +96,12 @@ def non_hb_publisher(small_population):
     pytest.skip("no non-HB publisher in the sample population")
 
 
+@pytest.fixture
+def crash_sites(small_population):
+    """A site list sized to give multi-site shards at a few workers."""
+    return list(small_population)[:24]
+
+
 @pytest.fixture()
 def rng():
     """A fresh generator per test (fixed seed for reproducibility)."""

@@ -27,10 +27,9 @@ from repro.crawler.engine import CrawlEngine, CrawlPlan
 from repro.crawler.scheduler import LongitudinalScheduler
 from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.errors import CheckpointError, ConfigurationError, ReproError, StorageError
-from tests.crash_harness import (
+from repro.testing import (
     FaultyBackend,
     SimulatedCrash,
-    crash_sites,  # noqa: F401 - imported fixture
     interrupted_then_resumed,
     uninterrupted_baseline,
 )
@@ -127,7 +126,7 @@ class TestCrashAndResume:
     """FaultyBackend dies after N shards; resume must reproduce one-shot bytes."""
 
     @pytest.mark.parametrize("backend_name,workers", [
-        ("serial", 4), ("thread", 4), ("process", 4),
+        ("serial", 4), ("process", 4),
     ])
     def test_resumed_equals_one_shot_byte_for_byte(
         self, environment, detector, crash_sites, tmp_path, backend_name, workers
@@ -149,7 +148,7 @@ class TestCrashAndResume:
     def test_crash_before_any_shard_restarts_from_scratch(
         self, environment, detector, crash_sites, tmp_path
     ):
-        config = CrawlConfig(seed=5, workers=3, backend="thread")
+        config = CrawlConfig(seed=5, workers=3, backend="process")
         expected, baseline = uninterrupted_baseline(
             environment, detector, config, crash_sites, tmp_path=tmp_path
         )
@@ -164,7 +163,7 @@ class TestCrashAndResume:
         self, environment, detector, crash_sites, tmp_path
     ):
         """fail_after == n_shards: the crash lands after the final boundary."""
-        config = CrawlConfig(seed=5, workers=3, backend="thread")
+        config = CrawlConfig(seed=5, workers=3, backend="process")
         expected, baseline = uninterrupted_baseline(
             environment, detector, config, crash_sites, tmp_path=tmp_path
         )
@@ -181,7 +180,7 @@ class TestCrashAndResume:
         """Byte identity holds across backends, so the interrupted phase may
         resume on a different backend — but its shard plan (worker count)
         must re-plan identically."""
-        config = CrawlConfig(seed=5, workers=4, backend="thread")
+        config = CrawlConfig(seed=5, workers=4, backend="process")
         expected, baseline = uninterrupted_baseline(
             environment, detector, config, crash_sites, tmp_path=tmp_path
         )
@@ -197,7 +196,7 @@ class TestCrashAndResume:
             interrupted_then_resumed(
                 environment, detector, config, crash_sites,
                 tmp_path=tmp_path / "different-workers", fail_after=2,
-                resume_config=CrawlConfig(seed=5, workers=2, backend="thread"),
+                resume_config=CrawlConfig(seed=5, workers=2, backend="process"),
             )
 
     def test_noop_replay_does_not_spin_up_pool_workers(
@@ -205,7 +204,7 @@ class TestCrashAndResume:
     ):
         """Resuming a finished campaign recovers everything from the sink;
         the backend must not pay pool start-up for zero remaining shards."""
-        config = CrawlConfig(seed=5, workers=2, backend="thread")
+        config = CrawlConfig(seed=5, workers=2, backend="process")
         fingerprint = {"seed": 5}
         storage = CrawlStorage(tmp_path / "crawl.jsonl")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", fingerprint)
@@ -224,7 +223,7 @@ class TestCrashAndResume:
     def test_sink_flush_interval_does_not_change_resumed_bytes(
         self, environment, detector, crash_sites, tmp_path, flush_every
     ):
-        config = CrawlConfig(seed=5, workers=4, backend="thread")
+        config = CrawlConfig(seed=5, workers=4, backend="process")
         _, baseline = uninterrupted_baseline(
             environment, detector, config, crash_sites,
             tmp_path=tmp_path, flush_every=64,
@@ -453,7 +452,7 @@ class TestCampaignResume:
         from repro.crawler.engine import backend_from_name
 
         domains = small_population.domains[:30]
-        config = CrawlConfig(seed=9, workers=2, backend="thread")
+        config = CrawlConfig(seed=9, workers=2, backend="process")
         fingerprint = {"seed": 9, "domains": list(domains)}
 
         clean = CrawlStorage(tmp_path / "clean.jsonl")
@@ -467,7 +466,7 @@ class TestCampaignResume:
         # dying after 3 results lands one shard into the second phase.
         storage = CrawlStorage(tmp_path / "resumable.jsonl")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", fingerprint)
-        faulty = FaultyBackend(backend_from_name("thread", workers=2), 3)
+        faulty = FaultyBackend(backend_from_name("process", workers=2), 3)
         crawler = Crawler(environment, detector, config, backend=faulty)
         with pytest.raises(SimulatedCrash):
             with crawler, storage.open_sink(flush_every=4) as sink:
@@ -497,7 +496,7 @@ class TestCampaignResume:
 
         config = ExperimentConfig(
             total_sites=400, seed=7, recrawl_days=1, historical_sites=120,
-            workers=2, crawl_backend="thread",
+            workers=2, crawl_backend="process",
         )
         clean = CrawlStorage(tmp_path / "clean.jsonl")
         expected = ExperimentRunner(config).run(storage=clean)

@@ -46,9 +46,9 @@ class TestMain:
 class TestParallelCli:
     def test_parallel_flags_parse(self):
         args = build_parser().parse_args(
-            ["run", "--workers", "4", "--backend", "thread", "--save", "out.jsonl"])
+            ["run", "--workers", "4", "--backend", "process", "--save", "out.jsonl"])
         assert args.workers == 4
-        assert args.backend == "thread"
+        assert args.backend == "process"
         assert args.save == "out.jsonl"
         defaults = build_parser().parse_args(["run"])
         assert (defaults.workers, defaults.backend, defaults.save) == (1, "serial", None)
@@ -57,10 +57,16 @@ class TestParallelCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--backend", "gpu"])
 
+    def test_removed_thread_backend_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_parallel_run_with_save_streams_detections(self, capsys, tmp_path):
         out = tmp_path / "crawl.jsonl"
         exit_code = main(["run", "--sites", "400", "--days", "0", "--seed", "7",
-                          "--workers", "2", "--backend", "thread",
+                          "--workers", "2", "--backend", "process",
                           "--save", str(out), "--figures", "table1"])
         assert exit_code == 0
         assert "Streamed" in capsys.readouterr().out
@@ -192,7 +198,7 @@ class TestCheckpointCli:
     def test_checkpointed_run_then_noop_resume_is_byte_identical(self, capsys, tmp_path):
         out = tmp_path / "crawl.jsonl"
         checkpoint = tmp_path / "cp.json"
-        argv = self.RUN + ["--workers", "2", "--backend", "thread",
+        argv = self.RUN + ["--workers", "2", "--backend", "process",
                            "--save", str(out), "--checkpoint", str(checkpoint)]
         assert main(argv) == 0
         first_out = capsys.readouterr().out

@@ -35,11 +35,7 @@ from repro.errors import ConfigurationError, EmptyDatasetError, ReproError, Stor
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 
-from crash_harness import (
-    crash_sites,  # noqa: F401 - imported fixture
-    interrupted_then_resumed,
-    uninterrupted_baseline,
-)
+from repro.testing import interrupted_then_resumed, uninterrupted_baseline
 
 
 @pytest.fixture(scope="module")
@@ -511,12 +507,12 @@ class TestColumnarRecoverTo:
 
 
 # ---------------------------------------------------------------------------
-# Crash injection: columnar resume byte-identity (reuses crash_harness)
+# Crash injection: columnar resume byte-identity
 
 
 class TestColumnarCrashResume:
     @pytest.mark.parametrize("backend_name,workers", [
-        ("serial", 4), ("thread", 4), ("process", 4),
+        ("serial", 4), ("process", 4),
     ])
     def test_resumed_columnar_equals_one_shot_byte_for_byte(
         self, environment, detector, crash_sites, tmp_path, backend_name, workers
@@ -538,7 +534,7 @@ class TestColumnarCrashResume:
     ):
         """End to end: crash + resume on the columnar sink, then convert —
         the JSONL bytes must equal a direct JSONL crawl's."""
-        config = CrawlConfig(seed=5, workers=3, backend="thread")
+        config = CrawlConfig(seed=5, workers=3, backend="process")
         _, jsonl_baseline = uninterrupted_baseline(
             environment, detector, config, crash_sites,
             tmp_path=tmp_path / "jsonl",

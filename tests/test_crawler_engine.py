@@ -11,7 +11,6 @@ from repro.crawler.engine import (
     CrawlPlan,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     backend_from_name,
 )
 from repro.crawler.scheduler import LongitudinalScheduler
@@ -19,6 +18,10 @@ from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.detector.detector import HBDetector
 from repro.detector.records import SiteDetection
 from repro.errors import ConfigurationError
+
+
+#: The execution backend this codebase no longer ships.
+REMOVED_BACKEND = "thread"
 
 
 def serialise(detections):
@@ -115,9 +118,8 @@ class TestCrawlResultMerge:
 class TestBackendFactory:
     def test_names_round_trip(self):
         assert backend_from_name("serial").name == "serial"
-        assert backend_from_name("thread", workers=2).name == "thread"
         assert backend_from_name("process", workers=2).name == "process"
-        assert set(BACKEND_NAMES) == {"serial", "thread", "process"}
+        assert BACKEND_NAMES == ("serial", "process")
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
@@ -125,7 +127,13 @@ class TestBackendFactory:
 
     def test_pool_workers_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            ThreadPoolBackend(max_workers=0)
+            ProcessPoolBackend(max_workers=0)
+
+    def test_removed_thread_backend_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="serial, process"):
+            CrawlConfig(backend=REMOVED_BACKEND)
+        with pytest.raises(ConfigurationError):
+            backend_from_name(REMOVED_BACKEND, workers=2)
 
     def test_config_validates_knobs(self):
         with pytest.raises(ConfigurationError):
@@ -146,39 +154,40 @@ class TestBackendEquivalence:
         engine = CrawlEngine(environment, detector, CrawlConfig(seed=5))
         return engine.crawl(sites)
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_matches_serial_byte_for_byte(
-        self, environment, detector, sites, serial_result, backend_name, workers
+        self, environment, detector, sites, serial_result, workers
     ):
-        engine = CrawlEngine(
+        with CrawlEngine(
             environment,
             detector,
-            CrawlConfig(seed=5, workers=workers, backend=backend_name),
-        )
-        result = engine.crawl(sites)
+            CrawlConfig(seed=5, workers=workers, backend="process"),
+        ) as engine:
+            result = engine.crawl(sites)
         assert serialise(result.detections) == serialise(serial_result.detections)
         assert result.timed_out_domains == serial_result.timed_out_domains
         assert result.pages_visited == serial_result.pages_visited
 
     def test_explicit_backend_instance_overrides_config(self, environment, detector, sites, serial_result):
-        engine = CrawlEngine(
+        with CrawlEngine(
             environment,
             detector,
             CrawlConfig(seed=5, workers=3),
-            backend=ThreadPoolBackend(),
-        )
-        assert engine.backend.name == "thread"
-        assert serialise(engine.crawl(sites).detections) == serialise(serial_result.detections)
+            backend=ProcessPoolBackend(),
+        ) as engine:
+            assert engine.backend.name == "process"
+            result = engine.crawl(sites)
+        assert serialise(result.detections) == serialise(serial_result.detections)
 
     def test_timeouts_identical_across_backends(self, environment, detector, sites):
         config = CrawlConfig(seed=5, page_load_timeout_ms=10.0)
         serial = CrawlEngine(environment, detector, config).crawl(sites)
-        parallel = CrawlEngine(
+        with CrawlEngine(
             environment,
             detector,
-            CrawlConfig(seed=5, page_load_timeout_ms=10.0, workers=4, backend="thread"),
-        ).crawl(sites)
+            CrawlConfig(seed=5, page_load_timeout_ms=10.0, workers=4, backend="process"),
+        ) as engine:
+            parallel = engine.crawl(sites)
         assert serial.timed_out_domains == parallel.timed_out_domains == [p.domain for p in sites]
         assert serialise(serial.detections) == serialise(parallel.detections)
 
@@ -186,11 +195,11 @@ class TestBackendEquivalence:
 class TestStreamingAndProgress:
     def test_progress_is_called_in_canonical_order(self, environment, detector, small_population):
         sites = list(small_population)[:12]
-        engine = CrawlEngine(
-            environment, detector, CrawlConfig(seed=5, workers=4, backend="thread")
-        )
         seen = []
-        engine.crawl(sites, progress=lambda i, n, d: seen.append((i, n, d.domain)))
+        with CrawlEngine(
+            environment, detector, CrawlConfig(seed=5, workers=4, backend="process")
+        ) as engine:
+            engine.crawl(sites, progress=lambda i, n, d: seen.append((i, n, d.domain)))
         assert [entry[0] for entry in seen] == list(range(1, 13))
         assert all(entry[1] == 12 for entry in seen)
         assert [entry[2] for entry in seen] == [p.domain for p in sites]
@@ -199,11 +208,10 @@ class TestStreamingAndProgress:
         self, environment, detector, small_population, tmp_path
     ):
         sites = list(small_population)[:12]
-        engine = CrawlEngine(
-            environment, detector, CrawlConfig(seed=5, workers=3, backend="thread")
-        )
         storage = CrawlStorage(tmp_path / "stream.jsonl")
-        with storage.open_sink() as sink:
+        with CrawlEngine(
+            environment, detector, CrawlConfig(seed=5, workers=3, backend="process")
+        ) as engine, storage.open_sink() as sink:
             result = engine.crawl(sites, sink=sink)
         assert sink.count == len(sites)
         assert storage.load() == result.detections
@@ -212,11 +220,10 @@ class TestStreamingAndProgress:
         self, environment, detector, small_population, tmp_path
     ):
         sites = list(small_population)[:12]
-        engine = CrawlEngine(
-            environment, detector, CrawlConfig(seed=5, workers=3, backend="thread")
-        )
         streamed = CrawlStorage(tmp_path / "streamed.jsonl")
-        with streamed.open_sink() as sink:
+        with CrawlEngine(
+            environment, detector, CrawlConfig(seed=5, workers=3, backend="process")
+        ) as engine, streamed.open_sink() as sink:
             result = engine.crawl(sites, sink=sink)
         buffered = CrawlStorage(tmp_path / "buffered.jsonl")
         buffered.save(result.detections)
@@ -260,12 +267,7 @@ class TestWorkerReuse:
     class CountingDetector(HBDetector):
         def __init__(self, known):
             super().__init__(known)
-            self.clones = 0
             self.resets = 0
-
-        def clone(self):
-            self.clones += 1
-            return HBDetector(self.known_partners)
 
         def reset(self):
             self.resets += 1
@@ -275,26 +277,11 @@ class TestWorkerReuse:
     def counting_detector(self, detector):
         return self.CountingDetector(detector.known_partners)
 
-    def test_thread_workers_clone_detector_once_per_worker(
-        self, environment, counting_detector, small_population
-    ):
-        sites = list(small_population)[:24]
-        with CrawlEngine(
-            environment, counting_detector, CrawlConfig(seed=5, workers=3, backend="thread")
-        ) as engine:
-            for _ in range(3):  # three crawls over the same persistent pool
-                engine.crawl(sites)
-        # One clone per worker thread for the engine's lifetime — previously
-        # one deep copy per shard per crawl (3 shards x 3 crawls = 9 copies).
-        assert 1 <= counting_detector.clones <= 3
-        assert counting_detector.resets == 0  # shards reset the clones instead
-
     def test_serial_backend_resets_shared_detector_per_shard(
         self, environment, counting_detector, small_population
     ):
         engine = CrawlEngine(environment, counting_detector, CrawlConfig(seed=5))
         engine.crawl(list(small_population)[:6])
-        assert counting_detector.clones == 0
         assert counting_detector.resets == 1  # one shard on the serial path
 
     def test_pool_persists_across_crawls_and_close_releases_it(
@@ -302,7 +289,7 @@ class TestWorkerReuse:
     ):
         sites = list(small_population)[:12]
         engine = CrawlEngine(
-            environment, detector, CrawlConfig(seed=5, workers=2, backend="thread")
+            environment, detector, CrawlConfig(seed=5, workers=2, backend="process")
         )
         first = engine.crawl(sites)
         pool = engine.backend._executor
@@ -334,7 +321,7 @@ class TestWorkerReuse:
         self, environment, detector, small_population
     ):
         sites = list(small_population)[:8]
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         with backend:
             CrawlEngine(
                 environment, detector, CrawlConfig(seed=5, workers=2), backend=backend
@@ -354,7 +341,7 @@ class TestWorkerReuse:
         """Workers bake the config into their context at pool start; a second
         engine with another seed must not silently crawl with the old one."""
         sites = list(small_population)[:8]
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         with backend:
             CrawlEngine(
                 environment, detector, CrawlConfig(seed=5, workers=2), backend=backend
@@ -371,18 +358,14 @@ class TestWorkerReuse:
         """A small warm-up crawl must not cap parallelism for later crawls."""
         sites = list(small_population)[:40]
         with CrawlEngine(
-            environment, detector, CrawlConfig(seed=5, workers=8, backend="thread")
+            environment, detector, CrawlConfig(seed=5, workers=4, backend="process")
         ) as engine:
             engine.crawl(sites[:2])  # 2 shards -> pool of 2
             assert engine.backend._pool_size == 2
-            result = engine.crawl(sites)  # 8 shards -> pool rebuilt at 8
-            assert engine.backend._pool_size == 8
+            result = engine.crawl(sites)  # 16 shards -> pool rebuilt at 4
+            assert engine.backend._pool_size == 4
         serial = CrawlEngine(environment, detector, CrawlConfig(seed=5)).crawl(sites)
         assert serialise(result.detections) == serialise(serial.detections)
-
-    def test_clone_preserves_detector_subclass(self, detector):
-        sub = self.CountingDetector(detector.known_partners)
-        assert type(HBDetector.clone(sub)) is self.CountingDetector
 
 
 class TestShardBoundaryFlush:
@@ -396,7 +379,7 @@ class TestShardBoundaryFlush:
         def flush(self):
             self.events.append("flush")
 
-    @pytest.mark.parametrize("backend_name,workers", [("serial", 1), ("thread", 3)])
+    @pytest.mark.parametrize("backend_name,workers", [("serial", 1), ("process", 3)])
     def test_sink_flushed_at_every_shard_boundary(
         self, environment, detector, small_population, backend_name, workers
     ):
@@ -424,7 +407,7 @@ class TestShardBoundaryFlush:
 
         sink = BareSink()
         with CrawlEngine(
-            environment, detector, CrawlConfig(seed=5, workers=2, backend="thread")
+            environment, detector, CrawlConfig(seed=5, workers=2, backend="process")
         ) as engine:
             engine.crawl(list(small_population)[:6], sink=sink)
         assert sink.count == 6
@@ -442,13 +425,12 @@ class TestFacadeAndScheduler:
     def test_scheduler_accepts_engine_and_streams(
         self, environment, detector, small_population, tmp_path
     ):
-        engine = CrawlEngine(
-            environment, detector, CrawlConfig(seed=9, workers=2, backend="thread")
-        )
-        scheduler = LongitudinalScheduler(engine, recrawl_days=1)
         storage = CrawlStorage(tmp_path / "longitudinal.jsonl")
         domains = small_population.domains[:30]
-        with storage.open_sink() as sink:
+        with CrawlEngine(
+            environment, detector, CrawlConfig(seed=9, workers=2, backend="process")
+        ) as engine, storage.open_sink() as sink:
+            scheduler = LongitudinalScheduler(engine, recrawl_days=1)
             longitudinal = scheduler.run(small_population, domains=domains, sink=sink)
         assert storage.load() == longitudinal.all_detections
 
@@ -484,10 +466,10 @@ class TestFacadeAndScheduler:
                 events.append(("write", detection.domain))
 
         sites = list(small_population)[:4]
-        # batch_sim=False: the session spy observes the per-page reference
+        # fast_path=False: the session spy observes the per-page reference
         # loop.  The columnar path never builds sessions; its page-granular
         # streaming is asserted separately below.
-        engine = CrawlEngine(environment, detector, CrawlConfig(seed=5, batch_sim=False))
+        engine = CrawlEngine(environment, detector, CrawlConfig(seed=5, fast_path=False))
         engine.crawl(sites, sink=ListSink())
         expected = []
         for publisher in sites:

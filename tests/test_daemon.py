@@ -25,7 +25,7 @@ from repro.daemon import (
 from repro.errors import ConfigurationError, UnknownMetricError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
-from tests.crash_harness import FaultyBackend, SimulatedCrash
+from repro.testing import FaultyBackend, SimulatedCrash
 
 
 def _config(store_format="columnar", **overrides):
@@ -185,7 +185,7 @@ class TestDaemonGrowth:
     def test_kill_mid_day_then_fresh_daemon_recovers(self, tmp_path, monkeypatch):
         import repro.crawler.engine as engine_mod
 
-        config = _config(crawl_backend="thread", workers=2)
+        config = _config(crawl_backend="process", workers=2)
         work = tmp_path / "work"
         RecrawlDaemon(work, config, target_days=2).run(max_ticks=2)  # days 0 and 1 done
 
@@ -232,7 +232,7 @@ class TestDaemonAlerts:
     def test_restart_never_duplicates_alerts(self, tmp_path, monkeypatch):
         import repro.crawler.engine as engine_mod
 
-        config = _config(crawl_backend="thread", workers=2)
+        config = _config(crawl_backend="process", workers=2)
         work = tmp_path / "work"
         rules = parse_rules([IMPOSSIBLE_FLOOR])
         RecrawlDaemon(work, config, rules=rules, target_days=3).run(max_ticks=3)

@@ -138,21 +138,23 @@ class TestParallelExperiments:
             ExperimentConfig(crawl_backend="gpu")
 
     def test_crawl_config_inherits_knobs(self):
-        config = ExperimentConfig(seed=11, workers=6, crawl_backend="thread")
+        config = ExperimentConfig(seed=11, workers=6, crawl_backend="process")
         crawl_config = config.crawl_config()
         assert crawl_config.seed == 11
         assert crawl_config.workers == 6
-        assert crawl_config.backend == "thread"
+        assert crawl_config.backend == "process"
 
     def test_with_parallelism_returns_new_config(self):
         config = ExperimentConfig().with_parallelism(4, "process")
         assert (config.workers, config.crawl_backend) == (4, "process")
         assert ExperimentConfig().workers == 1
+        # The default backend is one that exists.
+        assert ExperimentConfig().with_parallelism(3).crawl_backend == "process"
 
     def test_parallel_run_reproduces_serial_summary(self):
         serial = ExperimentConfig(total_sites=400, seed=321, recrawl_days=0,
                                   historical_sites=100)
-        parallel = serial.with_parallelism(4, "thread")
+        parallel = serial.with_parallelism(4)
         serial_artifacts = ExperimentRunner(serial).run(use_cache=False)
         parallel_artifacts = ExperimentRunner(parallel).run(use_cache=False)
         assert dict(serial_artifacts.summary) == dict(parallel_artifacts.summary)
@@ -163,7 +165,7 @@ class TestParallelExperiments:
         from repro.crawler.storage import CrawlStorage
 
         config = ExperimentConfig(total_sites=400, seed=321, recrawl_days=1,
-                                  historical_sites=100, workers=2, crawl_backend="thread")
+                                  historical_sites=100, workers=2, crawl_backend="process")
         storage = CrawlStorage(tmp_path / "campaign.jsonl")
         artifacts = ExperimentRunner(config).run(storage=storage)
         assert storage.load() == artifacts.longitudinal.all_detections

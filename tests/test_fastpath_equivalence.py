@@ -1,10 +1,10 @@
-"""Fast-path equivalence: compiled profiles must change nothing but speed.
+"""Simulator equivalence: the columnar simulator must change nothing but speed.
 
 The property under test: for any seed, any backend and any worker count, a
-crawl simulated through precompiled site profiles, per-worker scratch
-buffers and the shared-memory handoff (``fast_path=True``, the default)
-produces **byte-identical** sink output and identical values for every
-registered offline metric compared to the slow reference path
+crawl simulated columnar-batch style over precompiled site profiles and the
+shared-memory handoff (``fast_path=True``, the default) produces
+**byte-identical** sink output and identical values for every registered
+offline metric compared to the reference browser simulator
 (``fast_path=False``) that re-derives every per-page input.
 """
 
@@ -26,6 +26,7 @@ from repro.ecosystem.publishers import PopulationConfig, generate_population
 from repro.ecosystem.registry import default_registry
 from repro.errors import ReproError
 from repro.models import HBFacet
+from repro.testing import interrupted_then_resumed
 
 
 def serialise(detections):
@@ -61,7 +62,7 @@ def workload(request, registry):
 
 @pytest.fixture(scope="module")
 def reference(workload, environment, detector, tmp_path_factory):
-    """Slow-path serial crawl: sink bytes, detections, offline metrics."""
+    """Reference-simulator serial crawl: sink bytes, detections, offline metrics."""
     seed, sites = workload
     storage = CrawlStorage(tmp_path_factory.mktemp("slow") / "crawl.jsonl")
     config = CrawlConfig(seed=seed, fast_path=False)
@@ -71,26 +72,21 @@ def reference(workload, environment, detector, tmp_path_factory):
 
 
 class TestFastPathEquivalence:
-    @pytest.mark.parametrize("batch_sim", [True, False], ids=["columnar", "scalar"])
     @pytest.mark.parametrize("backend,workers", [
         ("serial", 1),
-        ("thread", 3),
         ("process", 2),
+        ("process", 3),
     ])
     def test_sink_bytes_and_metrics_identical(
         self, workload, reference, environment, detector, tmp_path, backend, workers,
-        batch_sim,
     ):
-        """Both fast paths — columnar batch (default) and the scalar per-page
-        loop it superseded — must match the slow reference byte-for-byte."""
+        """The columnar simulator (the default) must match the reference
+        simulator byte-for-byte."""
         seed, sites = workload
         ref_bytes, ref_json, ref_metrics = reference
         storage = CrawlStorage(tmp_path / "fast.jsonl")
-        config = CrawlConfig(
-            seed=seed, workers=workers, backend=backend, batch_sim=batch_sim
-        )
-        assert config.fast_path  # the default IS the fast path
-        assert CrawlConfig(seed=seed).batch_sim  # ... and columnar is its default
+        config = CrawlConfig(seed=seed, workers=workers, backend=backend)
+        assert config.fast_path  # the default IS the columnar simulator
         with CrawlEngine(environment, detector, config) as engine, \
                 storage.open_sink() as sink:
             result = engine.crawl(sites, sink=sink)
@@ -100,7 +96,7 @@ class TestFastPathEquivalence:
 
     @pytest.mark.parametrize("backend,workers,fail_after", [
         ("serial", 1, 1),
-        ("thread", 3, 2),
+        ("process", 3, 2),
         ("process", 2, 1),
     ])
     def test_columnar_checkpoint_resume_stays_identical(
@@ -110,12 +106,10 @@ class TestFastPathEquivalence:
         """A columnar crawl killed mid-campaign and resumed must reproduce
         the reference bytes — resume replays only the missing shards, so the
         recovered prefix and the resumed tail must agree on every boundary."""
-        from tests.crash_harness import interrupted_then_resumed
-
         seed, sites = workload
         ref_bytes, ref_json, ref_metrics = reference
         config = CrawlConfig(seed=seed, workers=workers, backend=backend)
-        assert config.batch_sim
+        assert config.fast_path
         result, storage = interrupted_then_resumed(
             environment, detector, config, sites,
             tmp_path=tmp_path, fail_after=fail_after,
@@ -124,21 +118,19 @@ class TestFastPathEquivalence:
         assert storage.path.read_bytes() == ref_bytes
         assert metric_texts(storage.path) == ref_metrics
 
-    def test_columnar_resume_finishes_a_scalar_crawl(
+    def test_columnar_resume_finishes_a_reference_crawl(
         self, workload, reference, environment, detector, tmp_path
     ):
-        """The two fast paths are interchangeable across a crash boundary:
-        a crawl started on the scalar loop may be resumed columnar (the
-        default after an upgrade) without perturbing a single byte."""
-        from tests.crash_harness import interrupted_then_resumed
-
+        """The two simulators are interchangeable across a crash boundary:
+        a crawl started on the reference simulator (``--slow-path``) may be
+        resumed columnar without perturbing a single byte."""
         seed, sites = workload
         ref_bytes, ref_json, _ = reference
         result, storage = interrupted_then_resumed(
             environment, detector,
-            CrawlConfig(seed=seed, workers=3, backend="thread", batch_sim=False),
+            CrawlConfig(seed=seed, workers=3, backend="process", fast_path=False),
             sites, tmp_path=tmp_path, fail_after=2,
-            resume_config=CrawlConfig(seed=seed, workers=3, backend="thread"),
+            resume_config=CrawlConfig(seed=seed, workers=3, backend="process"),
         )
         assert serialise(result.detections) == ref_json
         assert storage.path.read_bytes() == ref_bytes
@@ -146,12 +138,12 @@ class TestFastPathEquivalence:
     def test_fast_path_warm_engine_stays_identical(
         self, workload, reference, environment, detector
     ):
-        """Profile/scratch reuse across crawls and days must not leak state."""
+        """Profile reuse across crawls and days must not leak state."""
         seed, sites = workload
         _, ref_json, _ = reference
         with CrawlEngine(environment, detector, CrawlConfig(seed=seed)) as engine:
             first = engine.crawl(sites)
-            second = engine.crawl(sites)  # warm: profiles compiled, scratch reused
+            second = engine.crawl(sites)  # warm: profiles already compiled
             assert serialise(first.detections) == ref_json
             assert serialise(second.detections) == ref_json
             day1_warm = engine.crawl(sites, crawl_day=1)
@@ -191,7 +183,7 @@ class TestOversubscribedPlan:
         self, environment, detector, small_population
     ):
         sites = list(small_population)[:64]
-        config = CrawlConfig(seed=3, workers=4, backend="thread", shard_oversubscribe=2)
+        config = CrawlConfig(seed=3, workers=4, backend="process", shard_oversubscribe=2)
         engine = CrawlEngine(environment, detector, config)
         assert len(engine.plan(sites).shards) == 8
 
@@ -202,7 +194,7 @@ class TestOversubscribedPlan:
         baseline = None
         for oversubscribe in (1, 3):
             config = CrawlConfig(
-                seed=3, workers=4, backend="thread", shard_oversubscribe=oversubscribe
+                seed=3, workers=4, backend="process", shard_oversubscribe=oversubscribe
             )
             with CrawlEngine(environment, detector, config) as engine:
                 blob = serialise(engine.crawl(sites).detections)

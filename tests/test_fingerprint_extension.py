@@ -5,7 +5,7 @@ phases stay immutable; only net-new phases are appended), which is what lets
 the continuous-recrawl daemon keep a long-lived campaign growing.  The
 acceptance criterion under test: extending a finished campaign by N days
 resumes byte-identically versus a fresh run configured with the full horizon
-up front — across jsonl/columnar stores and serial/thread/process backends —
+up front — across jsonl/columnar stores and serial/process backends —
 while shrinking the horizon and changing the seed or population are still
 refused.
 """
@@ -20,7 +20,7 @@ from repro.crawler.colstore import storage_for
 from repro.errors import CheckpointError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
-from tests.crash_harness import FaultyBackend, SimulatedCrash
+from repro.testing import FaultyBackend, SimulatedCrash
 
 
 def _config(store_format="jsonl", backend="serial", workers=1, **overrides):
@@ -43,7 +43,7 @@ def _suffix(store_format):
 class TestHorizonExtension:
     @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
     @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
+        "backend,workers", [("serial", 1), ("process", 2)]
     )
     def test_extension_byte_identical_to_full_horizon_run(
         self, tmp_path, store_format, backend, workers
@@ -116,7 +116,7 @@ class TestHorizonExtension:
         """Crash mid-day-1, then resume with a *larger* horizon in one go."""
         import repro.crawler.engine as engine_mod
 
-        config = _config(backend="thread", workers=2)
+        config = _config(backend="process", workers=2)
         ckpt = str(tmp_path / "cp.json")
         storage = storage_for(tmp_path / "grown.jsonl")
         real = engine_mod.backend_from_name

@@ -1,7 +1,7 @@
-"""Unit tests for precompiled site profiles (the fast-path substrate).
+"""Unit tests for precompiled site profiles and the columnar samplers over them.
 
-Each sampler in :mod:`repro.ecosystem.profiles` shortcuts a per-page
-derivation; these tests pin the contract that matters: given the same RNG
+Each precompiled sampler shortcuts a per-page derivation of the reference
+simulator; these tests pin the contract that matters: given the same RNG
 state, the precompiled sampler must produce the *same values* and leave the
 *same stream state* as the model code it replaces.
 """
@@ -11,11 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ecosystem.profiles import (
-    LatencyDraw,
-    SiteProfileTable,
-    sample_without_replacement,
-)
+from repro.ecosystem.columnar import _compile_sim, _flat_respond, _respond_draws, _sample_internal, _swr
+from repro.ecosystem.profiles import LatencyDraw, SiteProfileTable
 from repro.models import HBFacet
 
 
@@ -31,7 +28,8 @@ class TestSampleWithoutReplacement:
 
         This is the guard that makes the replica safe: if a numpy upgrade
         changes ``Generator.choice``'s draw algorithm, this test fails loudly
-        instead of the fast path silently diverging from the slow path.
+        instead of the columnar simulator silently diverging from the
+        reference one.
         """
         weights = np.random.default_rng(n * size).random(n) + 0.01
         p = weights / weights.sum()
@@ -40,7 +38,7 @@ class TestSampleWithoutReplacement:
         a, b = fresh_pair(seed=n * 31 + size)
         for _ in range(400):
             expected = a.choice(n, size=size, replace=False, p=p)
-            got = sample_without_replacement(b, p, cdf, size)
+            got = _swr(b, p.tolist(), cdf.tolist(), size)
             assert list(expected) == list(got)
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -53,7 +51,7 @@ class TestSampleWithoutReplacement:
         a, b = fresh_pair(seed=99)
         for _ in range(300):
             expected = a.choice(5, size=3, replace=False, p=p)
-            got = sample_without_replacement(b, p, cdf, 3)
+            got = _swr(b, p.tolist(), cdf.tolist(), 3)
             assert list(expected) == list(got)
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -70,7 +68,7 @@ class TestLatencyDraw:
 
 
 class TestPartnerProfile:
-    def test_respond_matches_environment_partner_response(
+    def test_respond_draws_match_environment_partner_response(
         self, environment, small_population
     ):
         table = SiteProfileTable(environment, seed=13)
@@ -84,12 +82,10 @@ class TestPartnerProfile:
                         a, partner, slot, publisher.facet,
                         latency_scale=publisher.latency_scale,
                     )
-                    got = pprofile.respond(b, index, slot.code, slot.primary_size)
-                    assert got.latency_ms == expected.latency_ms
-                    assert got.bid_cpm == expected.bid_cpm
-                    assert got.size == expected.size
-                    assert got.slot_code == expected.slot_code
-                    assert got.partner is partner
+                    latency, cpm = _respond_draws(b, _flat_respond(pprofile), index)
+                    assert latency == expected.latency_ms
+                    assert cpm == expected.bid_cpm
+                    assert pprofile.partner is partner
                 assert a.bit_generator.state == b.bit_generator.state
 
     def test_ad_server_latency_matches_environment_bitwise(
@@ -111,20 +107,20 @@ class TestPartnerProfile:
                 assert profile.ad_server_latency(b) == expected
             assert a.bit_generator.state == b.bit_generator.state
 
-    def test_sample_internal_bidders_matches_environment(
-        self, environment, small_population
+    def test_sample_internal_matches_environment(
+        self, environment, small_population, detector
     ):
         table = SiteProfileTable(environment, seed=13)
         for publisher in small_population.hb_publishers():
             if publisher.facet is not HBFacet.SERVER_SIDE:
                 continue
-            profile = table.profile_for(publisher)
+            sim = _compile_sim(table.profile_for(publisher), publisher, detector.known_partners)
             aggregator = publisher.partners[0]
             a, b = fresh_pair(seed=publisher.rank)
             for _ in range(40):
                 expected = environment.sample_internal_bidders(a, exclude=(aggregator,))
-                got = profile.sample_internal_bidders(b)
-                assert [p.name for p in expected] == [g.partner.name for g in got]
+                got = _sample_internal(b, sim.internal_rec)
+                assert [p.name for p in expected] == [name for _, name, _ in got]
             assert a.bit_generator.state == b.bit_generator.state
             break
         else:
@@ -207,13 +203,6 @@ class TestSiteProfileTable:
         table = SiteProfileTable(environment, seed=13, max_sites=8)
         table.precompile(list(small_population)[:20])
         assert len(table) <= 8
-
-    def test_seed_mismatch_refused_by_browser_engine(self, environment):
-        from repro.browser.engine import BrowserEngine
-
-        table = SiteProfileTable(environment, seed=13)
-        with pytest.raises(ValueError):
-            BrowserEngine(environment, seed=14, profiles=table)
 
 
 class TestFastUniform:

@@ -25,9 +25,9 @@ from repro.service import DetectionQuery, ServiceClient, ServiceClientError, run
 from repro.service.campaigns import CampaignManager, campaign_config_from_dict
 from repro.errors import ServiceError
 
-CAMPAIGN_BODY = {"sites": 400, "days": 1, "seed": 7, "workers": 2, "backend": "thread"}
+CAMPAIGN_BODY = {"sites": 400, "days": 1, "seed": 7, "workers": 2, "backend": "process"}
 CAMPAIGN_CONFIG = ExperimentConfig(
-    total_sites=400, recrawl_days=1, seed=7, workers=2, crawl_backend="thread"
+    total_sites=400, recrawl_days=1, seed=7, workers=2, crawl_backend="process"
 )
 
 
@@ -82,6 +82,14 @@ class TestSubmissionValidation:
         assert err.value.status == 400
         assert set(err.value.body["error"]) == {"type", "message"}
 
+    def test_removed_thread_backend_is_400_listing_backends(self, client):
+        with pytest.raises(ServiceClientError) as err:
+            client.submit({"sites": 400, "backend": "thread"})
+        assert err.value.status == 400
+        error = err.value.body["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "serial, process" in error["message"]
+
     def test_non_object_submission_is_400(self, client):
         with pytest.raises(ServiceClientError) as err:
             client._json("POST", "/campaigns", body=["not", "an", "object"])
@@ -123,11 +131,11 @@ class TestSubmissionValidation:
 
     def test_config_alias_parsing(self):
         config = campaign_config_from_dict(
-            {"sites": 50, "days": 2, "backend": "thread", "flush_every": 3, "oversubscribe": 2}
+            {"sites": 50, "days": 2, "backend": "process", "flush_every": 3, "oversubscribe": 2}
         )
         assert (config.total_sites, config.recrawl_days) == (50, 2)
         assert (config.crawl_backend, config.sink_flush_every, config.shard_oversubscribe) == (
-            "thread", 3, 2,
+            "process", 3, 2,
         )
         with pytest.raises(ServiceError):
             campaign_config_from_dict({"historical_years": "2019"})

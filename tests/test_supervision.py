@@ -283,7 +283,7 @@ class TestRetrySupervision:
             store_format=store_format,
         )
 
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2)])
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
     def test_transient_raises_are_retried_byte_identically(
         self, environment, detector, sites, tmp_path, backend, workers
     ):
@@ -312,7 +312,7 @@ class TestRetrySupervision:
     ):
         _, base_storage, _ = self.baseline(environment, detector, sites, tmp_path)
         config = CrawlConfig(
-            seed=2019, backend="thread", workers=2, shard_oversubscribe=2,
+            seed=2019, backend="process", workers=2, shard_oversubscribe=2,
             shard_retries=2, shard_timeout=0.3, retry_backoff=0.0,
         )
         plan = parse_fault_plan("hang@shard=2~1.5")
@@ -328,7 +328,7 @@ class TestRetrySupervision:
     ):
         _, base_storage, _ = self.baseline(environment, detector, sites, tmp_path)
         config = CrawlConfig(
-            seed=2019, backend="thread", workers=2, shard_oversubscribe=2,
+            seed=2019, backend="process", workers=2, shard_oversubscribe=2,
             shard_retries=2, retry_backoff=0.0,
         )
         plan = parse_fault_plan("seed=5,sink@p=0.2x6")
@@ -382,7 +382,7 @@ class TestRetrySupervision:
             environment, detector, sites, tmp_path, store_format="columnar"
         )
         config = CrawlConfig(
-            seed=2019, backend="thread", workers=2, shard_oversubscribe=2,
+            seed=2019, backend="process", workers=2, shard_oversubscribe=2,
             shard_retries=2, retry_backoff=0.0,
         )
         plan = parse_fault_plan("seed=11,raise@p=0.5x3,sink@p=0.2x3")
@@ -476,7 +476,7 @@ class TestQuarantine:
         self, environment, detector, sites, tmp_path
     ):
         config = CrawlConfig(
-            seed=2019, backend="thread", workers=2, shard_oversubscribe=2,
+            seed=2019, backend="process", workers=2, shard_oversubscribe=2,
             shard_retries=0, retry_backoff=0.0,
         )
         plan = parse_fault_plan("raise@shard=1x9")
@@ -504,7 +504,7 @@ class TestQuarantine:
             environment, detector, sites, tmp_path
         )
         config = CrawlConfig(
-            seed=2019, backend="thread", workers=2, shard_oversubscribe=2,
+            seed=2019, backend="process", workers=2, shard_oversubscribe=2,
             shard_retries=1, retry_backoff=0.0,
         )
         # Every write from the 7th onward fails, far beyond the write-level
