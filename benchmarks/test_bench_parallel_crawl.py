@@ -38,8 +38,8 @@ def serial_json(artifacts, publishers):
 
 @pytest.mark.parametrize(
     "backend_name,workers",
-    [("serial", 1), ("process", 4)],
-    ids=["serial-1", "process-4"],
+    [("serial", 1), ("process", 2), ("process", 4)],
+    ids=["serial-1", "process-2", "process-4"],
 )
 def test_bench_parallel_crawl(benchmark, artifacts, publishers, serial_json, backend_name, workers):
     detector = HBDetector(build_known_partner_list(artifacts.population.registry))

@@ -126,7 +126,7 @@ class TestCrashAndResume:
     """FaultyBackend dies after N shards; resume must reproduce one-shot bytes."""
 
     @pytest.mark.parametrize("backend_name,workers", [
-        ("serial", 4), ("process", 4),
+        ("serial", 4), ("process", 2), ("process", 4),
     ])
     def test_resumed_equals_one_shot_byte_for_byte(
         self, environment, detector, crash_sites, tmp_path, backend_name, workers

@@ -154,14 +154,16 @@ class TestBackendEquivalence:
         engine = CrawlEngine(environment, detector, CrawlConfig(seed=5))
         return engine.crawl(sites)
 
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["columnar", "reference"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_matches_serial_byte_for_byte(
-        self, environment, detector, sites, serial_result, workers
+        self, environment, detector, sites, serial_result, workers, fast_path
     ):
+        """Either simulator on the process pool reproduces the serial crawl."""
         with CrawlEngine(
             environment,
             detector,
-            CrawlConfig(seed=5, workers=workers, backend="process"),
+            CrawlConfig(seed=5, workers=workers, backend="process", fast_path=fast_path),
         ) as engine:
             result = engine.crawl(sites)
         assert serialise(result.detections) == serialise(serial_result.detections)
@@ -379,7 +381,9 @@ class TestShardBoundaryFlush:
         def flush(self):
             self.events.append("flush")
 
-    @pytest.mark.parametrize("backend_name,workers", [("serial", 1), ("process", 3)])
+    @pytest.mark.parametrize(
+        "backend_name,workers", [("serial", 1), ("process", 2), ("process", 3)]
+    )
     def test_sink_flushed_at_every_shard_boundary(
         self, environment, detector, small_population, backend_name, workers
     ):

@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import available_metrics, compute_metric
+from repro.crawler.colstore import ColumnarStorage
 from repro.crawler.crawler import CrawlConfig
 from repro.crawler.engine import CrawlEngine, CrawlPlan
 from repro.crawler.storage import CrawlStorage, detection_to_dict
@@ -35,7 +36,7 @@ def serialise(detections):
 
 def metric_texts(path):
     """Every registered offline metric's outcome (text or identical error)."""
-    context = AnalysisContext.offline(CrawlDataset.from_jsonl(path))
+    context = AnalysisContext.offline(CrawlDataset.from_path(path))
     names = sorted(available_metrics(frozenset({"dataset"})))
     assert names
     outcomes = {}
@@ -72,6 +73,7 @@ def reference(workload, environment, detector, tmp_path_factory):
 
 
 class TestFastPathEquivalence:
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
     @pytest.mark.parametrize("backend,workers", [
         ("serial", 1),
         ("process", 2),
@@ -79,20 +81,30 @@ class TestFastPathEquivalence:
     ])
     def test_sink_bytes_and_metrics_identical(
         self, workload, reference, environment, detector, tmp_path, backend, workers,
+        store_format,
     ):
         """The columnar simulator (the default) must match the reference
-        simulator byte-for-byte."""
+        simulator byte-for-byte, streamed into either detection store: a
+        columnar store converts back to the reference JSONL bytes, and the
+        offline metrics computed straight off it agree with the reference."""
         seed, sites = workload
         ref_bytes, ref_json, ref_metrics = reference
-        storage = CrawlStorage(tmp_path / "fast.jsonl")
+        if store_format == "jsonl":
+            storage = CrawlStorage(tmp_path / "fast.jsonl")
+        else:
+            storage = ColumnarStorage(tmp_path / "fast.hbc")
         config = CrawlConfig(seed=seed, workers=workers, backend=backend)
         assert config.fast_path  # the default IS the columnar simulator
         with CrawlEngine(environment, detector, config) as engine, \
                 storage.open_sink() as sink:
             result = engine.crawl(sites, sink=sink)
         assert serialise(result.detections) == ref_json
-        assert storage.path.read_bytes() == ref_bytes
         assert metric_texts(storage.path) == ref_metrics
+        if store_format == "columnar":
+            converted = CrawlStorage(tmp_path / "converted.jsonl")
+            converted.save(storage.iter_load())
+            storage = converted
+        assert storage.path.read_bytes() == ref_bytes
 
     @pytest.mark.parametrize("backend,workers,fail_after", [
         ("serial", 1, 1),

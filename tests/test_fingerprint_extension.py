@@ -43,7 +43,7 @@ def _suffix(store_format):
 class TestHorizonExtension:
     @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
     @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("process", 2)]
+        "backend,workers", [("serial", 1), ("process", 2), ("process", 3)]
     )
     def test_extension_byte_identical_to_full_horizon_run(
         self, tmp_path, store_format, backend, workers
