@@ -60,11 +60,11 @@ class CrawlConfig:
     #: writes fewer checkpoint files at the cost of re-crawling more shards
     #: after a crash; resumed bytes are identical for any value.
     checkpoint_every_shards: int = 1
-    #: Simulate whole shards as numpy arrays over precompiled site profiles
-    #: (the columnar simulator).  ``False`` selects the reference browser
-    #: simulator, which re-derives every per-page input and serves as the
-    #: columnar path's oracle; detections are byte-identical either way (the
-    #: equivalence tests enforce it).
+    #: Simulate whole shards as numpy arrays over each worker's compiled
+    #: site records (the columnar simulator).  ``False`` selects the
+    #: reference browser simulator, which re-derives every per-page input and
+    #: serves as the columnar path's oracle; detections are byte-identical
+    #: either way (the equivalence tests enforce it).
     fast_path: bool = True
     #: Parallel crawls (``workers > 1``) split the site list into
     #: ``workers * shard_oversubscribe`` shards so that pool workers stay

@@ -194,9 +194,11 @@ class WorkerContext:
     caller's own objects, and the process backend ships the context to each
     worker process exactly once through a shared-memory block.
 
-    ``profiles`` is the worker's precompiled :class:`SiteProfileTable`, the
-    columnar simulator's input.  It is ``None`` when ``config.fast_path`` is
-    off and shards run through the reference browser simulator.
+    ``profiles`` is the worker's :class:`SiteProfileTable`: one compiled
+    record per site, keyed to this context's environment, seed and
+    detector's known-partner list, and the columnar simulator's only
+    per-site input.  It is ``None`` when ``config.fast_path`` is off and
+    shards run through the reference browser simulator.
     """
 
     environment: AuctionEnvironment
@@ -213,7 +215,9 @@ class WorkerContext:
         if config.fast_path:
             from repro.ecosystem.profiles import SiteProfileTable
 
-            profiles = SiteProfileTable(environment, seed=config.seed)
+            profiles = SiteProfileTable(
+                environment, detector.known_partners, seed=config.seed
+            )
         return cls(environment=environment, detector=detector, config=config, profiles=profiles)
 
 

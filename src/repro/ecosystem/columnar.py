@@ -26,8 +26,10 @@ This module changes the unit of work from the page to the
   those, one reusable ``Generator`` is *activated* with the precomputed page
   state (a state-dict assignment, ~1.5 µs, vs ~20 µs for ``derive_rng``) and
   a fused simulator replays the facet executor's exact draw and event order
-  against precompiled per-site tables (:class:`_SiteSim`), materialising
-  detector observations directly instead of event objects.
+  against the site's compiled record
+  (:class:`~repro.ecosystem.profiles.SiteRecord`, which the worker's
+  ``SiteProfileTable`` hands over for the whole shard at once),
+  materialising detector observations directly instead of event objects.
 
 Detections leave through :meth:`HBDetector.detect_from_observations`, so the
 classification/reconstruction logic is shared with the reference path, and
@@ -40,10 +42,8 @@ parity of the kernels by ``tests/test_columnar_samplers`` and
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -53,20 +53,21 @@ from repro.detector.dom_inspector import DomObservations, _ObservedDomBid
 from repro.detector.parameters import HBParameterSet
 from repro.detector.records import SiteDetection
 from repro.detector.webrequest_inspector import PartnerExchange, WebRequestObservations
+from repro.ecosystem.profiles import (
+    AUCTION_ID,
+    WATERFALL_MAX_LEVELS,
+    SiteRecord,
+    sample_latency,
+)
 from repro.hb.events import price_bucket
-from repro.hb.runner import wrapper_traits
 from repro.hb.waterfall import _DEFAULT_SLOT_SIZES
 from repro.models import HBFacet, RequestDirection, WebRequest
 from repro.utils.rng import fast_uniform, stable_hash
-from repro.utils.urls import url_host
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crawler.engine import CrawlShard, WorkerContext
     from repro.detector.detector import HBDetector
-    from repro.detector.partner_list import KnownPartnerList
-    from repro.ecosystem.profiles import SiteProfile, SiteProfileTable
     from repro.ecosystem.publishers import Publisher
-    from repro.hb.environment import AuctionEnvironment
 
 __all__ = ["simulate_shard_columnar"]
 
@@ -95,10 +96,6 @@ _U64_58 = np.uint64(58)
 _U64_63 = np.uint64(63)
 _U64_64 = np.uint64(64)
 _DOUBLE_SCALE = 2.0 ** -53
-
-#: The per-navigation auction id: ``IdFactory`` resets with the page, so the
-#: first (and only) auction of every page is always ``auction-000000``.
-_AID = "auction-000000"
 
 #: Responses without hb_* keys all extract to the same (never mutated) set.
 _EMPTY_HB = HBParameterSet(global_values={}, per_slot={})
@@ -201,194 +198,6 @@ def _visit_entropy(publishers: Sequence["Publisher"], visit_index: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Per-site compiled simulation inputs
-
-
-class _SiteSim:
-    """Flat, per-site constants the fused page simulators read.
-
-    Compiled once per ``(profile table, known-partner list, site)`` and
-    cached; everything here is immutable across pages (URL hosts matched
-    against the partner list, static request parameter dicts with the
-    per-navigation auction id baked in, slot code/label/floor tuples, the
-    wrapper's DOM-event traits).
-    """
-
-    __slots__ = (
-        "publisher", "domain", "rank", "uses_hb",
-        "html_fetch_ms", "content_load_ms", "n_res", "n_scr",
-        # non-HB
-        "wf_heads", "wf_max_levels", "latency_scale",
-        # HB common
-        "facet", "page_url", "library", "lifecycle", "page_event", "profile",
-        "n_slots", "slot_codes", "slot_labels", "slot_floors", "slot_display",
-        "queue_bias", "timeout_ms", "misconfigured",
-        # internal (server/hybrid) auction pool, flattened for _sample_internal
-        "internal_rec",
-        # client/hybrid
-        "client_recs", "push_url", "push_host", "push_partner",
-        # hybrid
-        "render_url", "render_host", "render_partner",
-        "client_names", "client_code_set",
-        # server-side
-        "server_url", "server_host", "server_partner", "server_params",
-    )
-
-
-def _compile_sim(
-    profile: "SiteProfile", publisher: "Publisher", known: "KnownPartnerList"
-) -> _SiteSim:
-    page = profile.page
-    sim = _SiteSim()
-    sim.publisher = publisher
-    sim.domain = publisher.domain
-    sim.rank = publisher.rank
-    sim.uses_hb = publisher.uses_hb
-    sim.html_fetch_ms = page.html_fetch_ms
-    sim.content_load_ms = page.content_load_ms
-    sim.n_res = len(profile.resource_urls)
-    sim.n_scr = len(page.header_script_urls)
-    sim.latency_scale = publisher.latency_scale
-    if not publisher.uses_hb:
-        # Baseline and waterfall traffic never carries hb_* parameters and
-        # never receives a response, so nothing a non-HB page emits can move
-        # the detector off its "no evidence" verdict: only the page-load
-        # clock needs simulating.  The chain-construction inputs are
-        # flattened per head size: (profiles, popularity weights,
-        # probability list, cdf list, head length), in popularity order.
-        wf = profile.waterfall
-        sim.wf_max_levels = wf.max_levels
-        flats: dict[str, tuple] = {
-            name: (
-                _flat_latency(wprof.latency),
-                wprof.fill_probability,
-                wprof.cpm_sigma,
-                wprof.cpm_mu_by_label,
-            )
-            for name, wprof in wf.profiles.items()
-        }
-        sim.wf_heads = tuple(
-            (
-                tuple(flats[partner.name] for partner in head),
-                tuple(partner.popularity_weight for partner in head),
-                probabilities.tolist(),
-                cdf.tolist(),
-                len(head),
-            )
-            for head, probabilities, cdf in wf.heads
-        )
-        return sim
-
-    match = known.match_host
-    sim.facet = publisher.facet
-    sim.page_url = publisher.url
-    sim.profile = profile
-    sim.library, sim.lifecycle = wrapper_traits(publisher)
-    page_host = url_host(page.url)
-    page_partner = match(page_host)
-    sim.page_event = (page.url, page_host, page_partner) if page_partner is not None else None
-
-    slots = publisher.auctioned_slots
-    display = profile.display_codes
-    sim.n_slots = len(slots)
-    sim.slot_codes = tuple(slot.code for slot in slots)
-    sim.slot_labels = tuple(slot.primary_size.label for slot in slots)
-    sim.slot_floors = tuple(slot.floor_cpm for slot in slots)
-    sim.slot_display = tuple(slot.code in display for slot in slots)
-    sim.queue_bias = 4.0 * len(slots)
-    sim.timeout_ms = publisher.timeout_ms
-    sim.misconfigured = publisher.misconfigured_wrapper
-
-    low, high = profile.internal_pool
-    sim.internal_rec = (
-        low,
-        high,
-        tuple(
-            (internal.bidder_code, internal.partner.name, _flat_respond(internal))
-            for internal in profile.internal_profiles
-        ),
-        profile.internal_weights.tolist() if profile.internal_weights is not None else None,
-        profile.internal_cdf.tolist() if profile.internal_cdf is not None else None,
-    )
-
-    if publisher.facet is HBFacet.SERVER_SIDE:
-        url = profile.server_request_url
-        params = dict(profile.server_request_params)
-        params["correlator"] = _AID
-        host = url_host(url)
-        sim.server_url = url
-        sim.server_host = host
-        sim.server_partner = match(host)
-        sim.server_params = params
-        return sim
-
-    if publisher.facet is HBFacet.CLIENT_SIDE:
-        dispatch_profiles = profile.partner_profiles
-    else:
-        dispatch_profiles = profile.client_partner_profiles
-    recs = []
-    for prof, (url, template) in zip(dispatch_profiles, profile.bid_request_templates):
-        params = dict(template)
-        params["auction_id"] = _AID
-        host = url_host(url)
-        recs.append((prof.bidder_code, _flat_respond(prof), url, host, match(host), params))
-    sim.client_recs = tuple(recs)
-
-    push_url = profile.ad_server_push_url
-    push_host = url_host(push_url)
-    sim.push_url = push_url
-    sim.push_host = push_host
-    sim.push_partner = match(push_host)
-
-    if publisher.facet is HBFacet.HYBRID:
-        render_url = profile.hybrid_render_url
-        render_host = url_host(render_url)
-        sim.render_url = render_url
-        sim.render_host = render_host
-        sim.render_partner = match(render_host)
-        client_bidders = profile.client_bidders_by_code or {}
-        sim.client_names = {code: partner.name for code, partner in client_bidders.items()}
-        sim.client_code_set = frozenset(client_bidders)
-    return sim
-
-
-#: Compiled sims per profile table; rebuilt wholesale if the worker's
-#: known-partner list changes (one list per detector, shared by clones).
-_SIM_CACHE: "WeakKeyDictionary[SiteProfileTable, tuple[object, dict]]" = WeakKeyDictionary()
-_SIM_LOCK = threading.Lock()
-
-
-def _sims_for(
-    table: "SiteProfileTable",
-    known: "KnownPartnerList",
-    publishers: Sequence["Publisher"],
-) -> list[_SiteSim]:
-    entry = _SIM_CACHE.get(table)
-    if entry is None or entry[0] is not known:
-        entry = (known, {})
-        with _SIM_LOCK:
-            _SIM_CACHE[table] = entry
-    cache: dict[str, _SiteSim] = entry[1]
-    sims: list[_SiteSim] = []
-    fresh: list[tuple[str, _SiteSim]] = []
-    for publisher in publishers:
-        sim = cache.get(publisher.domain)
-        if sim is not None and (sim.publisher is publisher or sim.publisher == publisher):
-            sims.append(sim)
-            continue
-        sim = _compile_sim(table.profile_for(publisher), publisher, known)
-        fresh.append((publisher.domain, sim))
-        sims.append(sim)
-    if fresh:
-        with _SIM_LOCK:
-            if len(cache) >= table.max_sites:
-                cache.clear()
-            for domain, sim in fresh:
-                cache[domain] = sim
-    return sims
-
-
-# ---------------------------------------------------------------------------
 # Fused page simulators
 
 
@@ -400,7 +209,7 @@ def _chain_popularity(entry: tuple) -> float:
     return entry[1]
 
 
-def _simulate_waterfall_page(sim: _SiteSim, gen: np.random.Generator) -> float:
+def _simulate_waterfall_page(sim: SiteRecord, gen: np.random.Generator) -> float:
     """A non-HB page that serves waterfall ads; returns the load-event time.
 
     The RNG gate has already been consumed (vectorized); the generator is
@@ -413,7 +222,7 @@ def _simulate_waterfall_page(sim: _SiteSim, gen: np.random.Generator) -> float:
     """
     t = sim.html_fetch_ms
     n_slots = int(gen.integers(1, 4))
-    n_levels = int(gen.integers(1, sim.wf_max_levels + 1))
+    n_levels = int(gen.integers(1, WATERFALL_MAX_LEVELS + 1))
     profiles, popularity, p_list, cdf_list, head_len = sim.wf_heads[n_levels - 1]
     chosen_idx = _swr(gen, p_list, cdf_list, min(n_levels, head_len))
     chain = [(profiles[i], popularity[i]) for i in chosen_idx]
@@ -427,7 +236,7 @@ def _simulate_waterfall_page(sim: _SiteSim, gen: np.random.Generator) -> float:
         total = 0.0
         won = False
         for (latency_flat, fill_probability, cpm_sigma, mu_by_label), floor_cpm in chain:
-            # LatencyDraw.sample, inlined with bound methods: this loop is the
+            # sample_latency, inlined with bound methods: this loop is the
             # single hottest stretch of the columnar path.
             mu, sigma, minimum, slow_probability, slow_multiplier = latency_flat
             value = float(gen_lognormal(mu, sigma))
@@ -509,40 +318,16 @@ def _sample_internal(gen, rec) -> list:
     return [recs[i] for i in _swr(gen, p_list, cdf_list, count)]
 
 
-def _flat_latency(draw) -> tuple:
-    """``LatencyDraw`` constants as a tuple, for attribute-free sampling."""
-    return (draw.mu, draw.sigma, draw.minimum_ms, draw.slow_probability, draw.slow_multiplier)
-
-
-def _flat_respond(prof) -> tuple:
-    """``PartnerProfile`` constants for :func:`_respond_draws`."""
-    return (
-        _flat_latency(prof.latency),
-        _flat_latency(prof.internal) if prof.internal is not None else None,
-        prof.bid_probability,
-        prof.cpm_sigma,
-        prof.cpm_mus,
-    )
-
-
 def _respond_draws(
-    gen: np.random.Generator, flat: tuple, slot_index: int
+    gen: np.random.Generator, respond: tuple, slot_index: int
 ) -> tuple[float, float | None]:
     """The draw sequence of ``AuctionEnvironment.partner_response`` for one
-    precompiled partner, without the response object; returns
+    compiled ``respond`` tuple, without the response object; returns
     ``(latency_ms, cpm)``."""
-    latency_flat, internal_flat, bid_probability, cpm_sigma, cpm_mus = flat
-    mu, sigma, minimum, slow_probability, slow_multiplier = latency_flat
-    value = float(gen.lognormal(mu, sigma))
-    if slow_probability and gen.random() < slow_probability:
-        value *= slow_multiplier
-    latency = value if value > minimum else minimum
-    if internal_flat is not None:
-        mu, sigma, minimum, slow_probability, slow_multiplier = internal_flat
-        value = float(gen.lognormal(mu, sigma))
-        if slow_probability and gen.random() < slow_probability:
-            value *= slow_multiplier
-        latency += value if value > minimum else minimum
+    latency_sampler, internal_sampler, bid_probability, cpm_sigma, cpm_mus = respond
+    latency = sample_latency(gen, latency_sampler)
+    if internal_sampler is not None:
+        latency += sample_latency(gen, internal_sampler)
     cpm = None
     if gen.random() < bid_probability:
         drawn = float(gen.lognormal(cpm_mus[slot_index], cpm_sigma))
@@ -551,7 +336,7 @@ def _respond_draws(
 
 
 def _simulate_hb_page(
-    sim: _SiteSim,
+    sim: SiteRecord,
     gen: np.random.Generator,
     detector: "HBDetector",
     crawl_day: int,
@@ -572,7 +357,6 @@ def _simulate_hb_page(
     codes = sim.slot_codes
     labels = sim.slot_labels
     slots_n = sim.n_slots
-    profile = sim.profile
     events: list[tuple] = []
     if sim.page_event is not None:
         url, host, partner = sim.page_event
@@ -589,8 +373,8 @@ def _simulate_hb_page(
             (start, 0, sim.server_host, sim.server_partner, sim.server_params,
              sim.server_url, False, False, None)
         )
-        round_trip = profile.aggregator_latency.sample(gen)
-        round_trip += profile.aggregator_internal.sample(gen)
+        round_trip = sample_latency(gen, sim.aggregator_latency)
+        round_trip += sample_latency(gen, sim.aggregator_internal)
         internal_bidders = _sample_internal(gen, sim.internal_rec)
         response_time = start + round_trip
         winner_names: list[str | None] = []
@@ -601,7 +385,7 @@ def _simulate_hb_page(
                 _, cpm = _respond_draws(gen, bidder[2], slot_index)
                 if cpm is not None and (best is None or cpm > best_cpm):
                     best, best_cpm = bidder, cpm
-            params: dict[str, str] = {"correlator": _AID, "slot": codes[slot_index]}
+            params: dict[str, str] = {"correlator": AUCTION_ID, "slot": codes[slot_index]}
             hbset = _EMPTY_HB
             if best is not None:
                 hb_globals = {
@@ -691,7 +475,7 @@ def _simulate_hb_page(
                         timestamp_ms=start,
                     ))
 
-        push_params: dict[str, str] = {"auction_id": _AID, "slots": str(slots_n)}
+        push_params: dict[str, str] = {"auction_id": AUCTION_ID, "slots": str(slots_n)}
         push_slots: dict[str, dict[str, str]] = {}
         any_filled = False
         for slot_index in range(slots_n):
@@ -716,10 +500,10 @@ def _simulate_hb_page(
             (call, 0, sim.push_host, sim.push_partner, push_params, sim.push_url,
              any_filled, False, HBParameterSet(global_values={}, per_slot=push_slots))
         )
-        base_response = call + profile.ad_server_latency(gen)
+        base_response = call + sample_latency(gen, sim.ad_server_latency)
         events.append(
             (base_response, 1, sim.push_host, sim.push_partner,
-             {"auction_id": _AID, "status": "filled"}, sim.push_url, False, False,
+             {"auction_id": AUCTION_ID, "status": "filled"}, sim.push_url, False, False,
              _EMPTY_HB)
         )
 
@@ -727,7 +511,7 @@ def _simulate_hb_page(
         dom.library = sim.library
         dom.auction_ended_at_ms = call
         if lifecycle:
-            dom.auction_ids.append(_AID)
+            dom.auction_ids.append(AUCTION_ID)
             dom.auction_started_at_ms = start
             if timed_out:
                 dom.timed_out_bidders = timed_out
@@ -772,7 +556,7 @@ def _simulate_hb_page(
                 else:
                     dom.rendered_slots[codes[slot_index]] = None
         else:  # HYBRID
-            ad_response = base_response + profile.hybrid_internal_delay.sample(gen)
+            ad_response = base_response + sample_latency(gen, sim.hybrid_delay)
             internal_bidders = _sample_internal(gen, sim.internal_rec)
             winners_by_code: dict[str, tuple[str | None, float]] = {}
             names_by_code: dict[str, str | None] = {}
@@ -801,7 +585,7 @@ def _simulate_hb_page(
                     winner_name = best_internal[1]
                     winner_code = best_internal[0]
                     clearing = best_internal_cpm
-                params = {"correlator": _AID, "slot": codes[slot_index]}
+                params = {"correlator": AUCTION_ID, "slot": codes[slot_index]}
                 hbset = _EMPTY_HB
                 if winner_code is not None:
                     hb_globals = {
@@ -963,7 +747,6 @@ def simulate_shard_columnar(
     """
     config = context.config
     detector = context.detector
-    table = context.profiles
     detector.reset()
     result = CrawlResult()
     publishers = shard.publishers
@@ -971,8 +754,7 @@ def simulate_shard_columnar(
     if n == 0:
         return result
 
-    table.precompile(publishers)
-    sims = _sims_for(table, detector.known_partners, publishers)
+    sims = context.profiles.precompile(publishers)
 
     state_hi, state_lo, inc_hi, inc_lo = _seed_states(
         config.seed, _visit_entropy(publishers, crawl_day)

@@ -1,20 +1,21 @@
-"""Precompiled site profiles: the immutable inputs of a page-load simulation.
+"""Compiled site records: the immutable inputs of a page-load simulation.
 
 Simulating one page visit derives a lot of state that never changes between
-visits to the same site: the rendered page and its resource list, each demand
-partner's log-normal latency parameters at the site's latency scale, the
-combined price multiplier (size x facet x popularity x vanilla-profile) each
-partner applies per ad slot, the static fields of every bid request, the
-internal-bidder candidate pool of server-side/hybrid ad servers, and the
-waterfall chain tables of non-HB pages.  The reference simulator re-derives
-all of it on every load; over a 34-day longitudinal campaign that is 34
-re-derivations per site of values that are pure functions of
-``(environment, seed, site)``.
+visits to the same site: the page's load-clock inputs, each demand partner's
+log-normal latency parameters at the site's latency scale, the combined
+price multiplier (size x facet x popularity x vanilla-profile) each partner
+applies per ad slot, the static fields of every bid request and the partner
+list verdict on every host they go to, the internal-bidder candidate pool of
+server-side/hybrid ad servers, and the waterfall chain tables of non-HB
+pages.  The reference simulator re-derives all of it on every load; over a
+34-day longitudinal campaign that is 34 re-derivations per site of values
+that are pure functions of ``(environment, known partners, seed, site)``.
 
-This module compiles those inputs once per site into a flat, slotted
-:class:`SiteProfile` held in a :class:`SiteProfileTable`.  The columnar
-simulator (:mod:`repro.ecosystem.columnar`) then reads precomputed values
-instead of re-deriving them per page.
+This module compiles those inputs once per site into one flat, slotted
+:class:`SiteRecord`, held in a worker's :class:`SiteProfileTable`; the
+columnar simulator (:mod:`repro.ecosystem.columnar`) reads no other
+per-site input.  Latency samplers are flat tuples drawn through
+:func:`sample_latency`.
 
 Equivalence contract
 --------------------
@@ -33,32 +34,31 @@ stream in exactly the same call order as the model classes they shortcut
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.browser.page import Page, build_page
+from repro.browser.page import build_page
 from repro.ecosystem.bidding import popularity_price_multiplier
 from repro.ecosystem.partners import DemandPartner, LatencyModel
 from repro.ecosystem.publishers import Publisher
 from repro.models import AdSlotSize, HBFacet
+from repro.utils.urls import url_host
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.detector.partner_list import KnownPartnerList
     from repro.hb.environment import AuctionEnvironment
 
 __all__ = [
     "AD_SERVER_PATH_SCALE",
+    "AUCTION_ID",
     "WATERFALL_MAX_LEVELS",
     "WATERFALL_SLOT_SIZE_LABELS",
     "waterfall_fill_probability",
     "waterfall_head_size",
-    "LatencyDraw",
-    "PartnerProfile",
-    "WaterfallPartnerProfile",
-    "SiteWaterfall",
-    "SiteProfile",
+    "latency_sampler",
+    "sample_latency",
+    "SiteRecord",
     "SiteProfileTable",
 ]
 
@@ -72,6 +72,10 @@ WATERFALL_MAX_LEVELS: int = 4
 #: Sizes :func:`repro.hb.waterfall.default_waterfall_slot` can draw.
 WATERFALL_SLOT_SIZE_LABELS: tuple[str, ...] = ("300x250", "728x90", "160x600")
 
+#: The per-navigation auction id: ``IdFactory`` resets with the page, so the
+#: first (and only) auction of every page is always ``auction-000000``.
+AUCTION_ID = "auction-000000"
+
 
 def waterfall_fill_probability(bid_probability: float) -> float:
     """Chance a waterfall network fills a request (see ``_rtb_price``)."""
@@ -83,168 +87,97 @@ def waterfall_head_size(n_levels: int) -> int:
     return max(8, n_levels * 3)
 
 
-@dataclass(frozen=True, slots=True)
-class LatencyDraw:
-    """One precompiled log-normal latency sampler.
+def latency_sampler(model: LatencyModel, scale: float) -> tuple:
+    """``model.sample(rng, scale=scale)`` compiled for :func:`sample_latency`.
 
-    Replicates :meth:`LatencyModel.sample` for a fixed scale: the ``mu`` is
-    ``log(median_ms * scale)`` computed with the exact operand grouping the
-    caller uses, so the drawn values are bit-identical.
+    A flat ``(mu, sigma, minimum_ms, slow_probability, slow_multiplier)``
+    tuple; ``mu`` is ``log(median_ms * scale)`` computed with the exact
+    operand grouping the caller uses, so the drawn values are bit-identical.
+    """
+    return (
+        math.log(model.median_ms * scale),
+        model.sigma,
+        model.minimum_ms,
+        model.slow_response_probability,
+        model.slow_multiplier,
+    )
+
+
+def sample_latency(rng: np.random.Generator, sampler: tuple) -> float:
+    """One draw of a compiled sampler; :meth:`LatencyModel.sample` draw for draw."""
+    mu, sigma, minimum, slow_probability, slow_multiplier = sampler
+    value = float(rng.lognormal(mu, sigma))
+    if slow_probability and rng.random() < slow_probability:
+        value *= slow_multiplier
+    return value if value > minimum else minimum
+
+
+class SiteRecord:
+    """Every immutable simulation input of one site, compiled flat.
+
+    Non-HB records carry the page clock inputs and ``wf_heads``; the rest
+    describes the site's header-bidding deployment and is set per facet.
+    Partner responses are ``respond`` tuples
+    ``(latency, internal latency | None, bid_probability, cpm_sigma,
+    cpm_mus)`` whose ``cpm_mus`` entry *i* is the log-normal location
+    :meth:`BidBehavior.sample_cpm` would derive for auctioned slot *i*.
     """
 
-    mu: float
-    sigma: float
-    minimum_ms: float
-    slow_probability: float
-    slow_multiplier: float
-
-    @classmethod
-    def compile(cls, model: LatencyModel, scale: float) -> "LatencyDraw":
-        return cls(
-            mu=math.log(model.median_ms * scale),
-            sigma=model.sigma,
-            minimum_ms=model.minimum_ms,
-            slow_probability=model.slow_response_probability,
-            slow_multiplier=model.slow_multiplier,
-        )
-
-    def sample(self, rng: np.random.Generator) -> float:
-        value = float(rng.lognormal(mean=self.mu, sigma=self.sigma))
-        if self.slow_probability and rng.random() < self.slow_probability:
-            value *= self.slow_multiplier
-        return max(self.minimum_ms, value)
-
-
-@dataclass(frozen=True, slots=True)
-class PartnerProfile:
-    """One demand partner's precompiled behaviour for one site.
-
-    ``cpm_mus`` is aligned with the site's ``auctioned_slots``: entry *i* is
-    ``log(base_cpm * size_multiplier(slot_i) * facet_multiplier)``, the exact
-    log-normal location :meth:`BidBehavior.sample_cpm` would recompute per
-    page from the multipliers
-    :meth:`AuctionEnvironment.partner_response` re-derives.
-    """
-
-    partner: DemandPartner
-    bidder_code: str
-    latency: LatencyDraw
-    internal: LatencyDraw | None
-    bid_probability: float
-    cpm_sigma: float
-    cpm_mus: tuple[float, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class WaterfallPartnerProfile:
-    """Precompiled waterfall behaviour of one ad network at one site scale."""
-
-    latency: LatencyDraw
-    fill_probability: float
-    cpm_sigma: float
-    cpm_mu_by_label: Mapping[str, float]
-
-
-@dataclass(frozen=True, slots=True)
-class SiteWaterfall:
-    """Chain-construction tables for non-HB pages at one latency scale.
-
-    ``heads[n - 1]`` holds the candidate pool, its normalised popularity
-    weights and their cumulative distribution — everything
-    :func:`repro.hb.waterfall.build_waterfall_chain` would rebuild per page
-    for an ``n``-level chain.
-    """
-
-    heads: tuple[tuple[tuple[DemandPartner, ...], np.ndarray, np.ndarray], ...]
-    profiles: Mapping[str, WaterfallPartnerProfile]
-    max_levels: int
-
-
-@dataclass(slots=True)
-class SiteProfile:
-    """Every immutable simulation input of one site, precompiled.
-
-    Non-HB sites populate only ``page``/``resource_urls``/``waterfall``; the
-    remaining fields describe the site's header-bidding deployment.
-    """
-
-    publisher: Publisher
-    page: Page
-    #: Fully-built URLs of the page's baseline resources (the slow path runs
-    #: each (host, path) pair through ``build_url`` — quoting included — on
-    #: every single page load).
-    resource_urls: tuple[str, ...] = ()
-    waterfall: SiteWaterfall | None = None
-    # -- header bidding ------------------------------------------------------
-    partner_profiles: tuple[PartnerProfile, ...] = ()
-    #: Dispatch list for the client-visible auction: equals
-    #: ``partner_profiles`` for client-side sites, the partners minus the ad
-    #: server for hybrid sites.
-    client_partner_profiles: tuple[PartnerProfile, ...] = ()
-    #: ``(url, params)`` per client partner; ``params`` is a template whose
-    #: ``auction_id`` is filled in per page (dict order matches
-    #: :func:`repro.hb.adapters.build_bid_request`).
-    bid_request_templates: tuple[tuple[str, Mapping[str, str]], ...] = ()
-    client_bidders_by_code: Mapping[str, DemandPartner] | None = None
-    display_codes: frozenset[str] = frozenset()
-    #: Key-value push target (``https://<ad server host>/gampad/ads``).
-    ad_server_push_url: str | None = None
-    ad_server_latency_mu: float = 0.0
-    ad_server_latency_sigma: float = 0.0
-    # -- server-side facet ---------------------------------------------------
-    server_request_url: str | None = None
-    server_request_params: Mapping[str, str] | None = None
-    aggregator_latency: LatencyDraw | None = None
-    aggregator_internal: LatencyDraw | None = None
-    # -- hybrid facet --------------------------------------------------------
-    hybrid_render_url: str | None = None
-    hybrid_internal_delay: LatencyDraw | None = None
-    # -- server-side / hybrid internal auction -------------------------------
-    internal_profiles: tuple[PartnerProfile, ...] = ()
-    internal_weights: np.ndarray | None = None
-    internal_cdf: np.ndarray | None = None
-    internal_pool: tuple[int, int] = (1, 1)
-
-    def ad_server_latency(self, rng: np.random.Generator) -> float:
-        """Mirror of :meth:`AuctionEnvironment.ad_server_latency`."""
-        return max(
-            10.0,
-            float(rng.lognormal(mean=self.ad_server_latency_mu, sigma=self.ad_server_latency_sigma)),
-        )
+    __slots__ = (
+        "publisher", "domain", "rank", "uses_hb",
+        "html_fetch_ms", "content_load_ms", "n_res", "n_scr", "latency_scale",
+        # non-HB: per chain length, (partner samplers, popularity weights,
+        # normalised weights, cdf, head length), in popularity order
+        "wf_heads",
+        # HB common
+        "facet", "page_url", "library", "lifecycle", "page_event",
+        "n_slots", "slot_codes", "slot_labels", "slot_floors", "slot_display",
+        "queue_bias", "timeout_ms", "misconfigured", "ad_server_latency",
+        # server-side/hybrid internal auction: (low, high, (bidder_code,
+        # partner_name, respond) per candidate, weights, cdf)
+        "internal_rec",
+        # client/hybrid: (bidder_code, respond, url, host, known partner,
+        # params) per dispatched bid request
+        "client_recs", "push_url", "push_host", "push_partner",
+        # hybrid
+        "render_url", "render_host", "render_partner", "hybrid_delay",
+        "client_names", "client_code_set",
+        # server-side
+        "server_url", "server_host", "server_partner", "server_params",
+        "aggregator_latency", "aggregator_internal",
+    )
 
 
 class SiteProfileTable:
-    """Lazily-compiled, bounded cache of :class:`SiteProfile` objects.
+    """Lazily-compiled, bounded cache of :class:`SiteRecord` objects.
 
-    One table belongs to one ``(environment, seed)`` pair — the two inputs
-    that, together with the publisher, fully determine a profile.  Workers
-    keep one table for their whole lifetime, so a longitudinal campaign
-    compiles each site once and every later visit is a dictionary hit.
-
-    The table is safe to share between worker threads: compilation is
-    deterministic (a racy double-compile produces identical values) and the
-    insert/evict critical section is guarded by a lock.
+    One table belongs to one ``(environment, known partners, seed)`` triple —
+    the inputs that, together with the publisher, fully determine a record.
+    Each worker keeps one table for its whole lifetime, so a longitudinal
+    campaign compiles each site once and every later visit is a dictionary
+    hit.  A table is owned by a single worker and is not thread-safe.
     """
 
     __slots__ = (
         "environment",
+        "known_partners",
         "seed",
         "max_sites",
-        "_profiles",
-        "_lock",
+        "_records",
         "_latency_cache",
         "_cpm_mu_cache",
         "_facet_multiplier_cache",
         "_waterfall_cache",
         "compiles",
-        # Weak-referenceable so the columnar simulator can key its compiled
-        # per-site cache on the table without pinning it alive.
+        # Weak-referenceable so profilers can key per-table counters on a
+        # table without pinning it alive.
         "__weakref__",
     )
 
     def __init__(
         self,
         environment: "AuctionEnvironment",
+        known_partners: "KnownPartnerList",
         *,
         seed: int = 2019,
         max_sites: int = 16384,
@@ -252,78 +185,57 @@ class SiteProfileTable:
         if max_sites < 1:
             raise ValueError("a profile table must hold at least one site")
         self.environment = environment
+        self.known_partners = known_partners
         self.seed = seed
         self.max_sites = max_sites
-        self._profiles: dict[str, SiteProfile] = {}
-        self._lock = threading.Lock()
-        self._latency_cache: dict[tuple[str, float], tuple[LatencyDraw, LatencyDraw]] = {}
+        self._records: dict[str, SiteRecord] = {}
+        self._latency_cache: dict[tuple[str, float], tuple[tuple, tuple]] = {}
         self._cpm_mu_cache: dict[tuple[str, str, HBFacet], float] = {}
         self._facet_multiplier_cache: dict[tuple[str, HBFacet], float] = {}
-        self._waterfall_cache: dict[float, SiteWaterfall] = {}
+        self._waterfall_cache: dict[float, tuple] = {}
         self.compiles = 0
 
     def __len__(self) -> int:
-        return len(self._profiles)
+        return len(self._records)
 
-    def profile_for(self, publisher: Publisher) -> SiteProfile:
-        """The compiled profile for ``publisher`` (compiled on first use)."""
-        profile = self._profiles.get(publisher.domain)
-        if profile is not None and (
-            profile.publisher is publisher or profile.publisher == publisher
-        ):
-            return profile
-        profile = self._compile(publisher)
-        with self._lock:
-            if len(self._profiles) >= self.max_sites and publisher.domain not in self._profiles:
-                # Bounded: drop the oldest half wholesale.  Eviction is rare
-                # (tables are sized for the paper's 35k-site discovery pass)
-                # and re-compiling is cheap and deterministic.
-                for domain in list(self._profiles)[: self.max_sites // 2]:
-                    del self._profiles[domain]
-            self._profiles[publisher.domain] = profile
-        return profile
+    def precompile(self, publishers: Sequence[Publisher]) -> list[SiteRecord]:
+        """The records of ``publishers``, in order, compiling the missing ones.
 
-    def precompile(self, publishers: Sequence[Publisher]) -> None:
-        """Eagerly compile a batch (used to warm tables outside the hot loop).
-
-        Unlike a loop over :meth:`profile_for` (one lock acquisition per
-        site), this compiles every missing profile first and publishes the
-        whole batch under a single lock acquisition, so shard warm-up does
-        not serialize behind per-site locking.  A fully warm batch touches
-        the lock zero times.
+        The batch's records are returned, not looked up again later, so a
+        batch larger than the table still compiles each site once: when the
+        table is full it drops its oldest half, which only later batches
+        can miss.
         """
-        profiles = self._profiles
-        fresh: list[tuple[str, SiteProfile]] = []
+        records = self._records
+        batch: list[SiteRecord] = []
         for publisher in publishers:
-            profile = profiles.get(publisher.domain)
-            if profile is not None and (
-                profile.publisher is publisher or profile.publisher == publisher
+            domain = publisher.domain
+            record = records.get(domain)
+            if record is None or (
+                record.publisher is not publisher and record.publisher != publisher
             ):
-                continue
-            fresh.append((publisher.domain, self._compile(publisher)))
-        if not fresh:
-            return
-        with self._lock:
-            for domain, profile in fresh:
-                if len(profiles) >= self.max_sites and domain not in profiles:
-                    for evicted in list(profiles)[: self.max_sites // 2]:
-                        del profiles[evicted]
-                profiles[domain] = profile
+                record = self._compile(publisher)
+                if len(records) >= self.max_sites and domain not in records:
+                    for evicted in list(records)[: self.max_sites // 2]:
+                        del records[evicted]
+                records[domain] = record
+            batch.append(record)
+        return batch
 
     # -- compilation helpers -------------------------------------------------
-    def _latency_draws(self, partner: DemandPartner, scale: float) -> tuple[LatencyDraw, LatencyDraw]:
+    def _latency_samplers(self, partner: DemandPartner, scale: float) -> tuple[tuple, tuple]:
         key = (partner.name, scale)
-        draws = self._latency_cache.get(key)
-        if draws is None:
-            draws = (
-                LatencyDraw.compile(partner.latency, scale),
+        samplers = self._latency_cache.get(key)
+        if samplers is None:
+            samplers = (
+                latency_sampler(partner.latency, scale),
                 # The second draw of an internal RTB auction runs at 0.35x the
                 # site scale; the operand grouping mirrors
                 # ``latency.sample(rng, scale=latency_scale * 0.35)``.
-                LatencyDraw.compile(partner.latency, scale * 0.35),
+                latency_sampler(partner.latency, scale * 0.35),
             )
-            self._latency_cache[key] = draws
-        return draws
+            self._latency_cache[key] = samplers
+        return samplers
 
     def _facet_multiplier(self, partner: DemandPartner, facet: HBFacet) -> float:
         """The combined facet multiplier of ``environment.partner_response``."""
@@ -352,42 +264,37 @@ class SiteProfileTable:
             self._cpm_mu_cache[key] = mu
         return mu
 
-    def _partner_profile(
-        self, partner: DemandPartner, publisher: Publisher, facet: HBFacet
-    ) -> PartnerProfile:
-        latency, internal = self._latency_draws(partner, publisher.latency_scale)
-        return PartnerProfile(
-            partner=partner,
-            bidder_code=partner.bidder_code,
-            latency=latency,
-            internal=internal if partner.runs_internal_auction else None,
-            bid_probability=partner.bidding.bid_probability,
-            cpm_sigma=partner.bidding.cpm_sigma,
-            cpm_mus=tuple(
+    def _respond(self, partner: DemandPartner, publisher: Publisher, facet: HBFacet) -> tuple:
+        """``environment.partner_response`` of ``partner`` at this site, compiled."""
+        latency, internal = self._latency_samplers(partner, publisher.latency_scale)
+        return (
+            latency,
+            internal if partner.runs_internal_auction else None,
+            partner.bidding.bid_probability,
+            partner.bidding.cpm_sigma,
+            tuple(
                 self._cpm_mu(partner, slot.primary_size, facet)
                 for slot in publisher.auctioned_slots
             ),
         )
 
-    def _waterfall_for(self, scale: float) -> SiteWaterfall:
-        site_wf = self._waterfall_cache.get(scale)
-        if site_wf is not None:
-            return site_wf
+    def _waterfall_heads(self, scale: float) -> tuple:
+        heads = self._waterfall_cache.get(scale)
+        if heads is not None:
+            return heads
         env = self.environment
         # Same ordering build_waterfall_chain derives per page.
         partners = sorted(env.registry.partners, key=lambda p: p.popularity_weight, reverse=True)
-        max_levels = WATERFALL_MAX_LEVELS
-        heads = []
-        profiles: dict[str, WaterfallPartnerProfile] = {}
-        for n_levels in range(1, max_levels + 1):
+        samplers: dict[str, tuple] = {}
+        built = []
+        for n_levels in range(1, WATERFALL_MAX_LEVELS + 1):
             head = partners[: waterfall_head_size(n_levels)]
             weights = np.asarray([p.popularity_weight for p in head], dtype=float)
             weights = weights / weights.sum()
             cdf = np.cumsum(weights)
             cdf /= cdf[-1]
-            heads.append((tuple(head), weights, cdf))
             for partner in head:
-                if partner.name in profiles:
+                if partner.name in samplers:
                     continue
                 mu_by_label = {}
                 for label in WATERFALL_SLOT_SIZE_LABELS:
@@ -398,43 +305,116 @@ class SiteProfileTable:
                         * env.pricing.vanilla_profile_multiplier
                     )
                     mu_by_label[label] = math.log(location)
-                profiles[partner.name] = WaterfallPartnerProfile(
-                    latency=LatencyDraw.compile(partner.latency, scale * AD_SERVER_PATH_SCALE),
-                    fill_probability=waterfall_fill_probability(partner.bidding.bid_probability),
-                    cpm_sigma=partner.bidding.cpm_sigma,
-                    cpm_mu_by_label=mu_by_label,
+                samplers[partner.name] = (
+                    latency_sampler(partner.latency, scale * AD_SERVER_PATH_SCALE),
+                    waterfall_fill_probability(partner.bidding.bid_probability),
+                    partner.bidding.cpm_sigma,
+                    mu_by_label,
                 )
-        site_wf = SiteWaterfall(heads=tuple(heads), profiles=profiles, max_levels=max_levels)
-        with self._lock:
-            self._waterfall_cache.setdefault(scale, site_wf)
-        return self._waterfall_cache[scale]
+            built.append((
+                tuple(samplers[partner.name] for partner in head),
+                tuple(partner.popularity_weight for partner in head),
+                weights.tolist(),
+                cdf.tolist(),
+                len(head),
+            ))
+        heads = self._waterfall_cache[scale] = tuple(built)
+        return heads
 
-    def _compile(self, publisher: Publisher) -> SiteProfile:
-        self.compiles += 1
+    def _internal_pool(
+        self, exclude: tuple[DemandPartner, ...], publisher: Publisher, facet: HBFacet
+    ) -> tuple:
+        """The candidate pool of ``sample_internal_bidders``, compiled."""
         env = self.environment
+        low, high = env.internal_auction_pool
+        candidates = [p for p in env.registry.partners if p not in exclude]
+        if not candidates:
+            return (low, high, (), None, None)
+        weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
+        weights = weights / weights.sum()
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        recs = tuple(
+            (p.bidder_code, p.name, self._respond(p, publisher, facet)) for p in candidates
+        )
+        return (low, high, recs, weights.tolist(), cdf.tolist())
+
+    def _compile(self, publisher: Publisher) -> SiteRecord:
+        self.compiles += 1
         page = build_page(publisher, seed=self.seed)
-        from repro.utils.urls import build_url
-
-        resource_urls = tuple(build_url(host, path) for host, path in page.baseline_resources)
-        if not publisher.uses_hb:
-            return SiteProfile(
-                publisher=publisher,
-                page=page,
-                resource_urls=resource_urls,
-                waterfall=self._waterfall_for(publisher.latency_scale),
-            )
-
-        facet = publisher.facet
-        assert facet is not None
         scale = publisher.latency_scale
+        record = SiteRecord()
+        record.publisher = publisher
+        record.domain = publisher.domain
+        record.rank = publisher.rank
+        record.uses_hb = publisher.uses_hb
+        record.html_fetch_ms = page.html_fetch_ms
+        record.content_load_ms = page.content_load_ms
+        record.n_res = len(page.baseline_resources)
+        record.n_scr = len(page.header_script_urls)
+        record.latency_scale = scale
+        if not publisher.uses_hb:
+            # Baseline and waterfall traffic never carries hb_* parameters and
+            # never receives a response, so nothing a non-HB page emits can
+            # move the detector off its "no evidence" verdict: only the
+            # page-load clock needs simulating.
+            record.wf_heads = self._waterfall_heads(scale)
+            return record
+
+        # Import here: hb sits above ecosystem in the layering and is only
+        # needed at compile time, never in the per-page loop.
+        from repro.hb.adapters import build_bid_request
+        from repro.hb.runner import wrapper_traits
+
+        env = self.environment
+        match = self.known_partners.match_host
+        facet = publisher.facet
         slots = publisher.auctioned_slots
-        partner_profiles = tuple(
-            self._partner_profile(partner, publisher, facet) for partner in publisher.partners
+        record.facet = facet
+        record.page_url = publisher.url
+        record.library, record.lifecycle = wrapper_traits(publisher)
+        page_host = url_host(page.url)
+        page_partner = match(page_host)
+        record.page_event = (page.url, page_host, page_partner) if page_partner is not None else None
+        display = {slot.code for slot in publisher.slots}
+        record.n_slots = len(slots)
+        record.slot_codes = tuple(slot.code for slot in slots)
+        record.slot_labels = tuple(slot.primary_size.label for slot in slots)
+        record.slot_floors = tuple(slot.floor_cpm for slot in slots)
+        record.slot_display = tuple(slot.code in display for slot in slots)
+        record.queue_bias = 4.0 * len(slots)
+        record.timeout_ms = publisher.timeout_ms
+        record.misconfigured = publisher.misconfigured_wrapper
+        # AuctionEnvironment.ad_server_latency as a sampler: no slow tail and
+        # a 10 ms floor.  float(np.log(...)), not math.log: the slow path
+        # computes this mu with np.log, and the two are not
+        # bitwise-identical for every input.
+        record.ad_server_latency = (
+            float(np.log(env.ad_server_latency_median_ms * scale)),
+            env.ad_server_latency_sigma,
+            10.0,
+            0.0,
+            1.0,
         )
 
-        # Import here: adapters sits above ecosystem in the layering and is
-        # only needed at compile time, never in the per-page loop.
-        from repro.hb.adapters import build_bid_request
+        if facet is HBFacet.SERVER_SIDE:
+            aggregator = publisher.partners[0]
+            record.aggregator_latency, record.aggregator_internal = self._latency_samplers(
+                aggregator, scale
+            )
+            url = f"https://{aggregator.primary_domain}/gampad/ads"
+            host = url_host(url)
+            record.server_url = url
+            record.server_host = host
+            record.server_partner = match(host)
+            record.server_params = {
+                "iu": f"/{publisher.domain}/front",
+                "prev_iu_szs": "|".join(",".join(slot.accepted_labels) for slot in slots),
+                "slot_count": str(len(slots)),
+                "correlator": AUCTION_ID,
+            }
+            record.internal_rec = self._internal_pool((aggregator,), publisher, facet)
+            return record
 
         ad_server = publisher.ad_server
         if facet is HBFacet.HYBRID and ad_server is not None:
@@ -443,80 +423,43 @@ class SiteProfileTable:
             ) or publisher.partners
         else:
             client_partners = publisher.partners
-        profile_by_partner = {
-            id(partner): prof for partner, prof in zip(publisher.partners, partner_profiles)
-        }
-        client_profiles = tuple(profile_by_partner[id(p)] for p in client_partners)
-        templates = tuple(
-            (spec.url, dict(spec.params))
-            for spec in (
-                build_bid_request(
-                    partner,
-                    slots,
-                    page_url=publisher.url,
-                    auction_id="",
-                    timeout_ms=publisher.timeout_ms,
-                )
-                for partner in client_partners
+        recs = []
+        for partner in client_partners:
+            spec = build_bid_request(
+                partner,
+                slots,
+                page_url=publisher.url,
+                auction_id=AUCTION_ID,
+                timeout_ms=publisher.timeout_ms,
             )
-        )
-
-        profile = SiteProfile(
-            publisher=publisher,
-            page=page,
-            resource_urls=resource_urls,
-            partner_profiles=partner_profiles,
-            client_partner_profiles=client_profiles,
-            bid_request_templates=templates,
-            client_bidders_by_code={p.bidder_code: p for p in client_partners},
-            display_codes=frozenset(slot.code for slot in publisher.slots),
-            # float(np.log(...)), not math.log: the slow path
-            # (AuctionEnvironment.ad_server_latency) computes this mu with
-            # np.log, and the two are not bitwise-identical for every input.
-            ad_server_latency_mu=float(np.log(env.ad_server_latency_median_ms * scale)),
-            ad_server_latency_sigma=env.ad_server_latency_sigma,
-        )
+            host = url_host(spec.url)
+            recs.append((
+                partner.bidder_code,
+                self._respond(partner, publisher, facet),
+                spec.url,
+                host,
+                match(host),
+                dict(spec.params),
+            ))
+        record.client_recs = tuple(recs)
 
         if facet is HBFacet.CLIENT_SIDE:
-            profile.ad_server_push_url = f"https://{publisher.own_ad_server_host}/gampad/ads"
-        elif facet is HBFacet.SERVER_SIDE:
-            aggregator = publisher.partners[0]
-            agg_latency, agg_internal = self._latency_draws(aggregator, scale)
-            profile.aggregator_latency = agg_latency
-            profile.aggregator_internal = agg_internal
-            profile.server_request_url = f"https://{aggregator.primary_domain}/gampad/ads"
-            profile.server_request_params = {
-                "iu": f"/{publisher.domain}/front",
-                "prev_iu_szs": "|".join(",".join(slot.accepted_labels) for slot in slots),
-                "slot_count": str(len(slots)),
-                "correlator": "",
-            }
-            self._compile_internal_auction(profile, (aggregator,), facet)
+            push_url = f"https://{publisher.own_ad_server_host}/gampad/ads"
         else:  # hybrid
             assert ad_server is not None
-            profile.ad_server_push_url = f"https://{ad_server.primary_domain}/gampad/ads"
-            profile.hybrid_render_url = f"https://{ad_server.primary_domain}/gampad/render"
-            profile.hybrid_internal_delay = LatencyDraw.compile(ad_server.latency, scale * 0.5)
-            self._compile_internal_auction(profile, (ad_server, *client_partners), facet)
-        return profile
-
-    def _compile_internal_auction(
-        self,
-        profile: SiteProfile,
-        exclude: tuple[DemandPartner, ...],
-        facet: HBFacet,
-    ) -> None:
-        """Precompute the candidate pool of ``sample_internal_bidders``."""
-        env = self.environment
-        candidates = [p for p in env.registry.partners if p not in exclude]
-        profile.internal_pool = env.internal_auction_pool
-        if not candidates:
-            return
-        weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
-        profile.internal_weights = weights / weights.sum()
-        cdf = np.cumsum(profile.internal_weights)
-        cdf /= cdf[-1]
-        profile.internal_cdf = cdf
-        profile.internal_profiles = tuple(
-            self._partner_profile(partner, profile.publisher, facet) for partner in candidates
-        )
+            push_url = f"https://{ad_server.primary_domain}/gampad/ads"
+        record.push_url = push_url
+        record.push_host = url_host(push_url)
+        record.push_partner = match(record.push_host)
+        if facet is HBFacet.HYBRID:
+            render_url = f"https://{ad_server.primary_domain}/gampad/render"
+            record.render_url = render_url
+            record.render_host = url_host(render_url)
+            record.render_partner = match(record.render_host)
+            record.hybrid_delay = latency_sampler(ad_server.latency, scale * 0.5)
+            record.client_names = {p.bidder_code: p.name for p in client_partners}
+            record.client_code_set = frozenset(record.client_names)
+            record.internal_rec = self._internal_pool(
+                (ad_server, *client_partners), publisher, facet
+            )
+        return record

@@ -58,7 +58,7 @@ class ExperimentConfig:
     resume: bool = False
     #: Persist the checkpoint every N completed shard boundaries.
     checkpoint_every_shards: int = 1
-    #: Simulate with the columnar simulator over precompiled site profiles.
+    #: Simulate with the columnar simulator over compiled site records.
     #: ``False`` selects the reference browser simulator, which re-derives
     #: every per-page input; detections are byte-identical.
     fast_path: bool = True

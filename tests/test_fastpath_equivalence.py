@@ -1,7 +1,7 @@
 """Simulator equivalence: the columnar simulator must change nothing but speed.
 
 The property under test: for any seed, any backend and any worker count, a
-crawl simulated columnar-batch style over precompiled site profiles and the
+crawl simulated columnar-batch style over compiled site records and the
 shared-memory handoff (``fast_path=True``, the default) produces
 **byte-identical** sink output and identical values for every registered
 offline metric compared to the reference browser simulator
@@ -19,10 +19,12 @@ from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import available_metrics, compute_metric
 from repro.crawler.colstore import ColumnarStorage
 from repro.crawler.crawler import CrawlConfig
-from repro.crawler.engine import CrawlEngine, CrawlPlan
+from repro.crawler.engine import CrawlEngine, CrawlPlan, CrawlShard, WorkerContext
 from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.detector.detector import HBDetector
 from repro.detector.partner_list import build_known_partner_list
+from repro.ecosystem.columnar import simulate_shard_columnar
+from repro.ecosystem.profiles import SiteProfileTable
 from repro.ecosystem.publishers import PopulationConfig, generate_population
 from repro.ecosystem.registry import default_registry
 from repro.errors import ReproError
@@ -162,6 +164,28 @@ class TestFastPathEquivalence:
         with CrawlEngine(environment, detector, CrawlConfig(seed=seed, fast_path=False)) as engine:
             day1_slow = engine.crawl(sites, crawl_day=1)
         assert serialise(day1_warm.detections) == serialise(day1_slow.detections)
+
+    @pytest.mark.parametrize("max_sites", [8, 16384])
+    def test_one_shard_over_the_table_cap_compiles_each_site_once(
+        self, workload, reference, environment, detector, max_sites
+    ):
+        """A shard larger than the worker's profile table compiles each of
+        its sites exactly once, and its detections match those of a table
+        that holds the whole shard and those of the reference simulator."""
+        seed, sites = workload
+        _, ref_json, _ = reference
+        shard = CrawlShard(index=0, start=0, publishers=tuple(sites[:20]), shard_seed=0)
+        table = SiteProfileTable(
+            environment, detector.known_partners, seed=seed, max_sites=max_sites
+        )
+        context = WorkerContext(
+            environment=environment, detector=detector, config=CrawlConfig(seed=seed),
+            profiles=table,
+        )
+        result = simulate_shard_columnar(context, 0, None, shard)
+        assert table.compiles == len(shard)
+        assert len(table) <= max_sites
+        assert json.loads(serialise(result.detections)) == json.loads(ref_json)[:len(shard)]
 
     def test_fast_path_flag_threads_through_experiment_config(self):
         from repro.experiments.config import ExperimentConfig

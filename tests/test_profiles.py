@@ -1,4 +1,4 @@
-"""Unit tests for precompiled site profiles and the columnar samplers over them.
+"""Unit tests for compiled site records and the columnar samplers over them.
 
 Each precompiled sampler shortcuts a per-page derivation of the reference
 simulator; these tests pin the contract that matters: given the same RNG
@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ecosystem.columnar import _compile_sim, _flat_respond, _respond_draws, _sample_internal, _swr
-from repro.ecosystem.profiles import LatencyDraw, SiteProfileTable
+from repro.ecosystem.columnar import _respond_draws, _sample_internal, _swr
+from repro.ecosystem.profiles import SiteProfileTable, latency_sampler, sample_latency
 from repro.models import HBFacet
 
 
@@ -56,70 +56,88 @@ class TestSampleWithoutReplacement:
         assert a.bit_generator.state == b.bit_generator.state
 
 
-class TestLatencyDraw:
+class TestLatencySampler:
     def test_matches_latency_model_sample(self, registry):
         for partner in registry.partners[:20]:
             for scale in (1.0, 0.72, 0.58, 0.35):
-                draw = LatencyDraw.compile(partner.latency, scale)
+                sampler = latency_sampler(partner.latency, scale)
                 a, b = fresh_pair(seed=hash((partner.name, scale)) & 0xFFFF)
                 for _ in range(200):
-                    assert partner.latency.sample(a, scale=scale) == draw.sample(b)
+                    assert partner.latency.sample(a, scale=scale) == sample_latency(b, sampler)
                 assert a.bit_generator.state == b.bit_generator.state
 
 
-class TestPartnerProfile:
+def compiled_responses(record, publisher, environment):
+    """``(partner, respond)`` for every partner response a record compiled:
+    the dispatched bid requests and the internal-auction candidate pool."""
+    pairs = []
+    if record.facet is not HBFacet.SERVER_SIDE:
+        codes = [rec[0] for rec in record.client_recs]
+        dispatched = [p for p in publisher.partners if p.bidder_code in codes]
+        assert [p.bidder_code for p in dispatched] == codes
+        pairs += zip(dispatched, (rec[1] for rec in record.client_recs))
+    if record.facet is not HBFacet.CLIENT_SIDE:
+        by_name = {p.name: p for p in environment.registry.partners}
+        for code, name, respond in record.internal_rec[2]:
+            assert by_name[name].bidder_code == code
+            pairs.append((by_name[name], respond))
+    return pairs
+
+
+class TestCompiledResponses:
     def test_respond_draws_match_environment_partner_response(
-        self, environment, small_population
+        self, environment, detector, small_population
     ):
-        table = SiteProfileTable(environment, seed=13)
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
         for publisher in small_population.hb_publishers()[:12]:
-            profile = table.profile_for(publisher)
+            record = table.precompile([publisher])[0]
             slots = publisher.auctioned_slots
-            for partner, pprofile in zip(publisher.partners, profile.partner_profiles):
+            pairs = compiled_responses(record, publisher, environment)
+            assert pairs
+            for partner, respond in pairs:
                 a, b = fresh_pair(seed=publisher.rank)
                 for index, slot in enumerate(slots):
                     expected = environment.partner_response(
                         a, partner, slot, publisher.facet,
                         latency_scale=publisher.latency_scale,
                     )
-                    latency, cpm = _respond_draws(b, _flat_respond(pprofile), index)
+                    latency, cpm = _respond_draws(b, respond, index)
                     assert latency == expected.latency_ms
                     assert cpm == expected.bid_cpm
-                    assert pprofile.partner is partner
                 assert a.bit_generator.state == b.bit_generator.state
 
     def test_ad_server_latency_matches_environment_bitwise(
-        self, environment, small_population
+        self, environment, detector, small_population
     ):
         """The compiled mu must use np.log exactly like the slow path.
 
         math.log and np.log disagree in the last ulp for some inputs, which
         is enough to shift a lognormal draw and break byte-identity.
         """
-        table = SiteProfileTable(environment, seed=13)
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
         for publisher in small_population.hb_publishers()[:8]:
-            profile = table.profile_for(publisher)
+            record = table.precompile([publisher])[0]
             a, b = fresh_pair(seed=publisher.rank)
             for _ in range(100):
                 expected = environment.ad_server_latency(
                     a, latency_scale=publisher.latency_scale
                 )
-                assert profile.ad_server_latency(b) == expected
+                assert sample_latency(b, record.ad_server_latency) == expected
             assert a.bit_generator.state == b.bit_generator.state
 
     def test_sample_internal_matches_environment(
         self, environment, small_population, detector
     ):
-        table = SiteProfileTable(environment, seed=13)
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
         for publisher in small_population.hb_publishers():
             if publisher.facet is not HBFacet.SERVER_SIDE:
                 continue
-            sim = _compile_sim(table.profile_for(publisher), publisher, detector.known_partners)
+            record = table.precompile([publisher])[0]
             aggregator = publisher.partners[0]
             a, b = fresh_pair(seed=publisher.rank)
             for _ in range(40):
                 expected = environment.sample_internal_bidders(a, exclude=(aggregator,))
-                got = _sample_internal(b, sim.internal_rec)
+                got = _sample_internal(b, record.internal_rec)
                 assert [p.name for p in expected] == [name for _, name, _ in got]
             assert a.bit_generator.state == b.bit_generator.state
             break
@@ -128,81 +146,73 @@ class TestPartnerProfile:
 
 
 class TestSiteProfileTable:
-    def test_page_matches_slow_build(self, environment, small_population):
+    def test_page_inputs_match_slow_build(self, environment, detector, small_population):
+        """Every page input a record keeps equals the reference page's."""
         from repro.browser.page import build_page
 
-        table = SiteProfileTable(environment, seed=13)
-        for publisher in list(small_population)[:10]:
-            profile = table.profile_for(publisher)
-            assert profile.page == build_page(publisher, seed=13)
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
+        publishers = list(small_population)[:10]
+        assert any(p.uses_hb for p in publishers)
+        for publisher, record in zip(publishers, table.precompile(publishers)):
+            page = build_page(publisher, seed=13)
+            assert record.html_fetch_ms == page.html_fetch_ms
+            assert record.content_load_ms == page.content_load_ms
+            assert record.n_res == len(page.baseline_resources)
+            assert record.n_scr == len(page.header_script_urls)
+            if publisher.uses_hb:
+                assert record.page_url == page.url
 
-    def test_profiles_are_cached_per_domain(self, environment, small_population):
-        table = SiteProfileTable(environment, seed=13)
+    def test_records_are_cached_per_domain(self, environment, detector, small_population):
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
         publisher = list(small_population)[0]
-        first = table.profile_for(publisher)
-        assert table.profile_for(publisher) is first
+        first = table.precompile([publisher])[0]
+        assert table.precompile([publisher])[0] is first
         assert table.compiles == 1
 
     def test_table_recompiles_for_a_different_publisher_object(
-        self, environment, small_population
+        self, environment, detector, small_population
     ):
         import dataclasses
 
-        table = SiteProfileTable(environment, seed=13)
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
         publisher = next(p for p in small_population if not p.uses_hb)
-        table.profile_for(publisher)
+        table.precompile([publisher])
         changed = dataclasses.replace(publisher, latency_scale=publisher.latency_scale * 2)
-        profile = table.profile_for(changed)
-        assert profile.publisher is changed
+        record = table.precompile([changed])[0]
+        assert record.publisher is changed
         assert table.compiles == 2
 
-    def test_bounded_eviction(self, environment, small_population):
-        table = SiteProfileTable(environment, seed=13, max_sites=8)
+    def test_bounded_eviction(self, environment, detector, small_population):
+        table = SiteProfileTable(environment, detector.known_partners, seed=13, max_sites=8)
         for publisher in list(small_population)[:20]:
-            table.profile_for(publisher)
+            table.precompile([publisher])
         assert len(table) <= 8
 
-    def test_precompile_batches_under_one_lock_acquisition(
-        self, environment, small_population
+    def test_precompile_compiles_each_missing_site_once(
+        self, environment, detector, small_population
     ):
-        """Warming N fresh sites takes ONE lock acquisition, not N — and a
-        fully warm batch takes zero.  This is the serialization fix the
-        columnar path leans on at every shard start."""
-        import threading
-
-        class CountingLock:
-            def __init__(self):
-                self.inner = threading.Lock()
-                self.acquisitions = 0
-
-            def __enter__(self):
-                self.acquisitions += 1
-                return self.inner.__enter__()
-
-            def __exit__(self, *exc):
-                return self.inner.__exit__(*exc)
-
-        table = SiteProfileTable(environment, seed=13)
-        lock = CountingLock()
-        table._lock = lock
+        """A cold batch of N sites adds exactly N compiles, a warm repeat
+        adds none, and both return the batch's records in order."""
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
         sites = list(small_population)[:24]
-        table.precompile(sites)
+        records = table.precompile(sites)
         assert table.compiles == len(sites)
-        # One acquisition publishes the whole batch; compiling also fills the
-        # shared waterfall cache once per distinct non-HB latency scale.
-        waterfall_fills = len({p.latency_scale for p in sites if not p.uses_hb})
-        assert lock.acquisitions == 1 + waterfall_fills
-        for publisher in sites:
-            assert table.profile_for(publisher).publisher is publisher
+        assert [record.publisher for record in records] == sites
+        assert all(record.publisher is publisher for record, publisher in zip(records, sites))
 
-        table.precompile(sites)  # warm: no compiles, no lock traffic
+        warm = table.precompile(sites)
         assert table.compiles == len(sites)
-        assert lock.acquisitions == 1 + waterfall_fills
+        assert all(a is b for a, b in zip(warm, records))
 
-    def test_precompile_respects_the_site_bound(self, environment, small_population):
-        table = SiteProfileTable(environment, seed=13, max_sites=8)
-        table.precompile(list(small_population)[:20])
+    def test_precompile_respects_the_site_bound(self, environment, detector, small_population):
+        """A batch larger than the table compiles each site once, returns
+        every record, and leaves the table within its bound."""
+        table = SiteProfileTable(environment, detector.known_partners, seed=13, max_sites=8)
+        sites = list(small_population)[:20]
+        records = table.precompile(sites)
         assert len(table) <= 8
+        assert table.compiles == len(sites)
+        assert all(record.publisher is publisher for record, publisher in zip(records, sites))
 
 
 class TestFastUniform:

@@ -22,7 +22,7 @@ from repro.browser.engine import BrowserEngine, PageLoadResult
 from repro.browser.page import Page, build_page
 from repro.browser.webrequest import WebRequestLog
 from repro.ecosystem.bidding import PricingModel
-from repro.ecosystem.profiles import LatencyDraw, PartnerProfile, SiteProfileTable
+from repro.ecosystem.profiles import SiteProfileTable, latency_sampler
 from repro.hb.auction import BidOutcome, HeaderBiddingOutcome, SlotAuctionOutcome
 from repro.hb.client_side import PartnerReply
 from repro.hb.waterfall import WaterfallAdNetwork, WaterfallOutcome, WaterfallPassResult
@@ -113,14 +113,16 @@ class TestEcosystemModels:
         assert_slotted(model)
         assert pickle.loads(pickle.dumps(model)) == model
 
-    def test_profile_records_are_slotted(self, environment, hb_publisher):
-        table = SiteProfileTable(environment, seed=13)
-        profile = table.profile_for(hb_publisher)
-        assert_slotted(profile)
-        for pprofile in profile.partner_profiles:
-            assert_slotted(pprofile)
-            assert_slotted(pprofile.latency)
+    def test_profile_records_are_slotted(self, environment, detector, hb_publisher):
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
+        record = table.precompile([hb_publisher])[0]
+        assert_slotted(record)
+        assert record.client_recs
+        for rec in record.client_recs:
+            respond = rec[1]
+            assert_slotted(respond)
+            assert_slotted(respond[0])
 
-    def test_latency_draw_pickles(self, registry):
-        draw = LatencyDraw.compile(registry.partners[0].latency, 0.72)
-        assert pickle.loads(pickle.dumps(draw)) == draw
+    def test_latency_sampler_pickles(self, registry):
+        sampler = latency_sampler(registry.partners[0].latency, 0.72)
+        assert pickle.loads(pickle.dumps(sampler)) == sampler
