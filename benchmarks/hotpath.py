@@ -55,8 +55,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.analysis.dataset import CrawlDataset
-from repro.crawler.crawler import CrawlConfig
-from repro.crawler.engine import CrawlEngine
+from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.detector.detector import HBDetector
 from repro.detector.partner_list import build_known_partner_list
@@ -99,7 +98,7 @@ def bench_crawl(environment, detector, publishers, repeat: int) -> dict:
     results: dict = {}
 
     # Reference simulator: every per-page input re-derived.
-    with CrawlEngine(environment, detector, CrawlConfig(seed=SEED, fast_path=False)) as engine:
+    with Crawler(environment, detector, CrawlConfig(seed=SEED, fast_path=False)) as engine:
         slow_result = engine.crawl(publishers)
         slow_s = min(
             [_timed(engine.crawl, publishers) for _ in range(max(1, repeat))]
@@ -108,7 +107,7 @@ def bench_crawl(environment, detector, publishers, repeat: int) -> dict:
 
     # Columnar simulator (the default): whole shards seeded and stepped as
     # numpy arrays, ad pages fused onto one reusable generator.
-    with CrawlEngine(environment, detector, CrawlConfig(seed=SEED)) as engine:
+    with Crawler(environment, detector, CrawlConfig(seed=SEED)) as engine:
         start = time.perf_counter()
         cold_result = engine.crawl(publishers)
         cold_s = time.perf_counter() - start
@@ -127,7 +126,7 @@ def bench_crawl(environment, detector, publishers, repeat: int) -> dict:
     }
 
     config = CrawlConfig(seed=SEED, workers=WORKERS, backend="process")
-    with CrawlEngine(environment, detector, config) as engine:
+    with Crawler(environment, detector, config) as engine:
         start = time.perf_counter()
         cold_result = engine.crawl(publishers)
         cold_s = time.perf_counter() - start
@@ -371,7 +370,7 @@ def bench_sink(environment, detector, publishers, detections, reps: int) -> dict
         sink_best: dict = {label: None for label in variants}
         crawl_best: dict = {label: None for label in variants}
         config = CrawlConfig(seed=SEED, workers=WORKERS, backend="process")
-        with CrawlEngine(environment, detector, config) as engine:
+        with Crawler(environment, detector, config) as engine:
             engine.crawl(publishers)  # warm the pool; measure steady state
             for _ in range(max(2, reps // 3)):
                 for label, flush_every in variants.items():
@@ -564,7 +563,7 @@ def main(argv=None) -> int:
     publishers = list(population)[: args.sites]
 
     crawl = bench_crawl(environment, detector, publishers, args.repeat)
-    with CrawlEngine(environment, detector, CrawlConfig(seed=SEED)) as engine:
+    with Crawler(environment, detector, CrawlConfig(seed=SEED)) as engine:
         detections = engine.crawl(publishers).detections
 
     report = {

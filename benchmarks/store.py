@@ -45,8 +45,7 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import compute_metric
 from repro.crawler.colstore import ColumnarDataset, ColumnarStorage
-from repro.crawler.crawler import CrawlConfig
-from repro.crawler.engine import CrawlEngine
+from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.storage import CrawlStorage
 from repro.detector.detector import HBDetector
 from repro.detector.partner_list import build_known_partner_list
@@ -260,7 +259,7 @@ def main(argv=None) -> int:
     environment = AuctionEnvironment(registry=registry)
     detector = HBDetector(build_known_partner_list(registry))
     publishers = list(population)[: args.sites]
-    with CrawlEngine(environment, detector, CrawlConfig(seed=SEED)) as engine:
+    with Crawler(environment, detector, CrawlConfig(seed=SEED)) as engine:
         detections = engine.crawl(publishers).detections
     records = _longitudinal(detections, args.days)
 

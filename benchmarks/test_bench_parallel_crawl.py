@@ -10,8 +10,7 @@ import json
 
 import pytest
 
-from repro.crawler.crawler import CrawlConfig
-from repro.crawler.engine import CrawlEngine
+from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.storage import detection_to_dict
 from repro.detector.detector import HBDetector
 from repro.detector.partner_list import build_known_partner_list
@@ -32,7 +31,7 @@ def publishers(artifacts):
 @pytest.fixture(scope="module")
 def serial_json(artifacts, publishers):
     detector = HBDetector(build_known_partner_list(artifacts.population.registry))
-    engine = CrawlEngine(artifacts.environment, detector, CrawlConfig(seed=SEED))
+    engine = Crawler(artifacts.environment, detector, CrawlConfig(seed=SEED))
     return _serialise(engine.crawl(publishers).detections)
 
 
@@ -43,7 +42,7 @@ def serial_json(artifacts, publishers):
 )
 def test_bench_parallel_crawl(benchmark, artifacts, publishers, serial_json, backend_name, workers):
     detector = HBDetector(build_known_partner_list(artifacts.population.registry))
-    with CrawlEngine(
+    with Crawler(
         artifacts.environment,
         detector,
         CrawlConfig(seed=SEED, workers=workers, backend=backend_name),

@@ -77,10 +77,6 @@ class PartnerLatencyProfile:
     def median_ms(self) -> float:
         return self.stats.median
 
-    @property
-    def variability_ms(self) -> float:
-        return self.stats.spread
-
 
 def partner_latency_profiles(dataset: CrawlDataset, *, min_samples: int = 3) -> list[PartnerLatencyProfile]:
     """Per-partner latency profiles, ordered by market popularity.

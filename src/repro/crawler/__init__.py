@@ -7,18 +7,17 @@ followed by a 34-day daily re-crawl of the HB-enabled sites, and a separate
 static crawl of Wayback snapshots for the historical adoption figure.  This
 package reproduces that pipeline on top of the simulated Web.
 
-The crawl itself runs through :class:`CrawlEngine`: the site list is split
-into deterministic shards (:class:`CrawlPlan`) fanned out to an execution
-backend (:class:`SerialBackend` or :class:`ProcessPoolBackend`), and per-shard results are merged back in
-canonical site order — detections are byte-identical regardless of worker
-count.  :class:`Crawler` remains the backward-compatible facade.
+The crawl itself runs through :class:`Crawler`: the site list is split into
+deterministic shards (:class:`CrawlPlan`) fanned out to an execution backend
+(:class:`SerialBackend` or :class:`ProcessPoolBackend`), each running one
+supervised loop, and per-shard results are merged back in canonical site
+order — detections are byte-identical regardless of worker count.
 """
 
 from repro.crawler.session import CrawlSession
 from repro.crawler.crawler import Crawler, CrawlConfig, CrawlResult
 from repro.crawler.engine import (
     BACKEND_NAMES,
-    CrawlEngine,
     CrawlPlan,
     CrawlShard,
     ExecutionBackend,
@@ -41,7 +40,6 @@ __all__ = [
     "Crawler",
     "CrawlConfig",
     "CrawlResult",
-    "CrawlEngine",
     "CrawlPlan",
     "CrawlShard",
     "ExecutionBackend",

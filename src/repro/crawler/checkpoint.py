@@ -301,8 +301,8 @@ class CrawlCheckpointer:
     Built either :meth:`fresh` (start a new campaign, overwriting any stale
     checkpoint on the first boundary) or :meth:`resume` (validate an existing
     checkpoint against the current configuration and recover the sink).  The
-    engine calls :meth:`begin_phase` once per :meth:`CrawlEngine.crawl` and
-    :meth:`record_progress` at shard boundaries; callers outside the engine
+    crawler calls :meth:`begin_phase` once per :meth:`Crawler.crawl` and
+    :meth:`record_progress` at shard boundaries; callers outside the crawler
     never need those two.
     """
 

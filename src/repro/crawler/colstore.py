@@ -583,7 +583,14 @@ class ColumnarDetectionSink:
         self._buffer.append(detection)
         self.count += 1
         if len(self._buffer) >= self.flush_every:
-            self.flush()
+            try:
+                self.flush()
+            except StorageError:
+                # Leave the sink as it was before this call, so a retried
+                # write lands the record exactly once.
+                self._buffer.pop()
+                self.count -= 1
+                raise
 
     def write_many(self, detections: Iterable[SiteDetection]) -> int:
         before = self.count

@@ -5,15 +5,30 @@ site with a clean-slate session, runs HBDetector on every page load, handles
 page-load timeouts by killing and restarting the session, and returns the
 per-site detections together with crawl bookkeeping.
 
-:class:`Crawler` is a thin facade over
-:class:`repro.crawler.engine.CrawlEngine`: the engine shards the site list,
+:class:`Crawler` shards the site list (:class:`repro.crawler.engine.CrawlPlan`),
 fans shards out to the configured execution backend (serial by default) and
 merges results in canonical order, so ``CrawlConfig(workers=8,
-backend="process")`` parallelises any existing caller without code changes.
+backend="process")`` parallelises any caller without code changes.  Every
+backend runs one supervised loop whose retry policy is the crawl's
+:class:`CrawlConfig` (``shard_retries`` / ``shard_timeout`` /
+``retry_backoff``); a shard that exhausts its retries is quarantined.
+
+Streaming
+---------
+:meth:`Crawler.crawl` accepts a ``sink`` (any object with a
+``write(detection)`` method, e.g. :class:`repro.crawler.storage.DetectionSink`).
+Detections are streamed to the sink in canonical order, instead of buffering
+the whole crawl before persisting anything: the serial backend streams after
+every page, the process backend streams each shard as soon as every earlier
+shard has completed.  If the sink exposes a ``flush()`` method (buffered
+sinks do), the crawler calls it at every shard boundary, so a buffered sink
+never holds more than one shard's tail of detections in memory.
 """
 
 from __future__ import annotations
 
+import json
+import time
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -21,14 +36,23 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from repro.detector.detector import HBDetector
 from repro.detector.records import SiteDetection
 from repro.ecosystem.publishers import Publisher, PublisherPopulation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 from repro.hb.environment import AuctionEnvironment
+from repro.utils.rng import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.crawler.checkpoint import CrawlCheckpointer
-    from repro.crawler.engine import CrawlEngine, DetectionSinkLike, ExecutionBackend
+    from repro.crawler.engine import CrawlPlan, DetectionSinkLike, ExecutionBackend
 
-__all__ = ["CrawlConfig", "CrawlResult", "ShardFailure", "Crawler", "BACKEND_NAMES"]
+__all__ = [
+    "CrawlConfig",
+    "CrawlResult",
+    "ShardFailure",
+    "Crawler",
+    "BACKEND_NAMES",
+    "retry_delay",
+    "log_fault_event",
+]
 
 #: Names accepted by :attr:`CrawlConfig.backend`; the backend implementations
 #: live in :mod:`repro.crawler.engine`, which re-exports this tuple.
@@ -74,10 +98,11 @@ class CrawlConfig:
     #: byte-identical for any value; only scheduling granularity changes.
     shard_oversubscribe: int = 4
     #: Supervision: how many times a failed shard attempt is retried before
-    #: the shard is quarantined (or, with :attr:`quarantine` off, the crawl
-    #: aborts).  Because shard simulation is deterministic, a retried shard
-    #: reproduces exactly the bytes the failed attempt would have produced —
-    #: supervision never changes output, only availability.
+    #: the shard is quarantined and the crawl completes degraded (the
+    #: quarantine is recorded in the checkpoint and re-crawled on resume).
+    #: Because shard simulation is deterministic, a retried shard reproduces
+    #: exactly the bytes the failed attempt would have produced — supervision
+    #: never changes output, only availability.
     shard_retries: int = 2
     #: Per-attempt wall-clock budget in seconds for pool backends (``None``
     #: disables).  A timed-out attempt's future is abandoned (a hung worker
@@ -90,10 +115,6 @@ class CrawlConfig:
     #: in ``[0.5, 1.0)`` derived from ``(seed, shard, attempt)``.  Also the
     #: policy used for transient sink-write retries.
     retry_backoff: float = 0.1
-    #: After a shard exhausts its retries, quarantine it and complete the
-    #: crawl degraded (quarantined shards are recorded in the checkpoint and
-    #: re-crawlable via resume) instead of aborting the whole campaign.
-    quarantine: bool = True
     #: Optional path of a JSON-lines supervision event log (retries, pool
     #: rebuilds, quarantines, sink retries).  Written best-effort by the
     #: parent process; the service tails it into SSE ``fault`` events.
@@ -122,6 +143,36 @@ class CrawlConfig:
             raise ConfigurationError("shard_timeout must be positive (or None)")
         if self.retry_backoff < 0:
             raise ConfigurationError("retry_backoff cannot be negative")
+
+
+def retry_delay(config: CrawlConfig, key: object, attempt: int) -> float:
+    """Exponential backoff before retry ``attempt`` (1-based).
+
+    The jitter factor in ``[0.5, 1.0)`` is derived from
+    ``(config.seed, key, attempt)`` instead of wall-clock randomness, so
+    retry schedules — like everything else in a crawl — are reproducible.
+    """
+    if config.retry_backoff <= 0:
+        return 0.0
+    jitter = 0.5 + (stable_hash(config.seed, "retry", key, attempt) % 1024) / 2048.0
+    return config.retry_backoff * (2 ** (attempt - 1)) * jitter
+
+
+def log_fault_event(config: CrawlConfig, kind: str, **data) -> None:
+    """Append one supervision event to ``config.fault_log`` (best effort).
+
+    JSON lines, parent-process only; the campaign service tails this file
+    into SSE ``fault`` events.  Log I/O failures are swallowed —
+    observability must never take down a crawl that supervision just saved.
+    """
+    if not config.fault_log:
+        return
+    record = {"event": kind, "ts": round(time.time(), 3), **data}
+    try:
+        with open(config.fault_log, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    except OSError:  # pragma: no cover - best-effort log
+        pass
 
 
 @dataclass(frozen=True)
@@ -223,12 +274,31 @@ ProgressCallback = Callable[[int, int, SiteDetection], None]
 
 
 class Crawler:
-    """Visits publishers with HBDetector loaded and collects detections.
+    """Shards a crawl, fans it out to a backend, and merges canonically.
 
-    A thin facade over :class:`repro.crawler.engine.CrawlEngine`; kept for
-    backward compatibility and as the one-object entry point.  The engine's
-    backend is taken from ``config.backend`` / ``config.workers`` (serial by
-    default, matching the paper's sequential crawl).
+    Parameters
+    ----------
+    environment / detector:
+        The simulated demand side and the detection tool; each worker builds
+        its own long-lived context from them (the caller's own objects on
+        the serial backend, one pickled copy per worker process) instead of
+        receiving copies per shard.
+    config:
+        Operational crawl parameters; ``config.workers`` and
+        ``config.backend`` choose the default execution strategy, and
+        ``shard_retries`` / ``shard_timeout`` / ``retry_backoff`` are the
+        retry policy of both shard attempts and sink writes.
+    backend:
+        Explicit backend instance, overriding the config-derived one.
+    fault_plan:
+        Optional :class:`repro.testing.FaultPlan`; the crawler installs it on
+        the backend (shard-level crash/hang/raise faults) and wraps the sink
+        with it (transient write failures).  Supervision must absorb every
+        injected fault without changing a byte of output.
+
+    Pool backends keep their workers alive between :meth:`crawl` calls;
+    call :meth:`close` (or use ``with Crawler(...) as crawler:``) to release
+    them deterministically.
     """
 
     def __init__(
@@ -240,18 +310,31 @@ class Crawler:
         backend: "ExecutionBackend | None" = None,
         fault_plan: object | None = None,
     ) -> None:
-        from repro.crawler.engine import CrawlEngine
+        from repro.crawler.engine import WorkerContext, backend_from_name
 
         self.environment = environment
         self.detector = detector
         self.config = config or CrawlConfig()
-        self.engine: "CrawlEngine" = CrawlEngine(
-            environment, detector, self.config, backend=backend, fault_plan=fault_plan
+        self.backend = backend or backend_from_name(
+            self.config.backend, workers=self.config.workers
+        )
+        self.fault_plan = fault_plan
+        self._context = WorkerContext.build(environment, detector, self.config)
+
+    def plan(self, publishers: Sequence[Publisher] | PublisherPopulation) -> "CrawlPlan":
+        """The shard plan this crawler would use for ``publishers``."""
+        from repro.crawler.engine import CrawlPlan
+
+        return CrawlPlan.build(
+            publishers,
+            workers=self.config.workers,
+            seed=self.config.seed,
+            oversubscribe=self.config.shard_oversubscribe,
         )
 
     def close(self) -> None:
-        """Release the engine's pooled workers (idempotent)."""
-        self.engine.close()
+        """Release pooled workers (safe to call twice; reusable after)."""
+        self.backend.shutdown()
 
     def __enter__(self) -> "Crawler":
         return self
@@ -260,7 +343,8 @@ class Crawler:
         try:
             self.close()
         except Exception:
-            # Never mask a crawl error with a pool-teardown failure.
+            # A pool-teardown failure while unwinding a crawl error must not
+            # mask the original exception; surface it only on a clean exit.
             if exc_type is None:
                 raise
 
@@ -273,14 +357,172 @@ class Crawler:
         sink: "DetectionSinkLike | None" = None,
         checkpoint: "CrawlCheckpointer | None" = None,
     ) -> CrawlResult:
-        """Visit every publisher once and run detection on each page load."""
-        return self.engine.crawl(
-            publishers,
-            crawl_day=crawl_day,
-            progress=progress,
-            sink=sink,
-            checkpoint=checkpoint,
-        )
+        """Visit every publisher once and run detection on each page load.
+
+        Detections reach ``progress`` and ``sink`` incrementally, always in
+        canonical site order: page by page on inline backends (serial), and
+        shard by shard — as soon as every earlier shard has completed — on
+        pool backends.  Sinks with a ``flush()`` method are flushed at every
+        shard boundary.
+
+        ``checkpoint`` makes the crawl resumable: progress is recorded at
+        shard boundaries (throttled by ``config.checkpoint_every_shards``),
+        and if the checkpointer was resumed from a previous interrupted run
+        the completed leading shards are skipped, their detections recovered
+        from the sink file instead of re-crawled, and the merged result —
+        and the sink bytes — are identical to an uninterrupted run.  A
+        checkpointed crawl requires a sink (recovery replays its file), and
+        recovered detections are not re-streamed to ``sink``/``progress``.
+        """
+        config = self.config
+        plan = self.plan(publishers)
+        if self.fault_plan is not None and sink is not None:
+            sink = self.fault_plan.wrap_sink(sink)
+        prior = CrawlResult()
+        skip = 0
+        if checkpoint is not None:
+            if sink is None:
+                raise ConfigurationError(
+                    "a checkpointed crawl needs a sink: resume recovers "
+                    "completed shards from the sink file"
+                )
+            prior, skip = checkpoint.begin_phase(plan, crawl_day, sink)
+        emitted = len(prior.detections)
+        degraded = False
+        sink_retries = 0
+
+        def retry_sink(operation: Callable[..., None], key: str, *args: object) -> None:
+            # Transient sink failures get the same backoff policy as shard
+            # retries.  A failed write or flush leaves the sink as it was,
+            # so the retry writes exactly the same bytes.
+            nonlocal sink_retries
+            attempt = 0
+            while True:
+                try:
+                    operation(*args)
+                    return
+                except StorageError as exc:
+                    if attempt >= config.shard_retries:
+                        raise
+                    attempt += 1
+                    sink_retries += 1
+                    log_fault_event(
+                        config, "sink_retry", attempt=attempt,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                    time.sleep(retry_delay(config, key, attempt))
+
+        def emit(detection: SiteDetection) -> None:
+            nonlocal emitted
+            if degraded:
+                # An inline backend already hit a quarantined shard: every
+                # later shard is past the gap and its detections can never
+                # be part of this run's canonical prefix.
+                return
+            emitted += 1
+            if sink is not None:
+                retry_sink(sink.write, "sink-write", detection)
+            if progress is not None:
+                progress(emitted, plan.n_sites, detection)
+
+        remaining = plan.shards[skip:]
+        if not remaining:
+            # The whole phase was recovered from the checkpoint: don't spin
+            # up pool workers (and pickle the environment into them) for a
+            # no-op replay.
+            return prior
+
+        backend = self.backend
+        inline = backend.streams_inline
+        backend.prepare(self._context)
+        backend.set_fault_plan(self.fault_plan)
+        retries_before, rebuilds_before = backend.retries, backend.pool_rebuilds
+        publish_sites = getattr(backend, "publish_sites", None)
+        if publish_sites is not None:
+            # The canonical order (shard concatenation) guarantees element
+            # identity between the published list and every shard slice.
+            publish_sites([p for shard in plan.shards for p in shard.publishers])
+        sink_flush = getattr(sink, "flush", None)
+        # Phase-cumulative counters for checkpointing (resumed prefix included).
+        n_detections = len(prior.detections)
+        pages_visited = prior.pages_visited
+        sessions_started = prior.sessions_started
+        timed_out = list(prior.timed_out_domains)
+        checkpoint_every = config.checkpoint_every_shards
+        boundaries = 0
+        n_shards = len(plan.shards)
+        # `execute` yields in completion order; shards are emitted (and
+        # ultimately merged) in shard order, holding back any that finish
+        # early. Every shard is yielded exactly once, so `ordered` is
+        # complete when the loop ends.
+        ordered: list[CrawlResult] = []
+        early: dict[int, CrawlResult] = {}
+        failures: dict[int, ShardFailure] = {}
+        for shard_index, shard_result in backend.execute(
+            remaining, crawl_day, emit if inline else None
+        ):
+            if isinstance(shard_result, ShardFailure):
+                # Quarantined: the in-order walk below stops at this index,
+                # so nothing at or past the first failure is emitted or
+                # checkpointed. The backend keeps draining, discovering
+                # every poison shard in one degraded pass.
+                failures[shard_index] = shard_result
+                if inline:
+                    degraded = True
+                continue
+            early[shard_index] = shard_result
+            at_boundary = False
+            while skip + len(ordered) in early:
+                ready = early.pop(skip + len(ordered))
+                if not inline:
+                    for detection in ready.detections:
+                        emit(detection)
+                ordered.append(ready)
+                n_detections += len(ready.detections)
+                pages_visited += ready.pages_visited
+                sessions_started += ready.sessions_started
+                timed_out.extend(ready.timed_out_domains)
+                at_boundary = True
+                # Flush once per in-order shard, not once per ready batch:
+                # parallel backends hand back shards in completion order, and
+                # a per-batch flush would make the columnar store's chunk
+                # boundaries depend on arrival timing.  Per-shard flushing
+                # keeps sink bytes a pure function of (shard contents,
+                # flush_every) for every backend and worker count.
+                if sink_flush is not None:
+                    retry_sink(sink_flush, "sink-flush")
+            if at_boundary and checkpoint is not None:
+                boundaries += 1
+                done = skip + len(ordered) == n_shards
+                checkpoint.record_progress(
+                    crawl_day,
+                    completed_shards=skip + len(ordered),
+                    n_detections=n_detections,
+                    pages_visited=pages_visited,
+                    sessions_started=sessions_started,
+                    timed_out_domains=tuple(timed_out),
+                    sink_offset=sink.offset,  # type: ignore[union-attr]
+                    persist=done or boundaries % checkpoint_every == 0,
+                )
+        result = prior.merge(CrawlResult.merged(ordered))
+        result.retries += backend.retries - retries_before
+        result.pool_rebuilds += backend.pool_rebuilds - rebuilds_before
+        result.sink_retries += sink_retries
+        if failures:
+            quarantined = tuple(failures[index] for index in sorted(failures))
+            result.quarantined_shards = result.quarantined_shards + quarantined
+            log_fault_event(
+                config,
+                "degraded",
+                crawl_day=crawl_day,
+                quarantined=[failure.shard_index for failure in quarantined],
+            )
+            if checkpoint is not None:
+                # Persist the quarantine list (and the latest in-memory
+                # progress, which may have been throttled) so a resume knows
+                # exactly what is left to re-crawl.
+                checkpoint.record_quarantine(crawl_day, quarantined)
+        return result
 
     def crawl_domains(
         self,
@@ -293,9 +535,9 @@ class Crawler:
         checkpoint: "CrawlCheckpointer | None" = None,
     ) -> CrawlResult:
         """Crawl a subset of a population selected by domain name."""
-        return self.engine.crawl_domains(
-            population,
-            domains,
+        publishers = [population.by_domain(domain) for domain in domains]
+        return self.crawl(
+            publishers,
             crawl_day=crawl_day,
             progress=progress,
             sink=sink,

@@ -1,12 +1,12 @@
-"""Parallel crawl engine with pluggable execution backends.
+"""Crawl plans, worker contexts and the execution backends.
 
 The paper's workload is embarrassingly parallel across sites: one discovery
 pass over the 35k-site top list, then daily re-crawls of the ~5k HB-enabled
 sites.  This module splits a publisher list into deterministic shards
-(:class:`CrawlPlan`), fans the shards out to workers through an
-:class:`ExecutionBackend` (serial or process pool), and merges
-the per-shard :class:`~repro.crawler.crawler.CrawlResult` objects back in
-canonical site order.
+(:class:`CrawlPlan`) and runs them through an :class:`ExecutionBackend`
+(serial or process pool); :class:`repro.crawler.crawler.Crawler` drives a
+backend and merges the per-shard :class:`~repro.crawler.crawler.CrawlResult`
+objects back in canonical site order.
 
 Worker-scoped environment reuse and shared-memory handoff
 ---------------------------------------------------------
@@ -19,10 +19,18 @@ is serialised exactly once, into a ``multiprocessing.shared_memory`` block
 published the same way, so warm re-crawls ship **zero** publisher bytes per
 task — a shard task is a handful of integers naming its slice of the shared
 list.  Blocks are refcounted and unlinked by ``shutdown()`` /
-:meth:`CrawlEngine.close`.  Pools persist across
-:meth:`CrawlEngine.crawl` calls, so a 34-day longitudinal campaign pays the
-worker setup cost once, not once per day.  Call :meth:`CrawlEngine.close`
-(or use the engine as a context manager) to release pool workers.
+:meth:`Crawler.close`.  Pools persist across :meth:`Crawler.crawl` calls, so
+a 34-day longitudinal campaign pays the worker setup cost once, not once per
+day.
+
+Supervision
+-----------
+Each backend's ``execute`` is one supervised loop whose policy is the
+context's :class:`~repro.crawler.crawler.CrawlConfig`: a failed attempt is
+retried up to ``shard_retries`` times after a deterministic jittered backoff
+(:func:`~repro.crawler.crawler.retry_delay`), and a shard that exhausts its
+budget is yielded as a :class:`ShardFailure` (quarantined) instead of
+aborting the crawl.  Events go to ``config.fault_log``.
 
 Determinism guarantee
 ---------------------
@@ -38,34 +46,23 @@ sequence exactly: a crawl with ``workers=1`` and ``workers=8`` produces
 byte-identical serialised detections, and reusing workers across shards or
 crawls cannot change the bytes because the detector is reset at every shard
 boundary and carries no cross-page state.
-
-Streaming
----------
-:meth:`CrawlEngine.crawl` accepts a ``sink`` (any object with a
-``write(detection)`` method, e.g. :class:`repro.crawler.storage.DetectionSink`).
-Detections are streamed to the sink in canonical order, instead of buffering
-the whole crawl before persisting anything: the serial backend streams after
-every page, pool backends stream each shard as soon as every earlier shard
-has completed.  If the sink exposes a ``flush()`` method (buffered sinks do),
-the engine calls it at every shard boundary, so a buffered sink never holds
-more than one shard's tail of detections in memory.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence
 
 from repro.crawler.crawler import (
     BACKEND_NAMES,
     CrawlConfig,
     CrawlResult,
-    ProgressCallback,
     ShardFailure,
+    log_fault_event,
+    retry_delay,
 )
 from repro.crawler.session import CrawlSession
 from repro.detector.detector import HBDetector
@@ -76,13 +73,11 @@ from repro.errors import (
     CheckpointError,
     ConfigurationError,
     ShardTimeout,
-    StorageError,
 )
 from repro.hb.environment import AuctionEnvironment
 from repro.utils.rng import stable_hash
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from repro.crawler.checkpoint import CrawlCheckpointer
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ecosystem.profiles import SiteProfileTable
 
 __all__ = [
@@ -90,12 +85,10 @@ __all__ = [
     "CrawlPlan",
     "WorkerContext",
     "SharedPayload",
-    "SupervisionPolicy",
     "ShardFailure",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "CrawlEngine",
     "DetectionSinkLike",
     "backend_from_name",
     "BACKEND_NAMES",
@@ -290,7 +283,7 @@ class SharedPayload:
     attach to the block by name, deserialise, and detach immediately.  The
     creator keeps the only long-lived handle: :meth:`release` decrements the
     refcount taken by :meth:`retain` and closes + unlinks the block when it
-    reaches zero (``CrawlEngine.close`` releases through the backend).
+    reaches zero (``Crawler.close`` releases through the backend).
     """
 
     __slots__ = ("name", "size", "_shm", "_refs", "_finalizer", "__weakref__")
@@ -438,55 +431,6 @@ def _run_shard_from_shared_sites(
 # Supervision
 
 
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """How a backend treats a failing or overdue shard attempt.
-
-    Built from the crawl config (:meth:`from_config`) and installed on
-    backends by the engine via ``set_supervision``.  The defaults describe
-    the *unsupervised* legacy behaviour: no retries, no timeout, failures
-    abort the crawl.
-    """
-
-    retries: int = 0
-    timeout: float | None = None
-    backoff: float = 0.0
-    seed: int = 0
-    quarantine: bool = False
-
-    @classmethod
-    def from_config(cls, config: CrawlConfig) -> "SupervisionPolicy":
-        return cls(
-            retries=config.shard_retries,
-            timeout=config.shard_timeout,
-            backoff=config.retry_backoff,
-            seed=config.seed,
-            quarantine=config.quarantine,
-        )
-
-    def delay(self, key: object, attempt: int) -> float:
-        """Exponential backoff before retry ``attempt`` (1-based).
-
-        The jitter factor in ``[0.5, 1.0)`` is derived from
-        ``(seed, key, attempt)`` instead of wall-clock randomness, so retry
-        schedules — like everything else in a crawl — are reproducible.
-        """
-        if self.backoff <= 0:
-            return 0.0
-        jitter = 0.5 + (stable_hash(self.seed, "retry", key, attempt) % 1024) / 2048.0
-        return self.backoff * (2 ** (attempt - 1)) * jitter
-
-
-def _retryable(exc: BaseException) -> bool:
-    """Whether supervision may retry after ``exc``.
-
-    Configuration and checkpoint errors reproduce identically on every
-    attempt, and a cancelled campaign must stop *now* — everything else
-    (injected faults, broken pools, transient I/O) is assumed transient.
-    """
-    return not isinstance(exc, (ConfigurationError, CheckpointError, CampaignCancelled))
-
-
 class _ReplayEmitter:
     """Wraps an ``on_detection`` target so shard retries never double-emit.
 
@@ -505,11 +449,6 @@ class _ReplayEmitter:
         self.delivered = 0
         self._seen = 0
 
-    def reset(self) -> None:
-        """Forget the previous shard (call at every shard start)."""
-        self.delivered = 0
-        self._seen = 0
-
     def begin_attempt(self) -> None:
         """Start (re)playing the current shard from its first detection."""
         self._seen = 0
@@ -522,34 +461,23 @@ class _ReplayEmitter:
         self.delivered = self._seen
 
 
-class _SupervisionMixin:
-    """Shared retry/quarantine bookkeeping for the built-in backends."""
+class _SupervisedBackend:
+    """Retry/quarantine bookkeeping shared by the built-in backends.
 
-    def _init_supervision(self) -> None:
-        self._policy: SupervisionPolicy | None = None
-        self._on_event: Callable[..., None] | None = None
+    The retry policy is the prepared context's config: ``shard_retries``
+    retries, each after :func:`retry_delay`, then quarantine.
+    """
+
+    def __init__(self) -> None:
+        self._context: WorkerContext | None = None
         self._fault_plan = None
-        #: Lifetime counters; the engine snapshots deltas per crawl.
+        #: Lifetime counters; the crawler snapshots deltas per crawl.
         self.retries = 0
-        self.quarantined = 0
         self.pool_rebuilds = 0
-
-    def set_supervision(
-        self,
-        policy: SupervisionPolicy | None,
-        on_event: Callable[..., None] | None = None,
-    ) -> None:
-        """Install the retry/timeout/quarantine policy (engine-called)."""
-        self._policy = policy
-        self._on_event = on_event
 
     def set_fault_plan(self, plan) -> None:
         """Install a fault-injection plan (``None`` clears it)."""
         self._fault_plan = plan
-
-    def _event(self, kind: str, **data) -> None:
-        if self._on_event is not None:
-            self._on_event(kind, **data)
 
     def _next_fault(self, shard: CrawlShard, attempt: int):
         if self._fault_plan is None:
@@ -557,40 +485,39 @@ class _SupervisionMixin:
         return self._fault_plan.next_action(shard.index, attempt)
 
     def _failure_verdict(
-        self,
-        policy: SupervisionPolicy | None,
-        shard: CrawlShard,
-        attempt: int,
-        exc: BaseException,
-    ):
-        """Classify one failed attempt: ``("retry", delay)``,
-        ``("quarantine", ShardFailure)``, or re-raise ``exc``."""
-        if policy is not None and _retryable(exc):
-            error = f"{type(exc).__name__}: {exc}"
-            if attempt < policy.retries:
-                self.retries += 1
-                delay = policy.delay(shard.index, attempt + 1)
-                self._event(
-                    "retry",
-                    shard=shard.index,
-                    attempt=attempt + 1,
-                    delay=round(delay, 3),
-                    error=error,
-                )
-                return "retry", delay
-            if policy.quarantine:
-                self.quarantined += 1
-                failure = ShardFailure(
-                    shard_index=shard.index,
-                    error=error,
-                    attempts=attempt + 1,
-                    domains=tuple(p.domain for p in shard.publishers),
-                )
-                self._event(
-                    "quarantine", shard=shard.index, attempts=attempt + 1, error=error
-                )
-                return "quarantine", failure
-        raise exc
+        self, shard: CrawlShard, attempt: int, exc: BaseException
+    ) -> "float | ShardFailure":
+        """Classify one failed attempt: the backoff in seconds before its
+        retry, the :class:`ShardFailure` that quarantines it, or re-raise
+        ``exc`` when it is not retryable."""
+        # Configuration and checkpoint errors reproduce identically on every
+        # attempt, and a cancelled campaign must stop *now*; everything else
+        # (injected faults, broken pools, transient I/O) is assumed transient.
+        if isinstance(exc, (ConfigurationError, CheckpointError, CampaignCancelled)):
+            raise exc
+        config = self._context.config
+        error = f"{type(exc).__name__}: {exc}"
+        if attempt < config.shard_retries:
+            self.retries += 1
+            delay = retry_delay(config, shard.index, attempt + 1)
+            log_fault_event(
+                config,
+                "retry",
+                shard=shard.index,
+                attempt=attempt + 1,
+                delay=round(delay, 3),
+                error=error,
+            )
+            return delay
+        log_fault_event(
+            config, "quarantine", shard=shard.index, attempts=attempt + 1, error=error
+        )
+        return ShardFailure(
+            shard_index=shard.index,
+            error=error,
+            attempts=attempt + 1,
+            domains=tuple(p.domain for p in shard.publishers),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +529,20 @@ class ExecutionBackend(Protocol):
 
     name: str
     #: Whether shards run inline in the calling thread, in shard order — in
-    #: which case the engine streams detections page by page through the
+    #: which case the crawler streams detections page by page through the
     #: worker's ``on_detection`` hook instead of per completed shard.
     streams_inline: bool
+    #: Lifetime supervision counters: shard attempts retried, and worker
+    #: pools rebuilt after a dead worker.
+    retries: int
+    pool_rebuilds: int
 
     def prepare(self, context: WorkerContext) -> None:
         """Install the crawl state workers will reuse across shards/crawls."""
+        ...
+
+    def set_fault_plan(self, plan) -> None:
+        """Install a fault-injection plan (``None`` clears it)."""
         ...
 
     def execute(
@@ -618,9 +553,8 @@ class ExecutionBackend(Protocol):
     ) -> Iterator[tuple[int, "CrawlResult | ShardFailure"]]:
         """Run every shard, yielding ``(shard_index, result)``.
 
-        Supervised backends (see ``set_supervision``) may yield a
-        :class:`ShardFailure` in place of a result for a shard that
-        exhausted its retry budget and was quarantined.
+        A shard that exhausted its retry budget is quarantined: a
+        :class:`ShardFailure` is yielded in place of its result.
         """
         ...
 
@@ -631,15 +565,15 @@ class ExecutionBackend(Protocol):
     # Backends may additionally expose ``publish_sites(sites)``: a hint,
     # called once per crawl before ``execute``, that lets a backend ship the
     # canonical site list to its workers out of band (the process backend
-    # publishes it in shared memory).  The engine treats it as optional.
+    # publishes it in shared memory).  The crawler treats it as optional.
 
 
-class SerialBackend(_SupervisionMixin):
+class SerialBackend(_SupervisedBackend):
     """Run shards one after another in the calling thread (the default).
 
-    The single worker is the caller itself, so the context wraps the engine's
-    own environment/detector without any copy — exactly the paper's
-    sequential crawl.
+    The single worker is the caller itself, so the context wraps the
+    crawler's own environment/detector without any copy — exactly the
+    paper's sequential crawl.
 
     Supervision notes: ``shard_timeout`` is not enforceable here (there is no
     second thread to preempt the caller), and an injected ``crash`` fault
@@ -650,10 +584,6 @@ class SerialBackend(_SupervisionMixin):
 
     name = "serial"
     streams_inline = True
-
-    def __init__(self) -> None:
-        self._context: WorkerContext | None = None
-        self._init_supervision()
 
     def prepare(self, context: WorkerContext) -> None:
         self._context = context
@@ -666,16 +596,8 @@ class SerialBackend(_SupervisionMixin):
     ) -> Iterator[tuple[int, "CrawlResult | ShardFailure"]]:
         if self._context is None:
             raise ConfigurationError("backend used before prepare()")
-        if self._policy is None and self._fault_plan is None:
-            for shard in shards:
-                yield shard.index, _crawl_shard(
-                    self._context, crawl_day, on_detection, shard
-                )
-            return
-        emitter = _ReplayEmitter(on_detection) if on_detection is not None else None
         for shard in shards:
-            if emitter is not None:
-                emitter.reset()
+            emitter = _ReplayEmitter(on_detection) if on_detection is not None else None
             attempt = 0
             while True:
                 if emitter is not None:
@@ -686,25 +608,20 @@ class SerialBackend(_SupervisionMixin):
                         fault()
                     result = _crawl_shard(self._context, crawl_day, emitter, shard)
                 except Exception as exc:
-                    verdict, extra = self._failure_verdict(
-                        self._policy, shard, attempt, exc
-                    )
-                    if verdict == "retry":
+                    verdict = self._failure_verdict(shard, attempt, exc)
+                    if not isinstance(verdict, ShardFailure):
                         attempt += 1
-                        if extra:
-                            time.sleep(extra)
+                        time.sleep(verdict)
                         continue
-                    yield shard.index, extra  # the ShardFailure
-                    break
-                else:
-                    yield shard.index, result
-                    break
+                    result = verdict
+                yield shard.index, result
+                break
 
     def shutdown(self) -> None:
         self._context = None
 
 
-class ProcessPoolBackend(_SupervisionMixin):
+class ProcessPoolBackend(_SupervisedBackend):
     """Fan shards out to persistent worker processes (true CPU parallelism).
 
     Worker processes start pickle-free: the environment/detector/config
@@ -712,7 +629,7 @@ class ProcessPoolBackend(_SupervisionMixin):
     worker attaches to — and each crawl's site list is published the same
     way, so shard tasks ship only a handful of integers instead of their
     publishers.  Blocks are refcounted and unlinked on :meth:`shutdown`
-    (reached through ``CrawlEngine.close``).  Worker processes are fully
+    (reached through ``Crawler.close``).  Worker processes are fully
     isolated from the caller by construction.
 
     The executor is created lazily on first use and then *persists* across
@@ -720,13 +637,12 @@ class ProcessPoolBackend(_SupervisionMixin):
     unpickling) happens once per worker for the backend's whole lifetime
     instead of once per crawl.  ``shutdown()`` releases the pool.
 
-    With a :class:`SupervisionPolicy` installed, ``execute`` runs a
-    supervised loop: failed attempts retry with deterministic backoff, a
-    :class:`BrokenExecutor` (a worker died) rebuilds the pool in place and
-    resubmits everything that was in flight, attempts that exceed
-    ``policy.timeout`` are abandoned and retried, and a shard that exhausts
-    its budget is yielded as a :class:`ShardFailure` instead of aborting
-    the crawl.
+    ``execute`` is a supervised loop: failed attempts retry with
+    deterministic backoff, a :class:`BrokenExecutor` (a worker died) rebuilds
+    the pool in place and resubmits everything that was in flight, attempts
+    that exceed ``config.shard_timeout`` are abandoned and retried, and a
+    shard that exhausts its budget is yielded as a :class:`ShardFailure`
+    instead of aborting the crawl.
     """
 
     name = "process"
@@ -739,8 +655,8 @@ class ProcessPoolBackend(_SupervisionMixin):
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError("a pool backend needs at least one worker")
+        super().__init__()
         self.max_workers = max_workers
-        self._context: WorkerContext | None = None
         self._executor: ProcessPoolExecutor | None = None
         self._pool_size = 0
         self._payload: SharedPayload | None = None
@@ -754,7 +670,6 @@ class ProcessPoolBackend(_SupervisionMixin):
         #: path is visible.
         self.shared_site_tasks = 0
         self.fallback_tasks = 0
-        self._init_supervision()
 
     def prepare(self, context: WorkerContext) -> None:
         if self._context is not None and self._executor is not None:
@@ -805,13 +720,8 @@ class ProcessPoolBackend(_SupervisionMixin):
             initargs=(self._payload.name, self._payload.size),
         )
 
-    def _submit(
-        self,
-        executor: ProcessPoolExecutor,
-        shard: CrawlShard,
-        crawl_day: int,
-        fault: Callable[[], None] | None = None,
-    ):
+    def _submit(self, shard: CrawlShard, crawl_day: int, fault: Callable[[], None] | None):
+        executor = self._executor
         if self._current_sites is not None:
             sites, block = self._current_sites
             start, length = shard.start, len(shard.publishers)
@@ -852,38 +762,24 @@ class ProcessPoolBackend(_SupervisionMixin):
         if self._executor is None:
             self._pool_size = desired
             self._executor = self._make_executor(self._context, desired)
-        if self._policy is None and self._fault_plan is None:
-            futures = {self._submit(self._executor, shard, crawl_day): shard.index for shard in shards}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    yield futures[future], future.result()
-            return
-        yield from self._supervised_execute(shards, crawl_day)
-
-    def _supervised_execute(
-        self, shards: Sequence[CrawlShard], crawl_day: int
-    ) -> Iterator[tuple[int, "CrawlResult | ShardFailure"]]:
-        policy = self._policy or SupervisionPolicy()
+        timeout = self._context.config.shard_timeout
         in_flight: dict = {}  # future -> (shard, attempt, deadline)
         waiting: list = []  # (ready_at, shard, attempt) scheduled resubmissions
 
         def submit(shard: CrawlShard, attempt: int) -> None:
-            fault = self._next_fault(shard, attempt)
-            future = self._submit(self._executor, shard, crawl_day, fault=fault)
-            deadline = time.monotonic() + policy.timeout if policy.timeout else None
+            future = self._submit(shard, crawl_day, self._next_fault(shard, attempt))
+            deadline = time.monotonic() + timeout if timeout else None
             in_flight[future] = (shard, attempt, deadline)
 
         def dispose(shard: CrawlShard, attempt: int, exc: BaseException):
             """Schedule a retry (returns None) or hand back a ShardFailure."""
-            verdict, extra = self._failure_verdict(policy, shard, attempt, exc)
-            if verdict == "retry":
-                # Backoff without blocking the loop: the resubmission waits
-                # in `waiting` while other shards keep completing.
-                waiting.append((time.monotonic() + extra, shard, attempt + 1))
-                return None
-            return extra
+            verdict = self._failure_verdict(shard, attempt, exc)
+            if isinstance(verdict, ShardFailure):
+                return verdict
+            # Backoff without blocking the loop: the resubmission waits in
+            # `waiting` while other shards keep completing.
+            waiting.append((time.monotonic() + verdict, shard, attempt + 1))
+            return None
 
         for shard in shards:
             submit(shard, 0)
@@ -900,8 +796,7 @@ class ProcessPoolBackend(_SupervisionMixin):
                 time.sleep(max(0.0, min(entry[0] for entry in waiting) - now))
                 continue
             # Bound the wait so attempt deadlines and due resubmissions are
-            # noticed promptly; with neither in play, block like the
-            # unsupervised loop does.
+            # noticed promptly; with neither in play, block until a result.
             horizon = [d for (_, _, d) in in_flight.values() if d is not None]
             horizon.extend(entry[0] for entry in waiting)
             poll = max(0.0, min(horizon) - now) + 0.005 if horizon else None
@@ -927,7 +822,8 @@ class ProcessPoolBackend(_SupervisionMixin):
                     casualties.extend((s, a) for (s, a, _) in in_flight.values())
                     in_flight.clear()
                     self.pool_rebuilds += 1
-                    self._event(
+                    log_fault_event(
+                        self._context.config,
                         "pool_rebuild",
                         error=f"{type(exc).__name__}: {exc}",
                         resubmitted=len(casualties),
@@ -945,7 +841,7 @@ class ProcessPoolBackend(_SupervisionMixin):
                         yield shard.index, failure
                 else:
                     yield shard.index, result
-            if policy.timeout:
+            if timeout:
                 now = time.monotonic()
                 for future, (shard, attempt, deadline) in list(in_flight.items()):
                     if deadline is None or now < deadline:
@@ -961,7 +857,7 @@ class ProcessPoolBackend(_SupervisionMixin):
                     future.cancel()
                     exc = ShardTimeout(
                         f"shard {shard.index} attempt {attempt + 1} exceeded "
-                        f"{policy.timeout:g}s"
+                        f"{timeout:g}s"
                     )
                     failure = dispose(shard, attempt, exc)
                     if failure is not None:
@@ -999,331 +895,11 @@ def backend_from_name(name: str, *, workers: int | None = None) -> ExecutionBack
     )
 
 
-# ---------------------------------------------------------------------------
-# The engine
-
-
 class DetectionSinkLike(Protocol):
     """Anything detections can be streamed to (see ``CrawlStorage.open_sink``).
 
-    Sinks may additionally expose ``flush()``; the engine then flushes at
+    Sinks may additionally expose ``flush()``; the crawler then flushes at
     every shard boundary (and buffered sinks flush themselves on close).
     """
 
     def write(self, detection: SiteDetection) -> None: ...
-
-
-class CrawlEngine:
-    """Shards a crawl, fans it out to a backend, and merges canonically.
-
-    Parameters
-    ----------
-    environment / detector:
-        The simulated demand side and the detection tool; each worker builds
-        its own long-lived context from them (the caller's own objects on
-        the serial backend, one pickled copy per worker process) instead of
-        receiving copies per shard.
-    config:
-        Operational crawl parameters; ``config.workers`` and
-        ``config.backend`` choose the default execution strategy, and the
-        ``shard_retries`` / ``shard_timeout`` / ``retry_backoff`` /
-        ``quarantine`` knobs configure the supervision layer.
-    backend:
-        Explicit backend instance, overriding the config-derived one.
-    fault_plan:
-        Optional :class:`repro.testing.FaultPlan`; the engine installs it on
-        the backend (shard-level crash/hang/raise faults) and wraps the sink
-        with it (transient write failures).  Supervision must absorb every
-        injected fault without changing a byte of output.
-
-    Pool backends keep their workers alive between :meth:`crawl` calls;
-    call :meth:`close` (or use ``with CrawlEngine(...) as engine:``) to
-    release them deterministically.
-    """
-
-    def __init__(
-        self,
-        environment: AuctionEnvironment,
-        detector: HBDetector,
-        config: CrawlConfig | None = None,
-        backend: ExecutionBackend | None = None,
-        fault_plan=None,
-    ) -> None:
-        self.environment = environment
-        self.detector = detector
-        self.config = config or CrawlConfig()
-        self.backend = backend or backend_from_name(
-            self.config.backend, workers=self.config.workers
-        )
-        self.fault_plan = fault_plan
-        self._context = WorkerContext.build(self.environment, self.detector, self.config)
-
-    def _fault_event(self, kind: str, **data) -> None:
-        """Append one supervision event to ``config.fault_log`` (best effort).
-
-        JSON lines, parent-process only; the campaign service tails this
-        file into SSE ``fault`` events.  Log I/O failures are swallowed —
-        observability must never take down a crawl that supervision just
-        saved.
-        """
-        path = self.config.fault_log
-        if not path:
-            return
-        record = {"event": kind, "ts": round(time.time(), 3), **data}
-        try:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError:  # pragma: no cover - best-effort log
-            pass
-
-    def _supervision_counts(self) -> tuple[int, int]:
-        return (
-            getattr(self.backend, "retries", 0),
-            getattr(self.backend, "pool_rebuilds", 0),
-        )
-
-    def plan(self, publishers: Sequence[Publisher] | PublisherPopulation) -> CrawlPlan:
-        """The shard plan this engine would use for ``publishers``."""
-        return CrawlPlan.build(
-            publishers,
-            workers=self.config.workers,
-            seed=self.config.seed,
-            oversubscribe=self.config.shard_oversubscribe,
-        )
-
-    def close(self) -> None:
-        """Release pooled workers (safe to call twice; engine reusable after)."""
-        self.backend.shutdown()
-
-    def __enter__(self) -> "CrawlEngine":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        try:
-            self.close()
-        except Exception:
-            # A pool-teardown failure while unwinding a crawl error must not
-            # mask the original exception; surface it only on a clean exit.
-            if exc_type is None:
-                raise
-
-    def crawl(
-        self,
-        publishers: Sequence[Publisher] | PublisherPopulation,
-        *,
-        crawl_day: int = 0,
-        progress: ProgressCallback | None = None,
-        sink: DetectionSinkLike | None = None,
-        checkpoint: "CrawlCheckpointer | None" = None,
-    ) -> CrawlResult:
-        """Visit every publisher once and run detection on each page load.
-
-        Detections reach ``progress`` and ``sink`` incrementally, always in
-        canonical site order: page by page on inline backends (serial), and
-        shard by shard — as soon as every earlier shard has completed — on
-        pool backends.  Sinks with a ``flush()`` method are flushed at every
-        shard boundary.
-
-        ``checkpoint`` makes the crawl resumable: progress is recorded at
-        shard boundaries (throttled by ``config.checkpoint_every_shards``),
-        and if the checkpointer was resumed from a previous interrupted run
-        the completed leading shards are skipped, their detections recovered
-        from the sink file instead of re-crawled, and the merged result —
-        and the sink bytes — are identical to an uninterrupted run.  A
-        checkpointed crawl requires a sink (recovery replays its file), and
-        recovered detections are not re-streamed to ``sink``/``progress``.
-        """
-        plan = self.plan(publishers)
-        policy = SupervisionPolicy.from_config(self.config)
-        if self.fault_plan is not None and sink is not None:
-            sink = self.fault_plan.wrap_sink(sink)
-        prior = CrawlResult()
-        skip = 0
-        if checkpoint is not None:
-            if sink is None:
-                raise ConfigurationError(
-                    "a checkpointed crawl needs a sink: resume recovers "
-                    "completed shards from the sink file"
-                )
-            prior, skip = checkpoint.begin_phase(plan, crawl_day, sink)
-        emitted = len(prior.detections)
-        degraded = False
-        sink_retries = 0
-
-        def write_detection(detection: SiteDetection) -> None:
-            # Transient sink failures get the same backoff policy as shard
-            # retries; a failed write leaves buffered sinks intact, so the
-            # retry re-writes exactly the same record.
-            nonlocal sink_retries
-            attempt = 0
-            while True:
-                try:
-                    sink.write(detection)  # type: ignore[union-attr]
-                    return
-                except StorageError as exc:
-                    if attempt >= policy.retries:
-                        raise
-                    attempt += 1
-                    sink_retries += 1
-                    self._fault_event(
-                        "sink_retry", attempt=attempt, error=f"{type(exc).__name__}: {exc}"
-                    )
-                    time.sleep(policy.delay("sink-write", attempt))
-
-        def emit(detection: SiteDetection) -> None:
-            nonlocal emitted
-            if degraded:
-                # An inline backend already hit a quarantined shard: every
-                # later shard is past the gap and its detections can never
-                # be part of this run's canonical prefix.
-                return
-            emitted += 1
-            if sink is not None:
-                write_detection(detection)
-            if progress is not None:
-                progress(emitted, plan.n_sites, detection)
-
-        remaining = plan.shards[skip:]
-        if not remaining:
-            # The whole phase was recovered from the checkpoint: don't spin
-            # up pool workers (and pickle the environment into them) for a
-            # no-op replay.
-            return prior
-
-        inline = self.backend.streams_inline
-        self.backend.prepare(self._context)
-        install_supervision = getattr(self.backend, "set_supervision", None)
-        if install_supervision is not None:
-            install_supervision(policy, self._fault_event)
-        install_plan = getattr(self.backend, "set_fault_plan", None)
-        if install_plan is not None:
-            install_plan(self.fault_plan)
-        counts_before = self._supervision_counts()
-        publish_sites = getattr(self.backend, "publish_sites", None)
-        if publish_sites is not None:
-            # The canonical order (shard concatenation) guarantees element
-            # identity between the published list and every shard slice.
-            publish_sites([p for shard in plan.shards for p in shard.publishers])
-        raw_flush = getattr(sink, "flush", None) if sink is not None else None
-
-        def _flush_with_retry() -> None:
-            nonlocal sink_retries
-            attempt = 0
-            while True:
-                try:
-                    raw_flush()  # type: ignore[misc]
-                    return
-                except StorageError as exc:
-                    # A failed flush keeps the sink's buffer, so retrying
-                    # re-flushes the same payload.
-                    if attempt >= policy.retries:
-                        raise
-                    attempt += 1
-                    sink_retries += 1
-                    self._fault_event(
-                        "sink_retry", attempt=attempt, error=f"{type(exc).__name__}: {exc}"
-                    )
-                    time.sleep(policy.delay("sink-flush", attempt))
-
-        sink_flush = _flush_with_retry if raw_flush is not None else None
-        # Phase-cumulative counters for checkpointing (resumed prefix included).
-        n_detections = len(prior.detections)
-        pages_visited = prior.pages_visited
-        sessions_started = prior.sessions_started
-        timed_out = list(prior.timed_out_domains)
-        checkpoint_every = self.config.checkpoint_every_shards
-        boundaries = 0
-        n_shards = len(plan.shards)
-        # `execute` yields in completion order; shards are emitted (and
-        # ultimately merged) in shard order, holding back any that finish
-        # early. Every shard is yielded exactly once, so `ordered` is
-        # complete when the loop ends.
-        ordered: list[CrawlResult] = []
-        early: dict[int, CrawlResult] = {}
-        failures: dict[int, ShardFailure] = {}
-        for shard_index, shard_result in self.backend.execute(
-            remaining, crawl_day, emit if inline else None
-        ):
-            if isinstance(shard_result, ShardFailure):
-                # Quarantined: the in-order walk below stops at this index,
-                # so nothing at or past the first failure is emitted or
-                # checkpointed. The backend keeps draining, discovering
-                # every poison shard in one degraded pass.
-                failures[shard_index] = shard_result
-                if inline:
-                    degraded = True
-                continue
-            early[shard_index] = shard_result
-            at_boundary = False
-            while skip + len(ordered) in early:
-                ready = early.pop(skip + len(ordered))
-                if not inline:
-                    for detection in ready.detections:
-                        emit(detection)
-                ordered.append(ready)
-                n_detections += len(ready.detections)
-                pages_visited += ready.pages_visited
-                sessions_started += ready.sessions_started
-                timed_out.extend(ready.timed_out_domains)
-                at_boundary = True
-                # Flush once per in-order shard, not once per ready batch:
-                # parallel backends hand back shards in completion order, and
-                # a per-batch flush would make the columnar store's chunk
-                # boundaries depend on arrival timing.  Per-shard flushing
-                # keeps sink bytes a pure function of (shard contents,
-                # flush_every) for every backend and worker count.
-                if sink_flush is not None:
-                    sink_flush()
-            if at_boundary:
-                if checkpoint is not None:
-                    boundaries += 1
-                    done = skip + len(ordered) == n_shards
-                    checkpoint.record_progress(
-                        crawl_day,
-                        completed_shards=skip + len(ordered),
-                        n_detections=n_detections,
-                        pages_visited=pages_visited,
-                        sessions_started=sessions_started,
-                        timed_out_domains=tuple(timed_out),
-                        sink_offset=sink.offset,  # type: ignore[union-attr]
-                        persist=done or boundaries % checkpoint_every == 0,
-                    )
-        result = prior.merge(CrawlResult.merged(ordered))
-        retries_after, rebuilds_after = self._supervision_counts()
-        result.retries += retries_after - counts_before[0]
-        result.pool_rebuilds += rebuilds_after - counts_before[1]
-        result.sink_retries += sink_retries
-        if failures:
-            quarantined = tuple(failures[index] for index in sorted(failures))
-            result.quarantined_shards = result.quarantined_shards + quarantined
-            self._fault_event(
-                "degraded",
-                crawl_day=crawl_day,
-                quarantined=[failure.shard_index for failure in quarantined],
-            )
-            if checkpoint is not None:
-                # Persist the quarantine list (and the latest in-memory
-                # progress, which may have been throttled) so a resume knows
-                # exactly what is left to re-crawl.
-                checkpoint.record_quarantine(crawl_day, quarantined)
-        return result
-
-    def crawl_domains(
-        self,
-        population: PublisherPopulation,
-        domains: Iterable[str],
-        *,
-        crawl_day: int = 0,
-        progress: ProgressCallback | None = None,
-        sink: DetectionSinkLike | None = None,
-        checkpoint: "CrawlCheckpointer | None" = None,
-    ) -> CrawlResult:
-        """Crawl a subset of a population selected by domain name."""
-        publishers = [population.by_domain(domain) for domain in domains]
-        return self.crawl(
-            publishers,
-            crawl_day=crawl_day,
-            progress=progress,
-            sink=sink,
-            checkpoint=checkpoint,
-        )

@@ -5,18 +5,17 @@ to find HB-enabled sites, then a daily re-crawl of those ~5k sites for 34
 days.  The scheduler below orchestrates both phases and accumulates the
 resulting detections into one longitudinal dataset.
 
-The scheduler drives anything with the crawl interface — the classic
-:class:`~repro.crawler.crawler.Crawler` facade or a
-:class:`~repro.crawler.engine.CrawlEngine` directly — so parallel sharded
-crawls (``CrawlConfig(workers=8, backend="process")``) drop in without
-scheduler changes.  An optional ``sink`` streams every detection (discovery
+The scheduler drives a :class:`~repro.crawler.crawler.Crawler` through its
+``crawl_domains`` method, so parallel sharded crawls
+(``CrawlConfig(workers=8, backend="process")``) drop in without scheduler
+changes.  An optional ``sink`` streams every detection (discovery
 pass first, then each crawl day) to storage as it is produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 from repro.crawler.crawler import Crawler, CrawlResult
 from repro.detector.records import SiteDetection
@@ -25,7 +24,7 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crawler.checkpoint import CrawlCheckpointer
-    from repro.crawler.engine import CrawlEngine, DetectionSinkLike
+    from repro.crawler.engine import DetectionSinkLike
 
 __all__ = ["LongitudinalCrawl", "LongitudinalScheduler"]
 
@@ -68,7 +67,7 @@ class LongitudinalScheduler:
 
     def __init__(
         self,
-        crawler: Union[Crawler, "CrawlEngine"],
+        crawler: Crawler,
         *,
         recrawl_days: int = 34,
     ) -> None:

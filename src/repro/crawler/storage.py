@@ -217,7 +217,14 @@ class DetectionSink:
         self._buffer.append(detection_to_json_line(detection))
         self.count += 1
         if len(self._buffer) >= self.flush_every:
-            self.flush()
+            try:
+                self.flush()
+            except StorageError:
+                # Leave the sink as it was before this call, so a retried
+                # write lands the record exactly once.
+                self._buffer.pop()
+                self.count -= 1
+                raise
 
     def write_many(self, detections: Iterable[SiteDetection]) -> int:
         """Buffer many detections; returns how many were written."""

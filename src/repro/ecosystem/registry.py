@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError, UnknownPartnerError
 from repro.models import PartnerKind
 from repro.ecosystem.partners import BidBehavior, DemandPartner, LatencyModel
@@ -288,9 +286,6 @@ class PartnerRegistry:
 
     def server_side_capable(self) -> tuple[DemandPartner, ...]:
         return tuple(p for p in self._partners if p.can_run_server_side)
-
-    def popularity_weights(self) -> np.ndarray:
-        return np.asarray([p.popularity_weight for p in self._partners], dtype=float)
 
     def subset(self, names: Sequence[str]) -> "PartnerRegistry":
         """A new registry restricted to the given partner names."""

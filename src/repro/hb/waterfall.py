@@ -90,10 +90,6 @@ class WaterfallOutcome:
     total_latency_ms: float
     channel: SaleChannel
 
-    @property
-    def n_passes(self) -> int:
-        return len(self.passes)
-
 
 def build_waterfall_chain(
     registry: PartnerRegistry,

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.crawler.colstore import ColumnarDetectionSink, ColumnarStorage
-from repro.crawler.storage import CrawlStorage, DetectionSink
+from repro.crawler.colstore import storage_for
 from repro.errors import (
     CampaignCancelled,
     CampaignStateError,
@@ -130,103 +129,41 @@ def campaign_config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
     return out
 
 
-class _CancellableSink(DetectionSink):
-    """A detection sink that aborts the crawl once its campaign is cancelled.
+class _Cancellable:
+    """Wraps a campaign's storage so its sinks abort once it is cancelled.
 
-    The engine writes every detection through the sink, so checking a flag
-    here cancels any backend — serial or process — at page/shard
-    granularity without touching the engine: the raise unwinds through the
-    engine's normal error path, after the last completed shard boundary was
-    checkpointed and flushed.
+    Built around :func:`~repro.crawler.colstore.storage_for`, so it serves
+    either store format.  :meth:`ExperimentRunner.run` opens the sink itself
+    from the storage it is handed, so :meth:`open_sink` wraps the opened sink
+    the same way, and the sink's :meth:`write` raises
+    :class:`CampaignCancelled` once the event is set.  The crawler writes every detection through the sink,
+    so this cancels any backend — serial or process — at page/shard
+    granularity: the raise unwinds through the crawler's normal error path,
+    after the last completed shard boundary was checkpointed and flushed.
+    Everything else is delegated to the wrapped storage or sink.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        cancel_event: threading.Event,
-        append: bool = False,
-        flush_every: int = DetectionSink.DEFAULT_FLUSH_EVERY,
-    ) -> None:
-        super().__init__(path, append=append, flush_every=flush_every)
+    def __init__(self, inner, cancel_event: threading.Event) -> None:
+        self._inner = inner
         self._cancel_event = cancel_event
+
+    def open_sink(self, **kwargs) -> "_Cancellable":
+        return _Cancellable(self._inner.open_sink(**kwargs), self._cancel_event)
 
     def write(self, detection) -> None:
         if self._cancel_event.is_set():
-            raise CampaignCancelled(f"campaign sink {self.path} was cancelled")
-        super().write(detection)
+            raise CampaignCancelled(f"campaign sink {self._inner.path} was cancelled")
+        self._inner.write(detection)
 
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
 
-class _CancellableStorage(CrawlStorage):
-    """Storage whose sinks observe a campaign's cancel flag.
+    def __enter__(self) -> "_Cancellable":
+        self._inner.__enter__()
+        return self
 
-    :meth:`ExperimentRunner.run` opens the sink itself from the storage it
-    is handed, so cancellation plugs in here rather than in the runner.
-    """
-
-    def __init__(self, path: str | Path, cancel_event: threading.Event) -> None:
-        super().__init__(path)
-        self._cancel_event = cancel_event
-
-    def open_sink(
-        self,
-        *,
-        append: bool = False,
-        flush_every: int = DetectionSink.DEFAULT_FLUSH_EVERY,
-    ) -> DetectionSink:
-        return _CancellableSink(
-            self.path,
-            cancel_event=self._cancel_event,
-            append=append,
-            flush_every=flush_every,
-        )
-
-
-class _CancellableColumnarSink(ColumnarDetectionSink):
-    """The columnar twin of :class:`_CancellableSink`."""
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        cancel_event: threading.Event,
-        append: bool = False,
-        flush_every: int = DetectionSink.DEFAULT_FLUSH_EVERY,
-    ) -> None:
-        super().__init__(path, append=append, flush_every=flush_every)
-        self._cancel_event = cancel_event
-
-    def write(self, detection) -> None:
-        if self._cancel_event.is_set():
-            raise CampaignCancelled(f"campaign sink {self.path} was cancelled")
-        super().write(detection)
-
-
-class _CancellableColumnarStorage(ColumnarStorage):
-    """The columnar twin of :class:`_CancellableStorage`."""
-
-    def __init__(self, path: str | Path, cancel_event: threading.Event) -> None:
-        super().__init__(path)
-        self._cancel_event = cancel_event
-
-    def open_sink(
-        self,
-        *,
-        append: bool = False,
-        flush_every: int = DetectionSink.DEFAULT_FLUSH_EVERY,
-    ) -> ColumnarDetectionSink:
-        return _CancellableColumnarSink(
-            self.path,
-            cancel_event=self._cancel_event,
-            append=append,
-            flush_every=flush_every,
-        )
-
-
-def _cancellable_storage(path: Path, store_format: str, cancel_event: threading.Event):
-    if store_format == "columnar":
-        return _CancellableColumnarStorage(path, cancel_event)
-    return _CancellableStorage(path, cancel_event)
+    def __exit__(self, *exc_info) -> None:
+        self._inner.__exit__(*exc_info)
 
 
 def _supervision_counts(longitudinal) -> dict[str, int]:
@@ -471,8 +408,8 @@ class CampaignManager:
                 rules=rules,
                 # The sink factory reads campaign._cancel at call time, so the
                 # fresh cancel event below is the one the tick observes.
-                storage_factory=lambda path, fmt: _cancellable_storage(
-                    path, fmt, campaign._cancel
+                storage_factory=lambda path, fmt: _Cancellable(
+                    storage_for(path, format=fmt), campaign._cancel
                 ),
             )
             target = daemon.next_target()
@@ -571,8 +508,9 @@ class CampaignManager:
                 resume=resume,
                 fault_log=str(campaign.fault_log_path),
             )
-            storage = _cancellable_storage(
-                campaign.sink_path, campaign.config.store_format, campaign._cancel
+            storage = _Cancellable(
+                storage_for(campaign.sink_path, format=campaign.config.store_format),
+                campaign._cancel,
             )
             try:
                 artifacts = ExperimentRunner(config).run(use_cache=False, storage=storage)

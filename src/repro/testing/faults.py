@@ -3,10 +3,10 @@
 Two generations of tooling live here:
 
 * :class:`FaultyBackend` (the original crash harness) wraps a real execution
-  backend and dies after handing the engine a configured number of shard
+  backend and dies after handing the crawler a configured number of shard
   results.  The crash is raised from the backend's ``execute`` generator,
-  i.e. inside the engine's merge loop and *above* the supervision layer:
-  everything the engine already emitted and flushed stays on disk, everything
+  i.e. inside the crawler's merge loop and *above* the supervision layer:
+  everything the crawler already emitted and flushed stays on disk, everything
   in flight is lost — the same observable state as a SIGKILL between two
   shard boundaries.  Resume tests build on it.
 
@@ -330,14 +330,14 @@ def parse_fault_plan(spec: str) -> FaultPlan:
 class FaultyBackend:
     """Wraps a real backend and crashes after ``fail_after`` shard results.
 
-    ``fail_after=k`` hands the engine exactly ``k`` shard results — counted
+    ``fail_after=k`` hands the crawler exactly ``k`` shard results — counted
     across the backend's whole lifetime, so a multi-phase campaign can die
     mid-re-crawl — and then raises :class:`SimulatedCrash`.  ``k=0`` dies
     before the first shard lands, ``k=n_shards`` dies after a one-phase crawl
     finished but before ``crawl()`` could return, and a ``fail_after`` beyond
     the campaign's total shard count never fires.
 
-    The crash fires in the engine's merge loop, above shard supervision, so
+    The crash fires in the crawler's merge loop, above shard supervision, so
     it is *not* retried — it models the whole crawl process dying.
     """
 
@@ -355,8 +355,19 @@ class FaultyBackend:
     def streams_inline(self) -> bool:
         return self.inner.streams_inline
 
+    @property
+    def retries(self) -> int:
+        return self.inner.retries
+
+    @property
+    def pool_rebuilds(self) -> int:
+        return self.inner.pool_rebuilds
+
     def prepare(self, context) -> None:
         self.inner.prepare(context)
+
+    def set_fault_plan(self, plan) -> None:
+        self.inner.set_fault_plan(plan)
 
     def shutdown(self) -> None:
         self.inner.shutdown()
@@ -399,7 +410,8 @@ def interrupted_then_resumed(
     """
     from repro.crawler.checkpoint import CrawlCheckpointer
     from repro.crawler.colstore import storage_for
-    from repro.crawler.engine import CrawlEngine, backend_from_name
+    from repro.crawler.crawler import Crawler
+    from repro.crawler.engine import backend_from_name
 
     fingerprint = {
         "seed": config.seed,
@@ -413,20 +425,20 @@ def interrupted_then_resumed(
         backend_from_name(config.backend, workers=config.workers), fail_after
     )
     recorder = CrawlCheckpointer.fresh(checkpoint_path, fingerprint)
-    engine = CrawlEngine(environment, detector, config, backend=faulty)
+    crawler = Crawler(environment, detector, config, backend=faulty)
     crashed = False
     try:
-        with engine, storage.open_sink(flush_every=flush_every) as sink:
-            engine.crawl(sites, crawl_day=crawl_day, sink=sink, checkpoint=recorder)
+        with crawler, storage.open_sink(flush_every=flush_every) as sink:
+            crawler.crawl(sites, crawl_day=crawl_day, sink=sink, checkpoint=recorder)
     except SimulatedCrash:
         crashed = True
-    n_shards = len(engine.plan(sites).shards)
+    n_shards = len(crawler.plan(sites).shards)
     assert crashed == (fail_after <= n_shards)
 
     resumed = CrawlCheckpointer.resume(checkpoint_path, fingerprint, storage)
-    with CrawlEngine(environment, detector, resume_config or config) as engine:
+    with Crawler(environment, detector, resume_config or config) as crawler:
         with storage.open_sink(append=True, flush_every=flush_every) as sink:
-            result = engine.crawl(
+            result = crawler.crawl(
                 sites, crawl_day=crawl_day, sink=sink, checkpoint=resumed
             )
     return result, storage
@@ -438,11 +450,11 @@ def uninterrupted_baseline(
 ):
     """One-shot reference crawl: the bytes and result resume must reproduce."""
     from repro.crawler.colstore import storage_for
-    from repro.crawler.engine import CrawlEngine
+    from repro.crawler.crawler import Crawler
 
     suffix = "hbc" if store_format == "columnar" else "jsonl"
     storage = storage_for(tmp_path / f"baseline.{suffix}", format=store_format)
-    with CrawlEngine(environment, detector, config) as engine:
+    with Crawler(environment, detector, config) as crawler:
         with storage.open_sink(flush_every=flush_every) as sink:
-            result = engine.crawl(sites, crawl_day=crawl_day, sink=sink)
+            result = crawler.crawl(sites, crawl_day=crawl_day, sink=sink)
     return result, storage

@@ -23,7 +23,7 @@ from repro.crawler.checkpoint import (
     population_fingerprint,
 )
 from repro.crawler.crawler import CrawlConfig, Crawler
-from repro.crawler.engine import CrawlEngine, CrawlPlan
+from repro.crawler.engine import CrawlPlan
 from repro.crawler.scheduler import LongitudinalScheduler
 from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.errors import CheckpointError, ConfigurationError, ReproError, StorageError
@@ -208,11 +208,11 @@ class TestCrashAndResume:
         fingerprint = {"seed": 5}
         storage = CrawlStorage(tmp_path / "crawl.jsonl")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", fingerprint)
-        with CrawlEngine(environment, detector, config) as engine:
+        with Crawler(environment, detector, config) as engine:
             with storage.open_sink() as sink:
                 expected = engine.crawl(crash_sites, sink=sink, checkpoint=recorder)
         resumed = CrawlCheckpointer.resume(tmp_path / "cp.json", fingerprint, storage)
-        with CrawlEngine(environment, detector, config) as engine:
+        with Crawler(environment, detector, config) as engine:
             with storage.open_sink(append=True) as sink:
                 result = engine.crawl(crash_sites, sink=sink, checkpoint=resumed)
             assert engine.backend._executor is None  # no pool was built
@@ -321,7 +321,7 @@ class TestCheckpointGuards:
         )
         from repro.crawler.engine import backend_from_name
 
-        engine = CrawlEngine(
+        engine = Crawler(
             environment, detector, config,
             backend=FaultyBackend(
                 backend_from_name(config.backend, workers=config.workers), fail_after
@@ -337,7 +337,7 @@ class TestCheckpointGuards:
     ):
         sites = list(small_population)[:6]
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", self.fingerprint(sites))
-        with CrawlEngine(environment, detector, CrawlConfig(seed=5)) as engine:
+        with Crawler(environment, detector, CrawlConfig(seed=5)) as engine:
             with pytest.raises(ConfigurationError, match="needs a sink"):
                 engine.crawl(sites, checkpoint=recorder)
 
@@ -350,7 +350,7 @@ class TestCheckpointGuards:
 
         sites = list(small_population)[:6]
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", self.fingerprint(sites))
-        with CrawlEngine(environment, detector, CrawlConfig(seed=5)) as engine:
+        with Crawler(environment, detector, CrawlConfig(seed=5)) as engine:
             with pytest.raises(ConfigurationError, match="offset-tracking"):
                 engine.crawl(sites, sink=BareSink(), checkpoint=recorder)
 
@@ -363,7 +363,7 @@ class TestCheckpointGuards:
         storage = CrawlStorage(tmp_path / "crawl.jsonl")
         storage.path.write_text('{"pre": "existing"}\n', encoding="utf-8")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", self.fingerprint(sites))
-        with CrawlEngine(environment, detector, CrawlConfig(seed=5)) as engine:
+        with Crawler(environment, detector, CrawlConfig(seed=5)) as engine:
             with storage.open_sink(append=True) as sink:
                 with pytest.raises(CheckpointError, match="byte 0"):
                     engine.crawl(sites, sink=sink, checkpoint=recorder)
@@ -416,14 +416,14 @@ class TestCheckpointGuards:
         config = CrawlConfig(seed=5, workers=2, backend="serial")
         storage = CrawlStorage(tmp_path / "crawl.jsonl")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", self.fingerprint(sites))
-        with CrawlEngine(environment, detector, config) as engine:
+        with Crawler(environment, detector, config) as engine:
             with storage.open_sink(flush_every=2) as sink:
                 # The checkpoint+sink pair records a different site list.
                 engine.crawl(other, sink=sink, checkpoint=recorder)
         resumed = CrawlCheckpointer.resume(
             tmp_path / "cp.json", self.fingerprint(sites), storage
         )
-        with CrawlEngine(environment, detector, config) as engine:
+        with Crawler(environment, detector, config) as engine:
             with storage.open_sink(append=True, flush_every=2) as sink:
                 with pytest.raises(CheckpointError, match="do not match"):
                     engine.crawl(sites, sink=sink, checkpoint=resumed)

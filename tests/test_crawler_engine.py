@@ -7,7 +7,6 @@ import pytest
 from repro.crawler.crawler import CrawlConfig, Crawler, CrawlResult
 from repro.crawler.engine import (
     BACKEND_NAMES,
-    CrawlEngine,
     CrawlPlan,
     ProcessPoolBackend,
     SerialBackend,
@@ -151,7 +150,7 @@ class TestBackendEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_result(self, environment, detector, sites):
-        engine = CrawlEngine(environment, detector, CrawlConfig(seed=5))
+        engine = Crawler(environment, detector, CrawlConfig(seed=5))
         return engine.crawl(sites)
 
     @pytest.mark.parametrize("fast_path", [True, False], ids=["columnar", "reference"])
@@ -160,7 +159,7 @@ class TestBackendEquivalence:
         self, environment, detector, sites, serial_result, workers, fast_path
     ):
         """Either simulator on the process pool reproduces the serial crawl."""
-        with CrawlEngine(
+        with Crawler(
             environment,
             detector,
             CrawlConfig(seed=5, workers=workers, backend="process", fast_path=fast_path),
@@ -171,7 +170,7 @@ class TestBackendEquivalence:
         assert result.pages_visited == serial_result.pages_visited
 
     def test_explicit_backend_instance_overrides_config(self, environment, detector, sites, serial_result):
-        with CrawlEngine(
+        with Crawler(
             environment,
             detector,
             CrawlConfig(seed=5, workers=3),
@@ -183,8 +182,8 @@ class TestBackendEquivalence:
 
     def test_timeouts_identical_across_backends(self, environment, detector, sites):
         config = CrawlConfig(seed=5, page_load_timeout_ms=10.0)
-        serial = CrawlEngine(environment, detector, config).crawl(sites)
-        with CrawlEngine(
+        serial = Crawler(environment, detector, config).crawl(sites)
+        with Crawler(
             environment,
             detector,
             CrawlConfig(seed=5, page_load_timeout_ms=10.0, workers=4, backend="process"),
@@ -198,7 +197,7 @@ class TestStreamingAndProgress:
     def test_progress_is_called_in_canonical_order(self, environment, detector, small_population):
         sites = list(small_population)[:12]
         seen = []
-        with CrawlEngine(
+        with Crawler(
             environment, detector, CrawlConfig(seed=5, workers=4, backend="process")
         ) as engine:
             engine.crawl(sites, progress=lambda i, n, d: seen.append((i, n, d.domain)))
@@ -211,7 +210,7 @@ class TestStreamingAndProgress:
     ):
         sites = list(small_population)[:12]
         storage = CrawlStorage(tmp_path / "stream.jsonl")
-        with CrawlEngine(
+        with Crawler(
             environment, detector, CrawlConfig(seed=5, workers=3, backend="process")
         ) as engine, storage.open_sink() as sink:
             result = engine.crawl(sites, sink=sink)
@@ -223,7 +222,7 @@ class TestStreamingAndProgress:
     ):
         sites = list(small_population)[:12]
         streamed = CrawlStorage(tmp_path / "streamed.jsonl")
-        with CrawlEngine(
+        with Crawler(
             environment, detector, CrawlConfig(seed=5, workers=3, backend="process")
         ) as engine, streamed.open_sink() as sink:
             result = engine.crawl(sites, sink=sink)
@@ -282,7 +281,7 @@ class TestWorkerReuse:
     def test_serial_backend_resets_shared_detector_per_shard(
         self, environment, counting_detector, small_population
     ):
-        engine = CrawlEngine(environment, counting_detector, CrawlConfig(seed=5))
+        engine = Crawler(environment, counting_detector, CrawlConfig(seed=5))
         engine.crawl(list(small_population)[:6])
         assert counting_detector.resets == 1  # one shard on the serial path
 
@@ -290,7 +289,7 @@ class TestWorkerReuse:
         self, environment, detector, small_population
     ):
         sites = list(small_population)[:12]
-        engine = CrawlEngine(
+        engine = Crawler(
             environment, detector, CrawlConfig(seed=5, workers=2, backend="process")
         )
         first = engine.crawl(sites)
@@ -310,8 +309,8 @@ class TestWorkerReuse:
         self, environment, detector, small_population
     ):
         sites = list(small_population)[:16]
-        serial_engine = CrawlEngine(environment, detector, CrawlConfig(seed=5))
-        with CrawlEngine(
+        serial_engine = Crawler(environment, detector, CrawlConfig(seed=5))
+        with Crawler(
             environment, detector, CrawlConfig(seed=5, workers=4, backend="process")
         ) as engine:
             for day in (0, 1, 2):  # same worker processes serve all three days
@@ -325,10 +324,10 @@ class TestWorkerReuse:
         sites = list(small_population)[:8]
         backend = ProcessPoolBackend(max_workers=2)
         with backend:
-            CrawlEngine(
+            Crawler(
                 environment, detector, CrawlConfig(seed=5, workers=2), backend=backend
             ).crawl(sites)
-            other = CrawlEngine(
+            other = Crawler(
                 environment,
                 HBDetector(detector.known_partners),
                 CrawlConfig(seed=5, workers=2),
@@ -345,10 +344,10 @@ class TestWorkerReuse:
         sites = list(small_population)[:8]
         backend = ProcessPoolBackend(max_workers=2)
         with backend:
-            CrawlEngine(
+            Crawler(
                 environment, detector, CrawlConfig(seed=5, workers=2), backend=backend
             ).crawl(sites)
-            other = CrawlEngine(
+            other = Crawler(
                 environment, detector, CrawlConfig(seed=9, workers=2), backend=backend
             )
             with pytest.raises(ConfigurationError):
@@ -359,14 +358,14 @@ class TestWorkerReuse:
     ):
         """A small warm-up crawl must not cap parallelism for later crawls."""
         sites = list(small_population)[:40]
-        with CrawlEngine(
+        with Crawler(
             environment, detector, CrawlConfig(seed=5, workers=4, backend="process")
         ) as engine:
             engine.crawl(sites[:2])  # 2 shards -> pool of 2
             assert engine.backend._pool_size == 2
             result = engine.crawl(sites)  # 16 shards -> pool rebuilt at 4
             assert engine.backend._pool_size == 4
-        serial = CrawlEngine(environment, detector, CrawlConfig(seed=5)).crawl(sites)
+        serial = Crawler(environment, detector, CrawlConfig(seed=5)).crawl(sites)
         assert serialise(result.detections) == serialise(serial.detections)
 
 
@@ -389,7 +388,7 @@ class TestShardBoundaryFlush:
     ):
         sites = list(small_population)[:12]
         sink = self.RecordingSink()
-        with CrawlEngine(
+        with Crawler(
             environment,
             detector,
             CrawlConfig(seed=5, workers=workers, backend=backend_name),
@@ -410,7 +409,7 @@ class TestShardBoundaryFlush:
                 self.count += 1
 
         sink = BareSink()
-        with CrawlEngine(
+        with Crawler(
             environment, detector, CrawlConfig(seed=5, workers=2, backend="process")
         ) as engine:
             engine.crawl(list(small_population)[:6], sink=sink)
@@ -418,20 +417,19 @@ class TestShardBoundaryFlush:
 
 
 class TestFacadeAndScheduler:
-    def test_crawler_facade_delegates_to_engine(self, environment, detector, small_population):
+    def test_crawler_defaults_to_the_serial_backend(self, environment, detector, small_population):
         crawler = Crawler(environment, detector, CrawlConfig(seed=5))
-        assert isinstance(crawler.engine, CrawlEngine)
-        assert isinstance(crawler.engine.backend, SerialBackend)
-        direct = crawler.engine.crawl(list(small_population)[:8])
-        via_facade = crawler.crawl(list(small_population)[:8])
-        assert serialise(direct.detections) == serialise(via_facade.detections)
+        assert isinstance(crawler.backend, SerialBackend)
+        sites = list(small_population)[:8]
+        by_domain = crawler.crawl_domains(small_population, [p.domain for p in sites])
+        assert serialise(crawler.crawl(sites).detections) == serialise(by_domain.detections)
 
-    def test_scheduler_accepts_engine_and_streams(
+    def test_scheduler_streams_a_process_crawl(
         self, environment, detector, small_population, tmp_path
     ):
         storage = CrawlStorage(tmp_path / "longitudinal.jsonl")
         domains = small_population.domains[:30]
-        with CrawlEngine(
+        with Crawler(
             environment, detector, CrawlConfig(seed=9, workers=2, backend="process")
         ) as engine, storage.open_sink() as sink:
             scheduler = LongitudinalScheduler(engine, recrawl_days=1)
@@ -444,7 +442,7 @@ class TestFacadeAndScheduler:
             Crawler(environment, detector, CrawlConfig(seed=9)), recrawl_days=1
         ).run(small_population, domains=domains)
         parallel = LongitudinalScheduler(
-            CrawlEngine(environment, detector, CrawlConfig(seed=9, workers=4, backend="process")),
+            Crawler(environment, detector, CrawlConfig(seed=9, workers=4, backend="process")),
             recrawl_days=1,
         ).run(small_population, domains=domains)
         assert serialise(serial.all_detections) == serialise(parallel.all_detections)
@@ -473,7 +471,7 @@ class TestFacadeAndScheduler:
         # fast_path=False: the session spy observes the per-page reference
         # loop.  The columnar path never builds sessions; its page-granular
         # streaming is asserted separately below.
-        engine = CrawlEngine(environment, detector, CrawlConfig(seed=5, fast_path=False))
+        engine = Crawler(environment, detector, CrawlConfig(seed=5, fast_path=False))
         engine.crawl(sites, sink=ListSink())
         expected = []
         for publisher in sites:
@@ -492,6 +490,6 @@ class TestFacadeAndScheduler:
                 writes.append(detection.domain)
 
         sites = list(small_population)[:4]
-        engine = CrawlEngine(environment, detector, CrawlConfig(seed=5))
+        engine = Crawler(environment, detector, CrawlConfig(seed=5))
         engine.crawl(sites, sink=ListSink())
         assert writes == [publisher.domain for publisher in sites]

@@ -482,9 +482,9 @@ class TestSinkCloseSafety:
                 sink._handle = self.ExplodingHandle()
 
     def test_engine_close_does_not_mask_a_crawl_error(self):
-        """CrawlEngine.__exit__ swallows teardown failures while an exception
+        """Crawler.__exit__ swallows teardown failures while an exception
         is unwinding, and surfaces them on a clean exit."""
-        from repro.crawler.engine import CrawlEngine
+        from repro.crawler.crawler import Crawler
 
         class ExplodingBackend:
             name = "exploding"
@@ -499,7 +499,7 @@ class TestSinkCloseSafety:
             def shutdown(self):
                 raise RuntimeError("pool teardown failed")
 
-        engine = CrawlEngine.__new__(CrawlEngine)
+        engine = Crawler.__new__(Crawler)
         engine.backend = ExplodingBackend()
         with pytest.raises(ZeroDivisionError):
             with engine:

@@ -18,8 +18,8 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import available_metrics, compute_metric
 from repro.crawler.colstore import ColumnarStorage
-from repro.crawler.crawler import CrawlConfig
-from repro.crawler.engine import CrawlEngine, CrawlPlan, CrawlShard, WorkerContext
+from repro.crawler.crawler import CrawlConfig, Crawler
+from repro.crawler.engine import CrawlPlan, CrawlShard, WorkerContext
 from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.detector.detector import HBDetector
 from repro.detector.partner_list import build_known_partner_list
@@ -69,7 +69,7 @@ def reference(workload, environment, detector, tmp_path_factory):
     seed, sites = workload
     storage = CrawlStorage(tmp_path_factory.mktemp("slow") / "crawl.jsonl")
     config = CrawlConfig(seed=seed, fast_path=False)
-    with CrawlEngine(environment, detector, config) as engine, storage.open_sink() as sink:
+    with Crawler(environment, detector, config) as engine, storage.open_sink() as sink:
         result = engine.crawl(sites, sink=sink)
     return storage.path.read_bytes(), serialise(result.detections), metric_texts(storage.path)
 
@@ -97,7 +97,7 @@ class TestFastPathEquivalence:
             storage = ColumnarStorage(tmp_path / "fast.hbc")
         config = CrawlConfig(seed=seed, workers=workers, backend=backend)
         assert config.fast_path  # the default IS the columnar simulator
-        with CrawlEngine(environment, detector, config) as engine, \
+        with Crawler(environment, detector, config) as engine, \
                 storage.open_sink() as sink:
             result = engine.crawl(sites, sink=sink)
         assert serialise(result.detections) == ref_json
@@ -155,13 +155,13 @@ class TestFastPathEquivalence:
         """Profile reuse across crawls and days must not leak state."""
         seed, sites = workload
         _, ref_json, _ = reference
-        with CrawlEngine(environment, detector, CrawlConfig(seed=seed)) as engine:
+        with Crawler(environment, detector, CrawlConfig(seed=seed)) as engine:
             first = engine.crawl(sites)
             second = engine.crawl(sites)  # warm: profiles already compiled
             assert serialise(first.detections) == ref_json
             assert serialise(second.detections) == ref_json
             day1_warm = engine.crawl(sites, crawl_day=1)
-        with CrawlEngine(environment, detector, CrawlConfig(seed=seed, fast_path=False)) as engine:
+        with Crawler(environment, detector, CrawlConfig(seed=seed, fast_path=False)) as engine:
             day1_slow = engine.crawl(sites, crawl_day=1)
         assert serialise(day1_warm.detections) == serialise(day1_slow.detections)
 
@@ -220,7 +220,7 @@ class TestOversubscribedPlan:
     ):
         sites = list(small_population)[:64]
         config = CrawlConfig(seed=3, workers=4, backend="process", shard_oversubscribe=2)
-        engine = CrawlEngine(environment, detector, config)
+        engine = Crawler(environment, detector, config)
         assert len(engine.plan(sites).shards) == 8
 
     def test_detections_identical_across_oversubscription(
@@ -232,7 +232,7 @@ class TestOversubscribedPlan:
             config = CrawlConfig(
                 seed=3, workers=4, backend="process", shard_oversubscribe=oversubscribe
             )
-            with CrawlEngine(environment, detector, config) as engine:
+            with Crawler(environment, detector, config) as engine:
                 blob = serialise(engine.crawl(sites).detections)
             if baseline is None:
                 baseline = blob

@@ -18,6 +18,7 @@ import pytest
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import compute_metric, get_metric, metric_names
+from repro.crawler.colstore import storage_for
 from repro.crawler.storage import CrawlStorage
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
@@ -243,9 +244,12 @@ class TestEvents:
 
 
 class TestCancellation:
-    def test_cancel_then_resume_is_byte_identical(self, client, tmp_path):
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
+    def test_cancel_then_resume_is_byte_identical(self, client, tmp_path, store_format):
         body = {"sites": 400, "days": 2, "seed": 11, "workers": 2,
-                "flush_every": 1, "checkpoint_every_shards": 1}
+                "flush_every": 1, "checkpoint_every_shards": 1,
+                "store_format": store_format}
+        sink_name = "detections.hbc" if store_format == "columnar" else "detections.jsonl"
         submitted = client.submit(body)
         cid = submitted["id"]
         deadline = time.monotonic() + 120
@@ -258,18 +262,19 @@ class TestCancellation:
         cancelled = client.wait(cid, timeout=60)
         assert cancelled["state"] == "cancelled"
         assert cancelled["resumable"], "cancellation must leave a resumable checkpoint"
-        partial = client.download(cid)
+        partial = client.download(cid, sink_name)
 
         client.resume(cid)
         done = client.wait(cid, timeout=300)
         assert done["state"] == "done" and done["runs"] == 2
 
-        path = tmp_path / "uninterrupted.jsonl"
+        path = tmp_path / f"uninterrupted-{sink_name}"
         config = campaign_config_from_dict(body)
-        ExperimentRunner(config).run(use_cache=False, storage=CrawlStorage(path))
+        storage = storage_for(path, format=store_format)
+        ExperimentRunner(config).run(use_cache=False, storage=storage)
         full = path.read_bytes()
         assert len(partial) < len(full)
-        assert client.download(cid) == full
+        assert client.download(cid, sink_name) == full
 
     def test_cancel_terminal_campaign_is_409(self, client, campaign):
         with pytest.raises(ServiceClientError) as err:

@@ -12,9 +12,8 @@ import json
 import pytest
 from multiprocessing import shared_memory
 
-from repro.crawler.crawler import CrawlConfig
+from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.engine import (
-    CrawlEngine,
     ProcessPoolBackend,
     SharedPayload,
     _read_shared_payload,
@@ -108,9 +107,9 @@ class TestEngineLifecycle:
         self, environment, detector, small_population
     ):
         sites = list(small_population)[:16]
-        serial = CrawlEngine(environment, detector, CrawlConfig(seed=5)).crawl(sites)
+        serial = Crawler(environment, detector, CrawlConfig(seed=5)).crawl(sites)
         config = CrawlConfig(seed=5, workers=2, backend="process")
-        engine = CrawlEngine(environment, detector, config)
+        engine = Crawler(environment, detector, config)
         result = engine.crawl(sites)
         backend = engine.backend
         payload = backend._payload
@@ -129,7 +128,7 @@ class TestEngineLifecycle:
     def test_engine_reusable_after_close(self, environment, detector, small_population):
         sites = list(small_population)[:8]
         config = CrawlConfig(seed=5, workers=2, backend="process")
-        engine = CrawlEngine(environment, detector, config)
+        engine = Crawler(environment, detector, config)
         first = engine.crawl(sites)
         engine.close()
         second = engine.crawl(sites)

@@ -20,8 +20,7 @@ import repro.daemon as daemon_mod
 
 from repro.crawler.checkpoint import CrawlCheckpoint, CrawlCheckpointer, PhaseProgress
 from repro.crawler.colstore import storage_for
-from repro.crawler.crawler import CrawlConfig, CrawlResult, ShardFailure
-from repro.crawler.engine import CrawlEngine, SupervisionPolicy
+from repro.crawler.crawler import CrawlConfig, Crawler, CrawlResult, ShardFailure, retry_delay
 from repro.errors import ConfigurationError, StorageError
 from repro.experiments.config import ExperimentConfig
 from repro.testing import (
@@ -61,9 +60,9 @@ def engine_run(
     if checkpointed:
         fingerprint = {"seed": config.seed, "sites": [p.domain for p in sites]}
         checkpoint = CrawlCheckpointer.fresh(checkpoint_path, fingerprint)
-    with CrawlEngine(environment, detector, config, fault_plan=plan) as engine:
+    with Crawler(environment, detector, config, fault_plan=plan) as crawler:
         with storage.open_sink(flush_every=flush_every) as sink:
-            result = engine.crawl(sites, crawl_day=0, sink=sink, checkpoint=checkpoint)
+            result = crawler.crawl(sites, crawl_day=0, sink=sink, checkpoint=checkpoint)
     return result, storage, checkpoint_path
 
 
@@ -206,33 +205,22 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Supervision policy mechanics
+# Retry policy mechanics
 
 
-class TestSupervisionPolicy:
-    def test_from_config(self):
-        config = CrawlConfig(
-            shard_retries=3, shard_timeout=5.0, retry_backoff=0.2, quarantine=False
-        )
-        policy = SupervisionPolicy.from_config(config)
-        assert policy.retries == 3
-        assert policy.timeout == 5.0
-        assert policy.backoff == 0.2
-        assert policy.quarantine is False
-        assert policy.seed == config.seed
-
+class TestRetryDelay:
     def test_delay_is_deterministic_exponential_with_jitter(self):
-        policy = SupervisionPolicy(retries=3, backoff=0.1, seed=5)
-        first = policy.delay("shard-2", 1)
-        assert first == policy.delay("shard-2", 1)
+        config = CrawlConfig(seed=5, shard_retries=3, retry_backoff=0.1)
+        first = retry_delay(config, "shard-2", 1)
+        assert first == retry_delay(config, "shard-2", 1)
         assert 0.05 <= first < 0.1  # backoff * 2**0 * jitter in [0.5, 1.0)
-        second = policy.delay("shard-2", 2)
+        second = retry_delay(config, "shard-2", 2)
         assert 0.1 <= second < 0.2  # doubled
-        assert policy.delay("shard-3", 1) != first  # keyed jitter
+        assert retry_delay(config, "shard-3", 1) != first  # keyed jitter
 
     def test_zero_backoff_never_sleeps(self):
-        policy = SupervisionPolicy(retries=3, backoff=0.0, seed=5)
-        assert policy.delay("k", 1) == 0.0
+        config = CrawlConfig(seed=5, shard_retries=3, retry_backoff=0.0)
+        assert retry_delay(config, "k", 1) == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -375,6 +363,43 @@ class TestRetrySupervision:
         assert all(e["shard"] == 0 for e in events)
         assert events[0]["attempt"] == 1 and events[1]["attempt"] == 2
 
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
+    def test_failed_automatic_flush_is_retried_without_duplicates(
+        self, environment, detector, small_population, tmp_path, store_format
+    ):
+        """A write whose automatic flush fails leaves the sink untouched, so
+        the sink retry lands the record once, not twice."""
+
+        class FlakyHandle:
+            def __init__(self, inner):
+                self.inner = inner
+                self.failed = False
+
+            def write(self, data):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError("transient disk error")
+                return self.inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        sites = list(small_population)[:40]
+        config = CrawlConfig(seed=2019, retry_backoff=0.0)
+        suffix = "hbc" if store_format == "columnar" else "jsonl"
+        _, baseline, _ = engine_run(
+            environment, detector, config, sites, tmp_path, "flush-baseline",
+            store_format=store_format, flush_every=4,
+        )
+        storage = storage_for(tmp_path / f"flaky.{suffix}", format=store_format)
+        with Crawler(environment, detector, config) as crawler:
+            with storage.open_sink(flush_every=4) as sink:
+                sink._handle = FlakyHandle(sink._handle)
+                result = crawler.crawl(sites, sink=sink)
+        assert result.sink_retries == 1
+        assert sink.count == len(sites)
+        assert storage.path.read_bytes() == baseline.path.read_bytes()
+
     def test_columnar_store_is_also_byte_identical_under_faults(
         self, environment, detector, sites, tmp_path
     ):
@@ -453,24 +478,32 @@ class TestQuarantine:
         # and the final bytes match a never-faulted run.
         fingerprint = {"seed": config.seed, "sites": [p.domain for p in sites]}
         resumed = CrawlCheckpointer.resume(checkpoint_path, fingerprint, storage)
-        with CrawlEngine(environment, detector, config) as engine:
+        with Crawler(environment, detector, config) as engine:
             with storage.open_sink(append=True, flush_every=3) as sink:
                 final = engine.crawl(sites, crawl_day=0, sink=sink, checkpoint=resumed)
         assert not final.degraded
         assert storage.path.read_bytes() == base_storage.path.read_bytes()
         assert CrawlCheckpoint.load(checkpoint_path).phases[-1].quarantined == ()
 
-    def test_quarantine_off_aborts_the_crawl(
-        self, environment, detector, sites, tmp_path
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
+    def test_non_retryable_errors_raise_at_once(
+        self, environment, detector, sites, backend, workers
     ):
+        """A configuration error reproduces on every attempt: it is neither
+        retried nor quarantined, whatever the retry budget."""
+
+        class ConfigErrorPlan:
+            def next_action(self, shard_index, attempt=0):
+                return FaultAction(kind="no-such-kind", shard=shard_index)
+
         config = CrawlConfig(
-            seed=2019, shard_retries=0, retry_backoff=0.0, quarantine=False
+            seed=2019, backend=backend, workers=workers, shard_retries=3,
+            retry_backoff=0.0,
         )
-        plan = parse_fault_plan("raise@shard=0")
-        with pytest.raises(InjectedFault):
-            engine_run(
-                environment, detector, config, sites, tmp_path, "abort", plan=plan
-            )
+        crawler = Crawler(environment, detector, config, fault_plan=ConfigErrorPlan())
+        with crawler, pytest.raises(ConfigurationError, match="unknown fault kind"):
+            crawler.crawl(sites)
+        assert crawler.backend.retries == 0
 
     def test_pool_backend_quarantine_keeps_completed_prefix(
         self, environment, detector, sites, tmp_path
@@ -516,7 +549,7 @@ class TestQuarantine:
         checkpoint_path = tmp_path / "exhausted.ckpt"
         recorder = CrawlCheckpointer.fresh(checkpoint_path, fingerprint)
         with pytest.raises(StorageError, match="injected sink write failure"):
-            with CrawlEngine(environment, detector, config, fault_plan=plan) as engine:
+            with Crawler(environment, detector, config, fault_plan=plan) as engine:
                 with storage.open_sink(flush_every=3) as sink:
                     engine.crawl(sites, crawl_day=0, sink=sink, checkpoint=recorder)
 
@@ -527,7 +560,7 @@ class TestQuarantine:
         assert completed == tuple(range(len(completed)))  # a contiguous prefix
 
         resumed = CrawlCheckpointer.resume(checkpoint_path, fingerprint, storage)
-        with CrawlEngine(environment, detector, config) as engine:
+        with Crawler(environment, detector, config) as engine:
             with storage.open_sink(append=True, flush_every=3) as sink:
                 final = engine.crawl(sites, crawl_day=0, sink=sink, checkpoint=resumed)
         assert not final.degraded
