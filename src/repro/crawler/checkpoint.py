@@ -404,6 +404,21 @@ class CrawlCheckpointer:
         """Persist the current state atomically to the checkpoint path."""
         self.checkpoint().save(self.path)
 
+    def extend_horizon(self, recrawl_days: int) -> None:
+        """Grow the campaign's day horizon in place (written on the next save).
+
+        The in-memory twin of resuming under a larger ``recrawl_days`` (see
+        :data:`EXTENSIBLE_FINGERPRINT_KEYS`), for a caller that keeps this
+        checkpointer alive between crawl days; shrinking is refused alike.
+        """
+        last_day = max((phase.crawl_day for phase in self._phases), default=0)
+        if recrawl_days < last_day:
+            raise CheckpointError(
+                f"checkpoint already records crawl day {last_day}; the horizon "
+                f"cannot shrink to recrawl_days={recrawl_days}"
+            )
+        self.fingerprint["recrawl_days"] = recrawl_days
+
     # -- engine-facing protocol ------------------------------------------------
     def begin_phase(
         self, plan: "CrawlPlan", crawl_day: int, sink: "DetectionSinkLike"
@@ -500,6 +515,10 @@ class CrawlCheckpointer:
                 f"deterministic re-plan: the sink or checkpoint was tampered "
                 f"with or belongs to a different campaign"
             )
+        if phase is self._phases[-1]:
+            # Every recorded phase has been re-opened; later phases are new,
+            # so the recovered records need not outlive this call.
+            self._prior = []
         prior = CrawlResult(
             detections=list(detections),
             timed_out_domains=list(phase.timed_out_domains),

@@ -437,11 +437,9 @@ class Crawler:
         backend.prepare(self._context)
         backend.set_fault_plan(self.fault_plan)
         retries_before, rebuilds_before = backend.retries, backend.pool_rebuilds
-        publish_sites = getattr(backend, "publish_sites", None)
-        if publish_sites is not None:
-            # The canonical order (shard concatenation) guarantees element
-            # identity between the published list and every shard slice.
-            publish_sites([p for shard in plan.shards for p in shard.publishers])
+        # The canonical order (shard concatenation) guarantees element
+        # identity between the published list and every shard slice.
+        backend.publish_sites([p for shard in plan.shards for p in shard.publishers])
         sink_flush = getattr(sink, "flush", None)
         # Phase-cumulative counters for checkpointing (resumed prefix included).
         n_detections = len(prior.detections)

@@ -545,6 +545,14 @@ class ExecutionBackend(Protocol):
         """Install a fault-injection plan (``None`` clears it)."""
         ...
 
+    def publish_sites(self, sites: Sequence[Publisher]) -> None:
+        """Ship the crawl's canonical site list to the workers out of band.
+
+        Called once per crawl before :meth:`execute`; the process backend
+        publishes the list in shared memory, inline backends ignore it.
+        """
+        ...
+
     def execute(
         self,
         shards: Sequence[CrawlShard],
@@ -561,11 +569,6 @@ class ExecutionBackend(Protocol):
     def shutdown(self) -> None:
         """Release any pooled workers (idempotent)."""
         ...
-
-    # Backends may additionally expose ``publish_sites(sites)``: a hint,
-    # called once per crawl before ``execute``, that lets a backend ship the
-    # canonical site list to its workers out of band (the process backend
-    # publishes it in shared memory).  The crawler treats it as optional.
 
 
 class SerialBackend(_SupervisedBackend):
@@ -587,6 +590,9 @@ class SerialBackend(_SupervisedBackend):
 
     def prepare(self, context: WorkerContext) -> None:
         self._context = context
+
+    def publish_sites(self, sites: Sequence[Publisher]) -> None:
+        pass  # shards already run over the caller's own publishers
 
     def execute(
         self,

@@ -21,10 +21,29 @@ Workdir layout (everything the daemon owns lives under one directory)::
 
 Byte-identity is inherited, not re-proven: the sink a daemon grows over N
 ticks is byte-identical to a one-shot ``run`` with ``recrawl_days=N``,
-because every tick is just a checkpointed resume with an extended horizon
-(see ``EXTENSIBLE_FINGERPRINT_KEYS`` in :mod:`repro.crawler.checkpoint`).
-A kill at any instant — mid-day included — is recovered by the next tick
-exactly like any interrupted crawl.
+because every tick crawls exactly the phases that run would, under the same
+checkpoint with an extended horizon (see ``EXTENSIBLE_FINGERPRINT_KEYS`` in
+:mod:`repro.crawler.checkpoint`).  A kill at any instant — mid-day
+included — is recovered by the next tick exactly like any interrupted crawl.
+
+Ticks are *cold* or *warm*.  A cold tick is the one-shot runner's pipeline
+(:meth:`~repro.experiments.runner.ExperimentRunner.open_campaign`, whose
+:meth:`~repro.crawler.checkpoint.CrawlCheckpointer.resume` recovers the
+sink, then ``crawl_campaign``), and it leaves its pieces *resident*: the
+population (with the environment and detector inside one
+:class:`~repro.crawler.crawler.Crawler`, whose process pool and per-worker
+site tables stay warm), the live checkpointer and the discovery pass's HB
+sites.  A warm tick first checks with ``stat`` that the sink and
+``crawl.ckpt`` are exactly as this daemon's last tick left them, then grows
+the checkpointer's horizon, reopens the sink in append mode and crawls the
+new day alone; its snapshot and partition come from that day's result and
+its detection count from the checkpoint phases.  No history is read back,
+so a warm tick costs the same on day 3 as on day 30.  The first tick, a
+restarted daemon, any ``stat`` mismatch (another writer moved the
+campaign), and the tick after any failed, degraded or raising tick take the
+cold path, which stays the only resume implementation; a failing tick also
+shuts the pool down.  :meth:`RecrawlDaemon.close` (or ``with
+RecrawlDaemon(...)``) releases the resident pool.
 
 Alert rules are little threshold expressions, ``metric.field:kind=value``
 (see :func:`parse_rules`), evaluated over the *flattened* metric data — every
@@ -50,9 +69,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import compute_metric, get_metric
-from repro.crawler.checkpoint import CrawlCheckpoint
+from repro.crawler.checkpoint import CrawlCheckpoint, CrawlCheckpointer, PhaseProgress
 from repro.crawler.colstore import storage_for
+from repro.crawler.crawler import Crawler, CrawlResult
 from repro.crawler.storage import CrawlStorage
+from repro.ecosystem.publishers import PublisherPopulation
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
@@ -280,6 +301,26 @@ class TickReport:
     error: str | None = None
 
 
+@dataclass
+class _Resident:
+    """What a finished tick keeps for the next, warm, one."""
+
+    population: PublisherPopulation
+    #: Holds the environment and detector, and the live worker pool.
+    crawler: Crawler
+    checkpointer: CrawlCheckpointer
+    #: The discovery pass's HB sites: every re-crawl day visits these.
+    hb_domains: list[str] = field(default_factory=list)
+    #: ``stat`` of the sink and the checkpoint as this daemon left them.
+    stamp: tuple | None = None
+
+
+def _last_state(phases: Sequence[PhaseProgress]) -> tuple[int, bool] | None:
+    if not phases:
+        return None
+    return phases[-1].crawl_day, phases[-1].done
+
+
 class RecrawlDaemon:
     """Grows one long-lived campaign a crawl day at a time.
 
@@ -296,6 +337,10 @@ class RecrawlDaemon:
     ``storage_factory`` injects the sink storage (the campaign service wires
     its cancellable wrappers through here); the default is plain
     :func:`~repro.crawler.colstore.storage_for`.
+
+    A tick leaves its crawler's worker pool running for the next one (see
+    the module docstring); :meth:`close`, or leaving a ``with`` block,
+    releases it.
     """
 
     def __init__(
@@ -353,18 +398,34 @@ class RecrawlDaemon:
                 f"refusing to overwrite it — point the daemon at a fresh "
                 f"directory or restore the campaign's crawl.ckpt"
             )
+        self._resident: _Resident | None = None
         self._write_manifest()
 
+    # -- lifecycle ---------------------------------------------------------------
+    def close(self) -> None:
+        """Release the resident crawler and its pool (idempotent).
+
+        The daemon stays usable: its next tick takes the cold path.
+        """
+        resident, self._resident = self._resident, None
+        if resident is not None:
+            resident.crawler.close()
+
+    def __enter__(self) -> "RecrawlDaemon":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        self.close()
+
     # -- state views -------------------------------------------------------------
+    def _recorded_phases(self) -> tuple[PhaseProgress, ...]:
+        if not self.checkpoint_path.exists():
+            return ()
+        return CrawlCheckpoint.load(self.checkpoint_path).phases
+
     def recorded_state(self) -> tuple[int, bool] | None:
         """``(last recorded crawl day, finished?)`` or ``None`` pre-bootstrap."""
-        if not self.checkpoint_path.exists():
-            return None
-        checkpoint = CrawlCheckpoint.load(self.checkpoint_path)
-        if not checkpoint.phases:
-            return None
-        last = checkpoint.phases[-1]
-        return last.crawl_day, last.done
+        return _last_state(self._recorded_phases())
 
     def next_target(self) -> tuple[int, bool] | None:
         """``(target recrawl_days, resume?)`` for the next tick.
@@ -373,7 +434,9 @@ class RecrawlDaemon:
         next tick is a no-op.  An unfinished last day is re-targeted (the
         tick completes it); otherwise the horizon grows by one.
         """
-        state = self.recorded_state()
+        return self._target_after(self.recorded_state())
+
+    def _target_after(self, state: tuple[int, bool] | None) -> tuple[int, bool] | None:
         if state is None:
             return 0, False
         last_day, finished = state
@@ -391,19 +454,48 @@ class RecrawlDaemon:
         interrupted day if the previous tick was killed mid-crawl, appends
         the next day otherwise, then writes metric snapshots and per-day
         partitions for every recorded day that is missing one, evaluates
-        the alert rules, and applies the retention policy.
+        the alert rules, and applies the retention policy.  The day is
+        crawled warm when this daemon's resident state still matches the
+        workdir, and cold otherwise (see the module docstring).
         """
-        target = self.next_target()
-        if target is None:
-            state = self.recorded_state()
-            horizon = state[0] if state else 0
-            return TickReport(
-                status="complete",
-                day=None,
-                horizon=horizon,
-                detections=self._sink_detections(),
-            )
-        days, resume = target
+        resident = self._resident
+        if resident is not None and (
+            resident.stamp is None or resident.stamp != self._stamp()
+        ):
+            # The workdir moved since this daemon's last tick (another
+            # writer, or a failed write): only a resume can trust it now.
+            self.close()
+            resident = None
+        try:
+            if resident is not None:
+                phases = resident.checkpointer.checkpoint().phases
+            else:
+                phases = self._recorded_phases()
+            state = _last_state(phases)
+            target = self._target_after(state)
+            if target is None:  # only a recorded campaign can be complete
+                return TickReport(
+                    status="complete",
+                    day=None,
+                    horizon=state[0],  # type: ignore[index]
+                    detections=sum(phase.n_detections for phase in phases),
+                )
+            days, resume = target
+            if resident is not None:
+                report = self._warm_tick(resident, days)
+            else:
+                report = self._cold_tick(days, resume)
+        except BaseException:
+            self.close()
+            raise
+        if report.status == "failed":
+            self.close()
+        else:
+            self._resident.stamp = self._stamp()  # type: ignore[union-attr]
+        return report
+
+    def _cold_tick(self, days: int, resume: bool) -> TickReport:
+        """The one-shot runner's pipeline, resumed at ``days``; stays resident."""
         config = replace(
             self.config,
             recrawl_days=days,
@@ -412,39 +504,64 @@ class RecrawlDaemon:
             fault_log=self.config.fault_log or str(self.fault_log_path),
         )
         storage = self._storage_factory(self.sink_path, config.store_format)
-        artifacts = ExperimentRunner(config).run(use_cache=False, storage=storage)
-        if artifacts.longitudinal.degraded:
+        runner = ExperimentRunner(config)
+        population, crawler, checkpointer = runner.open_campaign(storage)
+        self._resident = resident = _Resident(population, crawler, checkpointer)
+        longitudinal = runner.crawl_campaign(
+            crawler, population, storage=storage, checkpointer=checkpointer
+        )
+        resident.hb_domains = longitudinal.discovery.hb_domains
+        results = [longitudinal.discovery, *longitudinal.daily_results]
+        return self._finish_tick(days, 0, results, checkpointer)
+
+    def _warm_tick(self, resident: _Resident, day: int) -> TickReport:
+        """Crawl the one new ``day`` on the resident crawler and checkpointer."""
+        storage = self._storage_factory(self.sink_path, self.config.store_format)
+        resident.checkpointer.extend_horizon(day)
+        with storage.open_sink(
+            append=True, flush_every=self.config.sink_flush_every
+        ) as sink:
+            result = resident.crawler.crawl_domains(
+                resident.population,
+                resident.hb_domains,
+                crawl_day=day,
+                sink=sink,
+                checkpoint=resident.checkpointer,
+            )
+        return self._finish_tick(day, day, [result], resident.checkpointer)
+
+    def _finish_tick(
+        self,
+        days: int,
+        first_day: int,
+        results: Sequence[CrawlResult],
+        checkpointer: CrawlCheckpointer,
+    ) -> TickReport:
+        """Record the crawled days (``results[i]`` is ``first_day + i``) and report."""
+        per_day = [(first_day + i, r.detections) for i, r in enumerate(results)]
+        error = None
+        if any(r.degraded for r in results):
             # The last phase quarantined shards, so its detections are a
             # prefix: skip its snapshot/partition (the day is not done) and
             # report a failed tick.  The quarantine lives in the checkpoint,
             # so the next tick resumes exactly the missing shards.
-            results = [
-                artifacts.longitudinal.discovery,
-                *artifacts.longitudinal.daily_results,
-            ]
             quarantined = sum(len(r.quarantined_shards) for r in results)
-            alerts, snapshot_days = self._record_days(artifacts, skip_last=True)
-            return TickReport(
-                status="failed",
-                day=days,
-                horizon=days,
-                detections=len(artifacts.dataset),
-                alerts=alerts,
-                snapshot_days=snapshot_days,
-                error=(
-                    f"day {days} completed degraded: {quarantined} shard(s) "
-                    f"quarantined after exhausting retries"
-                ),
+            error = (
+                f"day {days} completed degraded: {quarantined} shard(s) "
+                f"quarantined after exhausting retries"
             )
-        alerts, snapshot_days = self._record_days(artifacts)
-        self._prune(last_day=days)
+            per_day = per_day[:-1]
+        alerts, snapshot_days = self._record_days(per_day)
+        if error is None:
+            self._prune(last_day=days)
         return TickReport(
-            status="bootstrapped" if days == 0 else "advanced",
+            status="failed" if error else "bootstrapped" if days == 0 else "advanced",
             day=days,
             horizon=days,
-            detections=len(artifacts.dataset),
+            detections=sum(p.n_detections for p in checkpointer.checkpoint().phases),
             alerts=alerts,
             snapshot_days=snapshot_days,
+            error=error,
         )
 
     def run(
@@ -477,12 +594,13 @@ class RecrawlDaemon:
             except KeyboardInterrupt:
                 raise
             except Exception as exc:  # noqa: BLE001 - the daemon outlives one bad tick
-                state = None
+                state, detections = None, 0
                 try:
-                    state = self.recorded_state()
-                    detections = self._sink_detections()
+                    phases = self._recorded_phases()
+                    state = _last_state(phases)
+                    detections = sum(p.n_detections for p in phases)
                 except Exception:  # noqa: BLE001 - e.g. a corrupt checkpoint
-                    detections = 0
+                    pass
                 report = TickReport(
                     status="failed",
                     day=None,
@@ -521,24 +639,21 @@ class RecrawlDaemon:
         return reports
 
     # -- snapshots, partitions, alerts ------------------------------------------
-    def _record_days(self, artifacts, *, skip_last: bool = False) -> tuple[list[dict], list[int]]:
-        """Snapshot + partition every recorded day missing them; alert on new days.
+    def _record_days(
+        self, per_day: Sequence[tuple[int, list]]
+    ) -> tuple[list[dict], list[int]]:
+        """Snapshot + partition every ``(day, detections)`` missing them; alert on new days.
 
-        ``skip_last`` leaves the final day unrecorded — a degraded phase's
-        detections are a truncated prefix, and writing its snapshot (the
-        day's "recorded" marker) would stop the resumed, completed day from
-        ever being snapshotted.
+        A degraded phase's detections are a truncated prefix, so callers
+        leave that day out: writing its snapshot (the day's "recorded"
+        marker) would stop the resumed, completed day from ever being
+        snapshotted.
         """
-        longitudinal = artifacts.longitudinal
-        per_day = [list(longitudinal.discovery.detections)]
-        per_day.extend(list(r.detections) for r in longitudinal.daily_results)
-        if skip_last:
-            per_day = per_day[:-1]
         alerted = self._alerted_days()
         emitted: list[dict] = []
         snapshot_days: list[int] = []
         previous: dict | None = None
-        for day, detections in enumerate(per_day):
+        for day, detections in per_day:
             snapshot = self._load_snapshot(day)
             if snapshot is None:
                 snapshot = self._snapshot_day(day, detections)
@@ -671,11 +786,16 @@ class RecrawlDaemon:
             self._snapshot_path(day).unlink(missing_ok=True)
 
     # -- bookkeeping -------------------------------------------------------------
-    def _sink_detections(self) -> int:
-        if not self.checkpoint_path.exists():
-            return 0
-        checkpoint = CrawlCheckpoint.load(self.checkpoint_path)
-        return sum(phase.n_detections for phase in checkpoint.phases)
+    def _stamp(self) -> tuple | None:
+        """``stat`` identity of the sink and the checkpoint (``None`` if one is gone)."""
+        stamp = []
+        for path in (self.sink_path, self.checkpoint_path):
+            try:
+                st = path.stat()
+            except OSError:
+                return None
+            stamp.append((st.st_ino, st.st_size, st.st_mtime_ns))
+        return tuple(stamp)
 
     def _write_manifest(self) -> None:
         manifest = {

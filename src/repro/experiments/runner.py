@@ -162,6 +162,63 @@ class ExperimentRunner:
             fingerprint["store_format"] = self.config.store_format
         return fingerprint
 
+    def open_campaign(
+        self, storage: CrawlStorage | None = None
+    ) -> tuple[PublisherPopulation, Crawler, CrawlCheckpointer | None]:
+        """Build the population, the crawler and the campaign's checkpointer.
+
+        The checkpointer is fresh, resumed from ``config.checkpoint_path``
+        (recovering ``storage``'s sink), or ``None`` without a checkpoint
+        path.  The crawler starts its pool workers on first use; the caller
+        owns it and must close it.
+        """
+        config = self.config
+        population = self.build_population()
+        environment = self.build_environment(population)
+        detector = self.build_detector(population)
+        checkpointer: CrawlCheckpointer | None = None
+        if config.checkpoint_path is not None:
+            fingerprint = self.campaign_fingerprint(population)
+            if config.resume:
+                checkpointer = CrawlCheckpointer.resume(
+                    config.checkpoint_path, fingerprint, storage
+                )
+            else:
+                checkpointer = CrawlCheckpointer.fresh(
+                    config.checkpoint_path, fingerprint
+                )
+        fault_plan = None
+        if config.fault_spec is not None:
+            from repro.testing import parse_fault_plan
+
+            fault_plan = parse_fault_plan(config.fault_spec)
+        crawler = Crawler(
+            environment, detector, config.crawl_config(), fault_plan=fault_plan
+        )
+        return population, crawler, checkpointer
+
+    def crawl_campaign(
+        self,
+        crawler: Crawler,
+        population: PublisherPopulation,
+        *,
+        storage: CrawlStorage | None = None,
+        checkpointer: CrawlCheckpointer | None = None,
+    ) -> LongitudinalCrawl:
+        """The discovery pass plus ``config.recrawl_days`` daily re-crawls.
+
+        With ``storage``, detections stream to its sink, which a resumed
+        campaign reopens in append mode and a fresh one starts over.
+        """
+        config = self.config
+        scheduler = LongitudinalScheduler(crawler, recrawl_days=config.recrawl_days)
+        if storage is None:
+            return scheduler.run(population)
+        with storage.open_sink(
+            append=config.resume, flush_every=config.sink_flush_every
+        ) as sink:
+            return scheduler.run(population, sink=sink, checkpoint=checkpointer)
+
     # -- main entry points ----------------------------------------------------------
     def run(
         self,
@@ -203,51 +260,23 @@ class ExperimentRunner:
             if cached is not None:
                 return cached
 
-        population = self.build_population()
-        environment = self.build_environment(population)
-        detector = self.build_detector(population)
-        checkpointer: CrawlCheckpointer | None = None
-        if config.checkpoint_path is not None:
-            fingerprint = self.campaign_fingerprint(population)
-            if config.resume:
-                checkpointer = CrawlCheckpointer.resume(
-                    config.checkpoint_path, fingerprint, storage
-                )
-            else:
-                checkpointer = CrawlCheckpointer.fresh(
-                    config.checkpoint_path, fingerprint
-                )
-        fault_plan = None
-        if config.fault_spec is not None:
-            from repro.testing import parse_fault_plan
-
-            fault_plan = parse_fault_plan(config.fault_spec)
+        population, crawler, checkpointer = self.open_campaign(storage)
         # Pool workers persist across the discovery pass and every daily
         # re-crawl (their environment/detector ships once per worker, not
-        # once per shard); the context managers release them when the
+        # once per shard); the context manager releases them when the
         # campaign is done without masking a mid-crawl error.
-        with Crawler(
-            environment, detector, config.crawl_config(), fault_plan=fault_plan
-        ) as crawler:
-            scheduler = LongitudinalScheduler(crawler, recrawl_days=config.recrawl_days)
-            if storage is not None:
-                # Resume appends to the recovered sink; fresh runs start over.
-                with storage.open_sink(
-                    append=config.resume, flush_every=config.sink_flush_every
-                ) as sink:
-                    longitudinal = scheduler.run(
-                        population, sink=sink, checkpoint=checkpointer
-                    )
-            else:
-                longitudinal = scheduler.run(population)
+        with crawler:
+            longitudinal = self.crawl_campaign(
+                crawler, population, storage=storage, checkpointer=checkpointer
+            )
         dataset = CrawlDataset.from_detections(
             longitudinal.all_detections, label=f"crawl-{self.config.total_sites}"
         )
         artifacts = ExperimentArtifacts(
             config=self.config,
             population=population,
-            environment=environment,
-            detector=detector,
+            environment=crawler.environment,
+            detector=crawler.detector,
             longitudinal=longitudinal,
             dataset=dataset,
         )

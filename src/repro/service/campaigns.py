@@ -455,6 +455,8 @@ class CampaignManager:
             else:
                 self._finish(campaign, "done")
         finally:
+            # A service tick is one-shot: release the pool the tick leaves.
+            daemon.close()
             self._slots.release()
 
     def shutdown(self, *, timeout: float = 30.0) -> None:

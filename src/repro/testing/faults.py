@@ -369,6 +369,9 @@ class FaultyBackend:
     def set_fault_plan(self, plan) -> None:
         self.inner.set_fault_plan(plan)
 
+    def publish_sites(self, sites) -> None:
+        self.inner.publish_sites(sites)
+
     def shutdown(self) -> None:
         self.inner.shutdown()
 

@@ -7,12 +7,15 @@ of that sit the alert mechanics — threshold parsing, metric flattening,
 day-over-day evaluation, exactly-once logging — and the retention policy.
 """
 
+import collections
 import dataclasses
 import json
 
 import pytest
 
-from repro.crawler.colstore import storage_for
+from repro.crawler.checkpoint import CrawlCheckpointer
+from repro.crawler.colstore import ColumnarStorage, storage_for
+from repro.crawler.engine import ProcessPoolBackend, SharedPayload
 from repro.daemon import (
     FIRST_COMPARABLE_DAY,
     AlertRule,
@@ -22,10 +25,12 @@ from repro.daemon import (
     parse_rule,
     parse_rules,
 )
-from repro.errors import ConfigurationError, UnknownMetricError
+from repro.errors import ConfigurationError, ReproError, UnknownMetricError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.testing import FaultyBackend, SimulatedCrash
+
+from test_shared_memory import block_exists
 
 
 def _config(store_format="columnar", **overrides):
@@ -323,3 +328,170 @@ class TestRetention:
         assert [a["day"] for r in reports for a in r.alerts] == [2, 3, 4]
         snaps = sorted(p.name for p in (tmp_path / "work" / "metrics").iterdir())
         assert snaps == ["day-00003.json", "day-00004.json"]
+
+
+def _spy(monkeypatch, calls, owner, name):
+    """Count calls of ``owner.name`` in ``calls`` without changing them."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _workdir_bytes(work):
+    """Every file of a daemon workdir; alerts without their wall-clock ``ts``."""
+    files = {}
+    for path in sorted(work.rglob("*")):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if path.name == "alerts.jsonl":
+            records = [json.loads(line) for line in data.splitlines()]
+            data = [{k: v for k, v in r.items() if k != "ts"} for r in records]
+        files[str(path.relative_to(work))] = data
+    return files
+
+
+def _fresh_daemon_ticks(work, config, ticks, rules):
+    for _ in range(ticks):
+        with RecrawlDaemon(work, config, rules=rules) as daemon:
+            daemon.tick()
+
+
+class TestResidentDaemon:
+    """A daemon keeps its crawler, pool and checkpointer between ticks."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
+    def test_resident_ticks_equal_fresh_daemon_ticks(self, tmp_path, store_format, backend):
+        config = _config(store_format, crawl_backend=backend, workers=2)
+        rules = parse_rules([IMPOSSIBLE_FLOOR])
+        with RecrawlDaemon(tmp_path / "resident", config, rules=rules) as daemon:
+            reports = [daemon.tick() for _ in range(4)]
+        assert [r.status for r in reports] == ["bootstrapped"] + ["advanced"] * 3
+        _fresh_daemon_ticks(tmp_path / "fresh", config, 4, rules)
+        resident = _workdir_bytes(tmp_path / "resident")
+        assert "partitions/day-00003." + ("hbc" if store_format == "columnar" else "jsonl") in resident
+        assert [a["day"] for a in resident["alerts.jsonl"]] == [2, 3]
+        assert resident == _workdir_bytes(tmp_path / "fresh")
+        # The warm ticks wrote the grown horizon into the checkpoint.
+        checkpoint = json.loads(resident["crawl.ckpt"])
+        assert checkpoint["fingerprint"]["recrawl_days"] == 3
+        sink = resident["detections." + ("hbc" if store_format == "columnar" else "jsonl")]
+        assert sink == _oneshot_bytes(tmp_path, config, 3)
+
+    def test_tick_cost_does_not_grow_with_campaign_age(self, tmp_path, monkeypatch):
+        calls = collections.Counter()
+        _spy(monkeypatch, calls, ExperimentRunner, "build_population")
+        _spy(monkeypatch, calls, ProcessPoolBackend, "_make_executor")
+        warm_only_absent = ("resume", "recover_to", "load", "read_new")
+        _spy(monkeypatch, calls, CrawlCheckpointer, "resume")
+        for name in ("recover_to", "load", "read_new"):
+            _spy(monkeypatch, calls, ColumnarStorage, name)
+        config = _config(crawl_backend="process", workers=2)
+        per_tick = []
+        reports = []
+        with RecrawlDaemon(tmp_path / "work", config) as daemon:
+            for _ in range(6):
+                before = collections.Counter(calls)
+                reports.append(daemon.tick())
+                per_tick.append(calls - before)
+        assert [r.day for r in reports] == list(range(6))
+        assert calls["build_population"] == 1
+        assert calls["_make_executor"] == 1
+        for tick in per_tick[1:]:
+            assert not any(tick[name] for name in warm_only_absent), tick
+        # Every re-crawl day visits the same HB sites, on day 5 as on day 1.
+        grown = [b.detections - a.detections for a, b in zip(reports, reports[1:])]
+        assert len(set(grown)) == 1 and grown[0] > 0
+
+    def test_a_second_writer_sends_the_first_daemon_down_the_cold_path(
+        self, tmp_path, monkeypatch
+    ):
+        config = _config(crawl_backend="process", workers=2)
+        rules = parse_rules([IMPOSSIBLE_FLOOR])
+        work = tmp_path / "shared"
+        calls = collections.Counter()
+        _spy(monkeypatch, calls, CrawlCheckpointer, "resume")
+        with RecrawlDaemon(work, config, rules=rules) as first:
+            first.tick()
+            first.tick()  # days 0 and 1
+            assert calls["resume"] == 0
+            with RecrawlDaemon(work, config, rules=rules) as second:
+                assert second.tick().day == 2
+            assert calls["resume"] == 1
+            report = first.tick()
+            assert report.day == 3 and report.status == "advanced"
+            assert calls["resume"] == 2  # the stat check refused the warm path
+        _fresh_daemon_ticks(tmp_path / "fresh", config, 4, rules)
+        assert _workdir_bytes(work) == _workdir_bytes(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
+    def test_truncated_sink_fails_the_tick_loudly(self, tmp_path, store_format):
+        config = _config(store_format, crawl_backend="process", workers=2)
+        with RecrawlDaemon(tmp_path / "work", config) as daemon:
+            daemon.tick()
+            daemon.tick()
+            size = daemon.sink_path.stat().st_size
+            with daemon.sink_path.open("r+b") as handle:
+                handle.truncate(size // 2)
+            with pytest.raises(ReproError):
+                daemon.tick()
+            assert daemon._resident is None
+
+    def test_a_degraded_warm_tick_drops_the_pool_and_resumes_cold(self, tmp_path):
+        from repro.testing import parse_fault_plan
+
+        config = _config(crawl_backend="process", workers=2, shard_retries=0)
+        with RecrawlDaemon(tmp_path / "work", config) as daemon:
+            assert daemon.tick().status == "bootstrapped"
+            daemon._resident.crawler.fault_plan = parse_fault_plan("raise@shard=0x9")
+            report = daemon.tick()
+            assert report.status == "failed" and "quarantined" in report.error
+            assert daemon._resident is None
+            # The fault plan went with the pool: a cold resume completes day 1.
+            assert [daemon.tick().day for _ in range(2)] == [1, 2]
+        assert daemon.sink_path.read_bytes() == _oneshot_bytes(tmp_path, config, 2)
+
+    def _record_blocks(self, monkeypatch):
+        created = []
+        real_init = SharedPayload.__init__
+
+        def recording(payload, obj):
+            real_init(payload, obj)
+            created.append(payload.name)
+
+        monkeypatch.setattr(SharedPayload, "__init__", recording)
+        return created
+
+    def test_close_releases_every_shared_block(self, tmp_path, monkeypatch):
+        created = self._record_blocks(monkeypatch)
+        config = _config(crawl_backend="process", workers=2)
+        with RecrawlDaemon(tmp_path / "work", config) as daemon:
+            daemon.tick()
+            daemon.tick()
+            assert created and all(block_exists(name) for name in created)
+        assert not any(block_exists(name) for name in created)
+        daemon.close()  # idempotent
+
+    def test_a_crashed_tick_releases_every_shared_block(self, tmp_path, monkeypatch):
+        import repro.crawler.engine as engine_mod
+
+        created = self._record_blocks(monkeypatch)
+        config = _config(crawl_backend="process", workers=2)
+        real = engine_mod.backend_from_name
+        # Discovery is 8 shard results; the crash lands mid-day-1.
+        monkeypatch.setattr(
+            engine_mod,
+            "backend_from_name",
+            lambda name, workers=None: FaultyBackend(real(name, workers=workers), 12),
+        )
+        daemon = RecrawlDaemon(tmp_path / "work", config)
+        assert daemon.tick().status == "bootstrapped"
+        with pytest.raises(SimulatedCrash):
+            daemon.tick()
+        assert daemon._resident is None
+        assert created and not any(block_exists(name) for name in created)

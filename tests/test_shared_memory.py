@@ -20,6 +20,7 @@ from repro.crawler.engine import (
 )
 from repro.crawler.storage import detection_to_dict
 from repro.errors import ConfigurationError
+from repro.testing import FaultyBackend
 
 
 def block_exists(name: str) -> bool:
@@ -134,3 +135,16 @@ class TestEngineLifecycle:
         second = engine.crawl(sites)
         engine.close()
         assert self.serialise(first.detections) == self.serialise(second.detections)
+
+    def test_faulty_backend_keeps_the_shared_site_path(
+        self, environment, detector, small_population
+    ):
+        # The crash wrapper models the crawl process dying above a real
+        # pool; it must not change how shards reach the workers.
+        sites = list(small_population)[:40]
+        config = CrawlConfig(seed=5, workers=2, backend="process")
+        inner = ProcessPoolBackend(max_workers=2)
+        backend = FaultyBackend(inner, fail_after=100)
+        with Crawler(environment, detector, config, backend=backend) as crawler:
+            crawler.crawl(sites)
+        assert (inner.shared_site_tasks, inner.fallback_tasks) == (8, 0)
