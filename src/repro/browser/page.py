@@ -103,8 +103,8 @@ def build_page(publisher: Publisher, *, seed: int = 2019) -> Page:
         # Non-HB pages often still carry ordinary ad or analytics tags.
         header_scripts.append("https://pagead2.googlesyndication.com/pagead/js/adsbygoogle.js")
 
-    html_fetch_ms = float(np.clip(rng.lognormal(mean=np.log(220), sigma=0.45), 60, 3_000))
-    content_load_ms = float(np.clip(rng.lognormal(mean=np.log(2_400), sigma=0.55), 400, 30_000))
+    html_fetch_ms = min(max(float(rng.lognormal(mean=np.log(220), sigma=0.45)), 60.0), 3_000.0)
+    content_load_ms = min(max(float(rng.lognormal(mean=np.log(2_400), sigma=0.55)), 400.0), 30_000.0)
 
     n_resources = int(rng.integers(3, len(_BASELINE_RESOURCES) + 1))
     resources = _BASELINE_RESOURCES[:n_resources]

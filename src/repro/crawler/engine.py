@@ -50,7 +50,10 @@ boundary and carries no cross-page state.
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -371,11 +374,39 @@ def _init_process_worker(payload_name: str, payload_size: int) -> None:
     (into the block every worker attaches to) instead of once per worker
     through the initializer arguments; only the block's name and size travel
     per worker.
+
+    A worker also resets SIGTERM to its default action, so a plain ``kill``
+    ends it (a forked worker inherits the CLI's SIGTERM-to-KeyboardInterrupt
+    handler), and exits once its parent is gone.
     """
     global _PROCESS_CONTEXT
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _exit_with_parent()
     environment, detector, config = _read_shared_payload(payload_name, payload_size)
     _PROCESS_CONTEXT = WorkerContext.build(environment, detector, config)
     _PROCESS_SITE_CACHE.clear()
+
+
+#: How often a pool worker checks that its parent is still alive, in seconds.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """End this worker process once its parent has died.
+
+    A SIGKILLed parent never shuts its pool down: the workers would block on
+    the call queue forever with ppid 1, and, because they hold the resource
+    tracker's pipe open, the tracker would never unlink the parent's shared
+    blocks.  A daemon thread watches for the reparenting instead.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _process_context() -> WorkerContext:

@@ -308,14 +308,20 @@ def _sample_internal(gen, rec) -> list:
 
     Same RNG order (count draw, then the weighted choice); returns
     ``(bidder_code, partner_name, respond_flat)`` triples instead of
-    ``DemandPartner`` objects.
+    ``DemandPartner`` objects, compiling (and caching) an entry the first
+    time it is drawn.
     """
-    low, high, recs, p_list, cdf_list = rec
+    low, high, entries, p_list, cdf_list, compile_entry = rec
     count = int(gen.integers(low, high + 1))
-    if not recs:
+    if not entries:
         return []
-    count = min(count, len(recs))
-    return [recs[i] for i in _swr(gen, p_list, cdf_list, count)]
+    chosen = []
+    for i in _swr(gen, p_list, cdf_list, min(count, len(entries))):
+        entry = entries[i]
+        if entry is None:
+            entry = entries[i] = compile_entry(i)
+        chosen.append(entry)
+    return chosen
 
 
 def _respond_draws(

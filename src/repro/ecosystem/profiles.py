@@ -11,7 +11,8 @@ pages.  The reference simulator re-derives all of it on every load; over a
 34-day longitudinal campaign that is 34 re-derivations per site of values
 that are pure functions of ``(environment, known partners, seed, site)``.
 
-This module compiles those inputs once per site into one flat, slotted
+This module compiles those inputs once per site (an internal-auction pool
+entry on the first page that draws it) into one flat, slotted
 :class:`SiteRecord`, held in a worker's :class:`SiteProfileTable`; the
 columnar simulator (:mod:`repro.ecosystem.columnar`) reads no other
 per-site input.  Latency samplers are flat tuples drawn through
@@ -133,8 +134,10 @@ class SiteRecord:
         "facet", "page_url", "library", "lifecycle", "page_event",
         "n_slots", "slot_codes", "slot_labels", "slot_floors", "slot_display",
         "queue_bias", "timeout_ms", "misconfigured", "ad_server_latency",
-        # server-side/hybrid internal auction: (low, high, (bidder_code,
-        # partner_name, respond) per candidate, weights, cdf)
+        # server-side/hybrid internal auction: (low, high, entries, weights,
+        # cdf, compile_entry); entries[i] is candidate i's (bidder_code,
+        # partner_name, respond), None until compile_entry(i) fills it on the
+        # first page that draws it
         "internal_rec",
         # client/hybrid: (bidder_code, respond, url, host, known partner,
         # params) per dispatched bid request
@@ -201,10 +204,12 @@ class SiteProfileTable:
     def precompile(self, publishers: Sequence[Publisher]) -> list[SiteRecord]:
         """The records of ``publishers``, in order, compiling the missing ones.
 
-        The batch's records are returned, not looked up again later, so a
-        batch larger than the table still compiles each site once: when the
-        table is full it drops its oldest half, which only later batches
-        can miss.
+        A record's internal-auction pool entries are not compiled here but on
+        the first page that draws them (see :meth:`_internal_pool`), so
+        ``compiles`` counts whole sites only.  The batch's records are
+        returned, not looked up again later, so a batch larger than the table
+        still compiles each site once: when the table is full it frees half
+        of itself (see :meth:`_evict`), which only later batches can miss.
         """
         records = self._records
         batch: list[SiteRecord] = []
@@ -216,11 +221,25 @@ class SiteProfileTable:
             ):
                 record = self._compile(publisher)
                 if len(records) >= self.max_sites and domain not in records:
-                    for evicted in list(records)[: self.max_sites // 2]:
-                        del records[evicted]
+                    self._evict()
                 records[domain] = record
             batch.append(record)
         return batch
+
+    def _evict(self) -> None:
+        """Drop half the table: non-HB records first, then HB ones, oldest first.
+
+        Recrawl days revisit only HB sites, and a non-HB record is the cheap
+        one to rebuild (a page build plus the shared waterfall heads), so HB
+        records go only when the non-HB ones do not free half the table.
+        """
+        records = self._records
+        victims = [domain for domain, record in records.items() if not record.uses_hb]
+        count = max(1, self.max_sites // 2)
+        if len(victims) < count:
+            victims += [domain for domain, record in records.items() if record.uses_hb]
+        for domain in victims[:count]:
+            del records[domain]
 
     # -- compilation helpers -------------------------------------------------
     def _latency_samplers(self, partner: DemandPartner, scale: float) -> tuple[tuple, tuple]:
@@ -324,20 +343,34 @@ class SiteProfileTable:
     def _internal_pool(
         self, exclude: tuple[DemandPartner, ...], publisher: Publisher, facet: HBFacet
     ) -> tuple:
-        """The candidate pool of ``sample_internal_bidders``, compiled."""
+        """The candidate pool of ``sample_internal_bidders``, compiled.
+
+        The draw's weights and cdf are built here; each candidate's
+        ``(bidder_code, partner_name, respond)`` entry is built by
+        ``compile_entry`` the first time a page draws it, and cached in the
+        ``entries`` list.  A page draws a handful of the registry's partners
+        and ``_respond`` draws no random numbers, so deferring it changes no
+        value.  Exclusion compares names, which a registry keeps unique, and
+        not identities: a pool worker's publishers are unpickled copies whose
+        partners are not the registry's objects.
+        """
         env = self.environment
         low, high = env.internal_auction_pool
-        candidates = [p for p in env.registry.partners if p not in exclude]
+        excluded = {p.name for p in exclude}
+        candidates = [p for p in env.registry.partners if p.name not in excluded]
         if not candidates:
-            return (low, high, (), None, None)
+            return (low, high, [], None, None, None)
         weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
         weights = weights / weights.sum()
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        recs = tuple(
-            (p.bidder_code, p.name, self._respond(p, publisher, facet)) for p in candidates
-        )
-        return (low, high, recs, weights.tolist(), cdf.tolist())
+
+        def compile_entry(index: int) -> tuple:
+            partner = candidates[index]
+            return (partner.bidder_code, partner.name, self._respond(partner, publisher, facet))
+
+        entries = [None] * len(candidates)
+        return (low, high, entries, weights.tolist(), cdf.tolist(), compile_entry)
 
     def _compile(self, publisher: Publisher) -> SiteRecord:
         self.compiles += 1

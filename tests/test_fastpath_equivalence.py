@@ -23,6 +23,7 @@ from repro.crawler.engine import CrawlPlan, CrawlShard, WorkerContext
 from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.detector.detector import HBDetector
 from repro.detector.partner_list import build_known_partner_list
+from repro.ecosystem import profiles
 from repro.ecosystem.columnar import simulate_shard_columnar
 from repro.ecosystem.profiles import SiteProfileTable
 from repro.ecosystem.publishers import PopulationConfig, generate_population
@@ -34,6 +35,14 @@ from repro.testing import interrupted_then_resumed
 
 def serialise(detections):
     return json.dumps([detection_to_dict(d) for d in detections])
+
+
+def worker_table_bound():
+    """``(max_sites, len)`` of the calling pool worker's profile table."""
+    from repro.crawler import engine
+
+    table = engine._PROCESS_CONTEXT.profiles
+    return table.max_sites, len(table)
 
 
 def metric_texts(path):
@@ -186,6 +195,48 @@ class TestFastPathEquivalence:
         assert table.compiles == len(shard)
         assert len(table) <= max_sites
         assert json.loads(serialise(result.detections)) == json.loads(ref_json)[:len(shard)]
+
+    @pytest.mark.parametrize("max_sites", [8, 64])
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
+    def test_two_days_over_a_small_table_match_the_reference(
+        self, workload, reference, environment, detector, monkeypatch, backend, workers,
+        max_sites,
+    ):
+        """Day 0 over every site, then a recrawl day over the HB sites, on
+        worker tables smaller than the site list: evicting records (non-HB
+        first, the oldest HB ones when those run out) and compiling pool
+        entries lazily move no detection."""
+        seed, sites = workload
+        _, ref_json, _ = reference
+        hb_sites = [p for p in sites if p.uses_hb]
+        with Crawler(environment, detector, CrawlConfig(seed=seed, fast_path=False)) as engine:
+            ref_day1 = serialise(engine.crawl(hb_sites, crawl_day=1).detections)
+
+        class SmallTable(SiteProfileTable):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **{**kwargs, "max_sites": max_sites})
+
+        # Pool workers fork after the patch, so they build small tables too.
+        monkeypatch.setattr(profiles, "SiteProfileTable", SmallTable)
+        config = CrawlConfig(seed=seed, workers=workers, backend=backend)
+        with Crawler(environment, detector, config) as engine:
+            day0 = engine.crawl(sites)
+            day1 = engine.crawl(hb_sites, crawl_day=1)
+            if backend == "process":
+                bound = engine.backend._executor.submit(worker_table_bound).result()
+            else:
+                table = engine._context.profiles
+                bound = (table.max_sites, len(table))
+                # A table with room for every HB site recompiles none of them.
+                if len(hb_sites) <= max_sites // 2:
+                    assert table.compiles == len(sites)
+                else:
+                    assert table.compiles > len(sites)
+        assert serialise(day0.detections) == ref_json
+        assert serialise(day1.detections) == ref_day1
+        assert bound[0] == max_sites and bound[1] <= max_sites
 
     def test_fast_path_flag_threads_through_experiment_config(self):
         from repro.experiments.config import ExperimentConfig

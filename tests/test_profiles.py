@@ -68,8 +68,9 @@ class TestLatencySampler:
 
 
 def compiled_responses(record, publisher, environment):
-    """``(partner, respond)`` for every partner response a record compiled:
-    the dispatched bid requests and the internal-auction candidate pool."""
+    """``(partner, respond)`` for every partner response a record compiles:
+    the dispatched bid requests and the internal-auction candidate pool,
+    whose entries are force-compiled here (pages compile only those drawn)."""
     pairs = []
     if record.facet is not HBFacet.SERVER_SIDE:
         codes = [rec[0] for rec in record.client_recs]
@@ -78,7 +79,11 @@ def compiled_responses(record, publisher, environment):
         pairs += zip(dispatched, (rec[1] for rec in record.client_recs))
     if record.facet is not HBFacet.CLIENT_SIDE:
         by_name = {p.name: p for p in environment.registry.partners}
-        for code, name, respond in record.internal_rec[2]:
+        entries, compile_entry = record.internal_rec[2], record.internal_rec[5]
+        for index, entry in enumerate(entries):
+            if entry is None:
+                entries[index] = compile_entry(index)
+        for code, name, respond in entries:
             assert by_name[name].bidder_code == code
             pairs.append((by_name[name], respond))
     return pairs
@@ -213,6 +218,90 @@ class TestSiteProfileTable:
         assert len(table) <= 8
         assert table.compiles == len(sites)
         assert all(record.publisher is publisher for record, publisher in zip(records, sites))
+
+    def test_eviction_keeps_hb_records_that_fit(self, environment, detector, small_population):
+        """An 8-site table over 20 sites, 3 of them HB: evictions drop non-HB
+        records only, so a recrawl of the HB sites compiles nothing."""
+        hb = list(small_population.hb_publishers()[:3])
+        plain = [p for p in small_population if not p.uses_hb][:17]
+        sites = sorted(hb + plain, key=lambda p: p.rank)
+        table = SiteProfileTable(environment, detector.known_partners, seed=13, max_sites=8)
+        records = table.precompile(sites)
+        assert len(table) <= 8
+        assert table.compiles == len(sites)
+        recrawled = table.precompile(hb)
+        assert table.compiles == len(sites)
+        assert all(a is records[sites.index(p)] for a, p in zip(recrawled, hb))
+
+    def test_eviction_falls_back_to_the_oldest_hb_records(
+        self, environment, detector, small_population
+    ):
+        """When non-HB records cannot free half the table, the oldest HB
+        records go next; the newest HB records stay."""
+        hb = small_population.hb_publishers()[:7]
+        plain = [p for p in small_population if not p.uses_hb][:2]
+        table = SiteProfileTable(environment, detector.known_partners, seed=13, max_sites=8)
+        table.precompile([plain[0], hb[0], plain[1], *hb[1:6]])
+        assert table.compiles == 8
+        table.precompile([hb[6]])  # full: drops both non-HB and hb[0], hb[1]
+        assert len(table) == 5
+        table.precompile(hb[2:7])
+        assert table.compiles == 9
+        table.precompile([hb[0], hb[1], *plain])
+        assert table.compiles == 13
+
+    def test_one_site_table_stays_bounded(self, environment, detector, small_population):
+        table = SiteProfileTable(environment, detector.known_partners, seed=13, max_sites=1)
+        table.precompile(list(small_population)[:3])
+        assert len(table) == 1
+        assert table.compiles == 3
+
+
+class TestLazyPoolEntries:
+    def test_pages_compile_exactly_the_entries_they_draw(
+        self, environment, detector, small_population, monkeypatch
+    ):
+        """A fresh server-side or hybrid record holds no compiled pool entry;
+        after a three-day crawl of its site, the compiled entries are exactly
+        the candidates its pages drew."""
+        from repro.crawler.crawler import CrawlConfig
+        from repro.crawler.engine import CrawlShard, WorkerContext
+        from repro.ecosystem import columnar
+
+        sites = [
+            p for p in small_population.hb_publishers()
+            if p.facet is not HBFacet.CLIENT_SIDE
+        ][:12]
+        assert {p.facet for p in sites} == {HBFacet.SERVER_SIDE, HBFacet.HYBRID}
+        table = SiteProfileTable(environment, detector.known_partners, seed=13)
+        records = table.precompile(sites)
+        pools = [record.internal_rec for record in records]
+        assert all(entries and all(e is None for e in entries) for _, _, entries, *_ in pools)
+
+        drawn: dict[int, set[int]] = {id(pool[4]): set() for pool in pools}
+        swr = columnar._swr
+
+        def recording_swr(gen, p_list, cdf_list, size):
+            chosen = swr(gen, p_list, cdf_list, size)
+            if id(cdf_list) in drawn:
+                drawn[id(cdf_list)].update(chosen)
+            return chosen
+
+        monkeypatch.setattr(columnar, "_swr", recording_swr)
+        context = WorkerContext(
+            environment=environment, detector=detector, config=CrawlConfig(seed=13),
+            profiles=table,
+        )
+        shard = CrawlShard(index=0, start=0, publishers=tuple(sites), shard_seed=0)
+        for day in range(3):
+            columnar.simulate_shard_columnar(context, day, None, shard)
+        assert table.compiles == len(sites)
+        assert any(drawn.values())
+        for pool in pools:
+            entries = pool[2]
+            compiled = {i for i, entry in enumerate(entries) if entry is not None}
+            assert compiled == drawn[id(pool[4])]
+            assert len(compiled) < len(entries)
 
 
 class TestFastUniform:

@@ -8,6 +8,12 @@ leak a single block past ``engine.close()`` no matter how many crawls ran.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from multiprocessing import shared_memory
@@ -30,6 +36,80 @@ def block_exists(name: str) -> bool:
         return False
     handle.close()
     return True
+
+
+#: A process that holds a warm 2-worker pool (with the CLI's SIGTERM
+#: handler installed, as ``hbrepro daemon`` has), prints its worker pids and
+#: block names, then waits to be killed.
+POOL_HOLDER = """
+import json, signal, time
+from repro.crawler.crawler import CrawlConfig, Crawler
+from repro.detector.detector import HBDetector
+from repro.detector.partner_list import build_known_partner_list
+from repro.ecosystem.publishers import PopulationConfig, generate_population
+from repro.ecosystem.registry import default_registry
+from repro.hb.environment import AuctionEnvironment
+
+def _sigterm(signum, frame):
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGTERM, _sigterm)
+registry = default_registry(seed=2019)
+sites = list(generate_population(PopulationConfig(seed=7).scaled(40), registry))[:40]
+crawler = Crawler(
+    AuctionEnvironment(registry=registry),
+    HBDetector(build_known_partner_list(registry)),
+    CrawlConfig(seed=5, workers=2, backend="process"),
+)
+crawler.crawl(sites)
+backend = crawler.backend
+print(json.dumps({
+    "workers": sorted(backend._executor._processes),
+    "blocks": [backend._payload.name, backend._current_sites[1].name],
+    "worker_sigterm_default": (
+        backend._executor.submit(signal.getsignal, signal.SIGTERM).result() == signal.SIG_DFL
+    ),
+}), flush=True)
+time.sleep(120)
+"""
+
+
+def start_pool_holder(tmp_path: Path) -> tuple[subprocess.Popen, dict]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # The holder's stderr (and its resource tracker's leak warning once the
+    # holder is killed) goes to a file, shown only if the holder fails.
+    errors = tmp_path / "holder.err"
+    with errors.open("w") as stderr:
+        holder = subprocess.Popen(
+            [sys.executable, "-c", POOL_HOLDER], stdout=subprocess.PIPE, stderr=stderr,
+            text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+    try:
+        line = holder.stdout.readline()
+        assert line, errors.read_text()
+        state = json.loads(line)
+    except BaseException:
+        holder.kill()
+        holder.wait()
+        raise
+    assert len(state["workers"]) == 2
+    return holder, state
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def wait_until(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
 
 
 class TestSharedPayload:
@@ -148,3 +228,39 @@ class TestEngineLifecycle:
         with Crawler(environment, detector, config, backend=backend) as crawler:
             crawler.crawl(sites)
         assert (inner.shared_site_tasks, inner.fallback_tasks) == (8, 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc and /dev/shm")
+class TestOrphanedWorkers:
+    @staticmethod
+    def kill_leftovers(state: dict) -> None:
+        for pid in filter(running, state["workers"]):
+            os.kill(pid, signal.SIGKILL)
+
+    def test_workers_and_blocks_go_when_the_parent_is_sigkilled(self, tmp_path):
+        holder, state = start_pool_holder(tmp_path)
+        holder.kill()
+        holder.wait()
+        try:
+            # Poll the files, not block_exists: attaching would register the
+            # block with this process's resource tracker.
+            wait_until(lambda: not any(map(running, state["workers"])) and not any(
+                os.path.exists(f"/dev/shm/{name}") for name in state["blocks"]
+            ))
+            assert not any(map(running, state["workers"]))
+            assert not any(map(block_exists, state["blocks"]))
+        finally:
+            self.kill_leftovers(state)
+
+    def test_a_plain_kill_ends_a_worker(self, tmp_path):
+        holder, state = start_pool_holder(tmp_path)
+        try:
+            assert state["worker_sigterm_default"]
+            worker = state["workers"][0]
+            os.kill(worker, signal.SIGTERM)
+            wait_until(lambda: not running(worker))
+            assert not running(worker)
+        finally:
+            holder.kill()
+            holder.wait()
+            self.kill_leftovers(state)
