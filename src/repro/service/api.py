@@ -35,6 +35,7 @@ status; stack traces never cross the wire.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import threading
@@ -98,12 +99,17 @@ def _error_status(exc: Exception) -> int:
     return 500
 
 
+#: Exact types ``json`` encodes as they are (subclasses such as enums excluded).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(value: Any) -> Any:
     """Recursively coerce a metric payload into JSON-encodable data.
 
-    Metric ``data`` mappings are free to use enum keys (facets), tuples and
-    numpy scalars/arrays; JSON allows none of those, so they are flattened
-    here — enum → value, numpy → ``item()``/``tolist()``, any other object →
+    Metric ``data`` mappings are free to use enum keys (facets), tuples,
+    dataclasses (an ``Ecdf``) and numpy scalars/arrays; JSON allows none of
+    those, so they are flattened here — enum → value, dataclass → an object
+    of its fields, numpy → ``item()``/``tolist()``, any other object →
     ``str``.
     """
     if isinstance(value, enum.Enum):
@@ -113,7 +119,12 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, Mapping):
         return {_json_key(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
+        if all(type(v) in _JSON_SCALARS for v in value):
+            # Long runs of plain numbers (an ECDF's values) skip the per-item call.
+            return list(value)
         return [_jsonable(v) for v in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     item = getattr(value, "item", None)
     if callable(item):
         try:
@@ -210,7 +221,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, status: int, payload: Any) -> None:
-        body = json.dumps(payload, indent=2, sort_keys=False).encode("utf-8") + b"\n"
+        # Compact separators and no indent keep ``json.dumps`` on the C encoder.
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))

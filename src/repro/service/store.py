@@ -3,17 +3,23 @@
 One :class:`DetectionStore` wraps a campaign's streaming sink file and keeps
 an incrementally-maintained :class:`~repro.analysis.dataset.CrawlDataset`
 over it: :meth:`refresh` tails the file through
-:meth:`~repro.crawler.storage.CrawlStorage.read_new` (guarded by the cheap
+:meth:`~repro.crawler.storage.CrawlStorage.read_new` (guarded by one cheap
 :meth:`~repro.crawler.storage.CrawlStorage.size` probe) and folds the new
 records into the dataset's O(Δ) indices — exactly the machinery behind
 ``hbrepro analyze --watch``, shared here by every HTTP request thread.
 
+Beside the dataset the store keeps a small column view of the same records:
+numpy arrays of ``hb_detected``, ``crawl_day``, ``rank`` and a facet code,
+one posting list of record indices per demand partner, and the domains.
+``refresh`` extends it from the new records only.  A
+:class:`DetectionQuery` (parsed from URL query parameters by the route
+layer) is answered by ANDing one boolean mask per active filter; the
+matching indices keep dataset order, and only the records of the requested
+page are looked up and serialised.
+
 All store operations run under one re-entrant lock, so detection queries,
 metric snapshots and tail refreshes from concurrent service threads never
-observe an index mid-update.  Queries are expressed as a
-:class:`DetectionQuery` (parsed from URL query parameters by the route
-layer) and answered from the in-memory indices: the HB-only views narrow
-partner/facet filters, pagination slices the filtered list.
+observe an index mid-update.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
@@ -41,6 +49,9 @@ MAX_PAGE_SIZE = 500
 #: Default rank-bin width for the ``rank_bin`` filter (matches the Figure 13
 #: default of 100-rank buckets at test scale).
 DEFAULT_RANK_BIN_SIZE = 100
+
+#: Facet code of the column view; records without a facet get -1.
+_FACET_CODES = {facet: code for code, facet in enumerate(HBFacet)}
 
 
 def _parse_int(raw: str, name: str, *, minimum: int | None = None) -> int:
@@ -136,27 +147,70 @@ class DetectionQuery:
             out["bin_size"] = self.bin_size
         return out
 
-    def predicate(self) -> Callable[[SiteDetection], bool]:
-        """The record filter this query describes (pagination excluded)."""
-        partner, facet, day = self.partner, self.facet, self.crawl_day
-        rank_bin, bin_size, site, hb = self.rank_bin, self.bin_size, self.site, self.hb
 
-        def keep(d: SiteDetection) -> bool:
-            if hb is not None and d.hb_detected != hb:
-                return False
-            if partner is not None and partner not in d.partners:
-                return False
-            if facet is not None and d.facet is not facet:
-                return False
-            if day is not None and d.crawl_day != day:
-                return False
-            if rank_bin is not None and (d.rank - 1) // bin_size != rank_bin:
-                return False
-            if site is not None and site not in d.domain:
-                return False
-            return True
+class _Columns:
+    """The query columns over a store's records, grown in place.
 
-        return keep
+    The numpy columns double their capacity when full, so an
+    :meth:`extend` costs O(Δ) amortised, like ``CrawlDataset.extend``.
+    """
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.hb = np.zeros(0, dtype=bool)
+        self.day = np.zeros(0, dtype=np.int64)
+        self.rank = np.zeros(0, dtype=np.int64)
+        self.facet = np.zeros(0, dtype=np.int8)
+        self.partners: dict[str, list[int]] = {}
+        self.domains: list[str] = []
+
+    def extend(self, records: Sequence[SiteDetection]) -> None:
+        start = self.size
+        end = start + len(records)
+        if end > len(self.hb):
+            capacity = max(end, 2 * len(self.hb))
+            for name in ("hb", "day", "rank", "facet"):
+                grown = np.empty(capacity, dtype=getattr(self, name).dtype)
+                grown[:start] = getattr(self, name)[:start]
+                setattr(self, name, grown)
+        self.hb[start:end] = [d.hb_detected for d in records]
+        self.day[start:end] = [d.crawl_day for d in records]
+        self.rank[start:end] = [d.rank for d in records]
+        self.facet[start:end] = [-1 if d.facet is None else _FACET_CODES[d.facet] for d in records]
+        for index, d in enumerate(records, start):
+            for partner in d.partners:
+                self.partners.setdefault(partner, []).append(index)
+        self.domains.extend(d.domain for d in records)
+        self.size = end
+
+    def select(self, query: DetectionQuery) -> np.ndarray:
+        """Indices of the records ``query`` keeps, in dataset order."""
+        n = self.size
+        hb = self.hb[:n]
+        masks = []
+        if query.hb is not None:
+            masks.append(hb if query.hb else ~hb)
+        if query.partner is not None or query.facet is not None:
+            # Partner and facet filters only ever match HB detections.
+            masks.append(hb)
+        if query.partner is not None:
+            posted = np.zeros(n, dtype=bool)
+            posted[self.partners.get(query.partner, [])] = True
+            masks.append(posted)
+        if query.facet is not None:
+            masks.append(self.facet[:n] == _FACET_CODES[query.facet])
+        if query.crawl_day is not None:
+            masks.append(self.day[:n] == query.crawl_day)
+        if query.rank_bin is not None:
+            # Bin b covers ranks b*bin_size+1 .. (b+1)*bin_size.
+            first = query.rank_bin * query.bin_size + 1
+            rank = self.rank[:n]
+            masks.append((rank >= first) & (rank < first + query.bin_size))
+        indices = np.flatnonzero(np.logical_and.reduce(masks)) if masks else np.arange(n)
+        if query.site is not None:
+            site, domains = query.site, self.domains
+            indices = indices[np.array([site in domains[i] for i in indices.tolist()], dtype=bool)]
+        return indices
 
 
 class DetectionStore:
@@ -175,6 +229,7 @@ class DetectionStore:
         self.storage = storage_for(path)
         self._label = label or Path(path).stem
         self._dataset = CrawlDataset(label=self._label)
+        self._columns = _Columns()
         self._offset = 0
         self._lock = threading.RLock()
 
@@ -201,8 +256,9 @@ class DetectionStore:
         byte zero, exactly like ``analyze --watch`` does.
         """
         with self._lock:
-            if self.storage.size() <= self._offset:
-                if self.storage.size() < self._offset:
+            size = self.storage.size()
+            if size <= self._offset:
+                if size < self._offset:
                     self._reset()
                 return 0
             try:
@@ -216,10 +272,12 @@ class DetectionStore:
                 except StorageError:
                     return 0
             self._dataset.extend(new)
+            self._columns.extend(new)
             return len(new)
 
     def _reset(self) -> None:
         self._dataset = CrawlDataset(label=self._label)
+        self._columns = _Columns()
         self._offset = 0
 
     def drained(self) -> bool:
@@ -231,29 +289,24 @@ class DetectionStore:
     def query(self, query: DetectionQuery) -> dict[str, Any]:
         """Answer one filtered, paginated detections read.
 
-        Partner and facet filters only ever match HB detections, so they
-        scan the dataset's cached ``hb_detections`` index instead of every
-        page visit; the other filters scan whichever base the indices give
-        them.  The page is serialised inside the lock — a concurrent refresh
-        cannot grow the list mid-pagination.
+        The column view yields the indices of every matching record in
+        dataset order (only a ``site`` filter tests records one by one, and
+        only those the other filters kept); only the
+        ``offset:offset+limit`` slice of them is looked up in the dataset
+        and serialised.  All of it runs inside the lock — a concurrent
+        refresh cannot grow the columns mid-pagination.
         """
         with self._lock:
-            if query.partner is not None or query.facet is not None:
-                base: Sequence[SiteDetection] = self._dataset.hb_detections()
-            elif query.hb is True:
-                base = self._dataset.hb_detections()
-            else:
-                base = self._dataset.detections
-            keep = query.predicate()
-            matched = [d for d in base if keep(d)]
-            page = matched[query.offset : query.offset + query.limit]
+            indices = self._columns.select(query)
+            page = indices[query.offset : query.offset + query.limit].tolist()
+            detections = self._dataset.detections
             return {
-                "total": len(matched),
+                "total": len(indices),
                 "offset": query.offset,
                 "limit": query.limit,
                 "count": len(page),
                 "filters": query.describe(),
-                "items": [detection_to_dict(d) for d in page],
+                "items": [detection_to_dict(detections[i]) for i in page],
             }
 
     # -- metrics ---------------------------------------------------------------

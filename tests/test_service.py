@@ -7,7 +7,9 @@ the service must serve byte-identical detections and render every registered
 offline metric identically to a local ``repro run``.
 """
 
+import dataclasses
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -19,12 +21,14 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import compute_metric, get_metric, metric_names
 from repro.crawler.colstore import storage_for
-from repro.crawler.storage import CrawlStorage
+from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.service import DetectionQuery, ServiceClient, ServiceClientError, running_server
 from repro.service.campaigns import CampaignManager, campaign_config_from_dict
+from repro.service.store import DetectionStore
 from repro.errors import ServiceError
+from repro.models import HBFacet
 
 CAMPAIGN_BODY = {"sites": 400, "days": 1, "seed": 7, "workers": 2, "backend": "process"}
 CAMPAIGN_CONFIG = ExperimentConfig(
@@ -34,6 +38,62 @@ CAMPAIGN_CONFIG = ExperimentConfig(
 
 def offline_metric_names():
     return [n for n in metric_names() if set(get_metric(n).requires) <= {"dataset"}]
+
+
+def predicate(query):
+    """The record filter ``query`` describes (pagination excluded)."""
+    partner, facet, day = query.partner, query.facet, query.crawl_day
+    rank_bin, bin_size, site, hb = query.rank_bin, query.bin_size, query.site, query.hb
+
+    def keep(d):
+        if hb is not None and d.hb_detected != hb:
+            return False
+        if partner is not None and partner not in d.partners:
+            return False
+        if facet is not None and d.facet is not facet:
+            return False
+        if day is not None and d.crawl_day != day:
+            return False
+        if rank_bin is not None and (d.rank - 1) // bin_size != rank_bin:
+            return False
+        if site is not None and site not in d.domain:
+            return False
+        return True
+
+    return keep
+
+
+def brute_force(query, detections):
+    """Every record ``query`` matches, in order: the oracle for the store.
+
+    Partner and facet filters only ever match HB detections.
+    """
+    if query.partner is not None or query.facet is not None:
+        detections = [d for d in detections if d.hb_detected]
+    keep = predicate(query)
+    return [d for d in detections if keep(d)]
+
+
+#: Filter sets the query tests compare against the oracle; ``PARTNER``
+#: stands for the first partner of the campaign's first HB detection.
+PARTNER = object()
+QUERY_FILTERS = [
+    {"hb": "true"},
+    {"hb": "false"},
+    {"crawl_day": 1},
+    {"rank_bin": 0},
+    {"rank_bin": 2, "bin_size": 50},
+    {"site": "0"},
+    {"partner": PARTNER, "crawl_day": 0},
+    {"facet": "server-side", "rank_bin": 1, "bin_size": 150},
+    {"hb": "false", "site": "1"},
+    {"hb": "true", "offset": 10**6},
+]
+
+
+def resolve_filters(filters, detections):
+    partner = next((d.partners[0] for d in detections if d.hb_detected), "nobody")
+    return {k: str(partner if v is PARTNER else v) for k, v in filters.items()}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +115,15 @@ def campaign(client):
     done = client.wait(submitted["id"], timeout=300)
     assert done["state"] == "done", done
     return done
+
+
+@pytest.fixture(scope="module")
+def campaigns(client, campaign):
+    """The shared campaign in each store format (identical detections)."""
+    submitted = client.submit({**CAMPAIGN_BODY, "store_format": "columnar"})
+    columnar = client.wait(submitted["id"], timeout=300)
+    assert columnar["state"] == "done", columnar
+    return {"jsonl": campaign, "columnar": columnar}
 
 
 @pytest.fixture(scope="module")
@@ -181,25 +250,16 @@ class TestDetectionQueries:
         served = list(client.iter_detections(campaign["id"], page_size=97))
         assert [d["domain"] for d in served] == [d.domain for d in ref_dataset.detections]
 
-    @pytest.mark.parametrize(
-        "filters",
-        [
-            {"hb": "true"},
-            {"hb": "false"},
-            {"crawl_day": 1},
-            {"rank_bin": 0},
-            {"rank_bin": 2, "bin_size": 50},
-            {"site": "0"},
-        ],
-    )
-    def test_filters_match_brute_force(self, client, campaign, reference, filters):
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
+    @pytest.mark.parametrize("filters", QUERY_FILTERS)
+    def test_filters_match_brute_force(self, client, campaigns, reference, filters, store_format):
         _, ref_dataset = reference
-        query = DetectionQuery.from_params({k: str(v) for k, v in filters.items()})
-        keep = query.predicate()
-        expected = [d.domain for d in ref_dataset.detections if keep(d)]
-        page = client.detections(campaign["id"], limit=500, **filters)
+        params = resolve_filters(filters, ref_dataset.detections)
+        query = DetectionQuery.from_params(params)
+        expected = [d.domain for d in brute_force(query, ref_dataset.detections)]
+        page = client.detections(campaigns[store_format]["id"], **{"limit": 500, **params})
         assert page["total"] == len(expected)
-        assert [d["domain"] for d in page["items"]] == expected[:500]
+        assert [d["domain"] for d in page["items"]] == expected[query.offset : query.offset + 500]
 
     def test_partner_and_facet_filters(self, client, campaign, reference):
         _, ref_dataset = reference
@@ -216,6 +276,73 @@ class TestDetectionQueries:
     def test_offset_beyond_total_is_empty_page(self, client, campaign):
         page = client.detections(campaign["id"], offset=10**6)
         assert page["count"] == 0 and page["items"] == []
+
+    def test_responses_are_compact_json(self, server, campaign):
+        url = f"{server.base_url}/campaigns/{campaign['id']}/detections?limit=3"
+        with urllib.request.urlopen(url) as response:
+            body = response.read().decode("utf-8")
+        assert body == json.dumps(json.loads(body), separators=(",", ":")) + "\n"
+
+    def test_fig12_serves_the_ecdf_as_data(self, client, campaign, reference):
+        _, ref_dataset = reference
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        raw = client.download(campaign["id"], "fig12")
+        served = json.loads(raw, parse_constant=reject)
+        expected = compute_metric("fig12", AnalysisContext.offline(ref_dataset)).data["ecdf"]
+        assert served["data"]["ecdf"]["values"] == list(expected.values)
+        assert served["data"]["ecdf"]["probabilities"] == list(expected.probabilities)
+
+
+class TestStoreColumns:
+    """The store's column view against the oracle while its sink grows."""
+
+    @staticmethod
+    def assert_matches_oracle(store, detections):
+        for filters in QUERY_FILTERS + [{}, {"offset": 7, "limit": 5}]:
+            query = DetectionQuery.from_params(resolve_filters(filters, detections))
+            expected = brute_force(query, detections)
+            page = store.query(query)
+            assert page["total"] == len(expected), filters
+            assert page["items"] == [
+                detection_to_dict(d) for d in expected[query.offset : query.offset + query.limit]
+            ], filters
+
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
+    def test_refresh_extends_and_reset_rebuilds(self, reference, tmp_path, store_format):
+        _, ref_dataset = reference
+        records = list(ref_dataset.detections)
+        # A non-HB record naming the filtered partner and facet: partner and
+        # facet filters must still skip it.
+        first_hb = next(d for d in records if d.hb_detected)
+        non_hb = next(i for i, d in enumerate(records) if not d.hb_detected and i > 100)
+        records[non_hb] = dataclasses.replace(
+            records[non_hb], partners=first_hb.partners, facet=HBFacet.SERVER_SIDE
+        )
+        cuts = [0, 37, 38, 200, 411, len(records)]
+        path = tmp_path / ("crawl.hbc" if store_format == "columnar" else "crawl.jsonl")
+        storage = storage_for(path, format=store_format)
+        store = DetectionStore(path)
+        with storage.open_sink(flush_every=10**6) as sink:
+            for start, end in zip(cuts, cuts[1:]):
+                sink.write_many(records[start:end])
+                sink.flush()
+                assert store.refresh() == end - start
+                self.assert_matches_oracle(store, records[:end])
+        store.refresh()
+        assert store.drained() and store.count == len(records)
+
+        # A truncating rewrite: the next refresh drops every column, the one
+        # after it reads the new content from byte zero.
+        storage_for(path, format=store_format).save(records[:50])
+        assert store.refresh() == 0
+        assert store.count == 0
+        self.assert_matches_oracle(store, [])
+        store.refresh()
+        assert store.count == 50
+        self.assert_matches_oracle(store, records[:50])
 
 
 class TestEvents:
@@ -348,28 +475,44 @@ class TestCampaignManager:
             stop = threading.Event()
 
             def reader():
-                query = DetectionQuery(limit=50)
+                queries = [DetectionQuery(limit=50), DetectionQuery(hb=True, limit=50)]
+                totals = [0, 0]
                 try:
                     while not stop.is_set():
                         campaign.store.refresh()
-                        page = campaign.store.query(query)
-                        assert page["count"] <= 50
+                        for which, query in enumerate(queries):
+                            page = campaign.store.query(query)
+                            assert page["count"] <= 50
+                            # The sink only grows, so a total never shrinks.
+                            assert page["total"] >= totals[which]
+                            totals[which] = page["total"]
+                            if query.hb:
+                                assert all(item["hb_detected"] for item in page["items"])
                         campaign.to_dict()
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
-            threads = [threading.Thread(target=reader) for _ in range(4)]
-            for t in threads:
-                t.start()
-            manager.wait(campaign.id, timeout=300)
-            stop.set()
-            for t in threads:
-                t.join(timeout=10)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=reader) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                manager.wait(campaign.id, timeout=300)
+                stop.set()
+                for t in threads:
+                    t.join(timeout=10)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
             assert not errors
             assert campaign.state == "done"
             campaign.store.refresh()
             assert campaign.store.drained()
-            assert campaign.store.count == len(CrawlStorage(campaign.sink_path).load())
+            records = CrawlStorage(campaign.sink_path).load()
+            assert campaign.store.count == len(records)
+            query = DetectionQuery(hb=True, limit=50)
+            assert campaign.store.query(query)["total"] == len(brute_force(query, records))
         finally:
             manager.shutdown(timeout=60)
 
