@@ -408,62 +408,35 @@ def _watch(
 ) -> int:
     """Tail ``storage`` and re-render ``names`` whenever detections arrive.
 
-    One crawl dataset lives across the whole watch: every tail read feeds
-    only the newly appended records into :meth:`CrawlDataset.extend`, so
-    index maintenance per refresh is O(delta) (re-rendering the requested
-    artefacts still scans their data).  If the file shrinks — the crawl was
-    restarted with a fresh sink — the watch restarts from an empty dataset
-    instead of stalling on a stale offset.  Runs until interrupted (or for
-    ``rounds`` tail reads when given, which is how tests and smoke runs
-    bound it).
-
-    Each poll starts with the cheap ``storage.size()`` staleness probe
-    (exactly like ``DetectionStore.refresh()``): an idle watch — the recrawl
-    daemon's common state between crawl days — costs one ``stat`` per poll
-    and never opens the file.
+    The tailing is :class:`~repro.service.store.DetectionStore`'s, the same
+    loop the service runs: each poll starts with the cheap ``size()``
+    staleness probe, so an idle watch — the recrawl daemon's common state
+    between crawl days — costs one ``stat`` per poll and never opens the
+    file, and new records are folded into one dataset in O(delta).  If the
+    file shrinks or changes under the watch (the crawl was restarted with a
+    fresh sink), the store restarts from an empty dataset and the watch says
+    so; a malformed file at offset 0 raises.  Runs until interrupted (or for
+    ``rounds`` polls when given, which is how tests and smoke runs bound it).
     """
-    dataset = CrawlDataset(label=storage.path.stem)
-    offset = 0
-    reads = 0
+    from repro.service.store import DetectionStore
+
+    store = DetectionStore(storage)
+    polls = 0
     try:
-        while rounds is None or reads < rounds:
-            if reads > 0:
+        while rounds is None or polls < rounds:
+            if polls:
                 time.sleep(interval)
-            size = storage.size()
-            if size == offset:
-                # Nothing was flushed since the last read: skip the parse
-                # entirely.  (At offset 0 this also skips a still-empty file.)
-                reads += 1
-                continue
-            if size < offset:
-                # The file shrank under the watch: the crawl was restarted
-                # with a fresh sink.  Start over from an empty dataset.
+            polls += 1
+            restarts = store.restarts
+            new = store.refresh()
+            if store.restarts != restarts:
                 print(f"=== {storage.path.name}: file changed, restarting watch ===\n")
-                dataset = CrawlDataset(label=storage.path.stem)
-                offset = 0
-                reads += 1
-                continue
-            try:
-                new, offset = storage.read_new(offset)
-            except ReproError:
-                # The file shrank or changed under the watch (the crawl was
-                # restarted with a fresh sink, possibly already regrown past
-                # our offset).  A failure at offset 0 cannot be that race —
-                # the file itself is malformed — so let it surface.
-                if offset == 0:
-                    raise
-                print(f"=== {storage.path.name}: file changed, restarting watch ===\n")
-                dataset = CrawlDataset(label=storage.path.stem)
-                offset = 0
-                reads += 1
-                continue
-            reads += 1
-            if not new:
-                continue
-            dataset.extend(new)
-            print(f"=== {storage.path.name}: {len(dataset)} detections "
-                  f"(+{len(new)}) ===\n")
-            _print_artifacts(names, AnalysisContext.offline(dataset))
+            if new:
+                print(f"=== {storage.path.name}: {store.count} detections (+{new}) ===\n")
+                texts = store.snapshot(names)
+                for name in names:
+                    print(texts[name])
+                    print()
     except KeyboardInterrupt:
         pass
     return 0

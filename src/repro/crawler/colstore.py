@@ -4,9 +4,10 @@ JSONL (:mod:`repro.crawler.storage`) stays the reference format: it is
 human-greppable and byte-stable.  At the million-site north star, though,
 ``json.dumps`` on every detection and an O(file) text re-parse on every
 ``analyze`` dominate wall-clock.  This module adds a second backend behind
-the exact same seams — ``ColumnarDetectionSink`` mirrors ``DetectionSink``,
-``ColumnarStorage`` mirrors ``CrawlStorage``, and ``ColumnarDataset`` *is* a
-``CrawlDataset`` — that stores detections as typed numpy columns:
+the exact same seams — ``ColumnarDetectionSink`` and ``DetectionSink`` both
+extend the one sink contract (``storage._BufferedSink``), ``ColumnarStorage``
+mirrors ``CrawlStorage``, and ``ColumnarDataset`` *is* a ``CrawlDataset`` —
+that stores detections as typed numpy columns:
 
 * fixed-width numeric columns (``<i8`` ranks, ``<f8`` latencies, presence
   bytes for nullable fields — no NaN sentinels, so floats round-trip to the
@@ -33,18 +34,36 @@ Layout (all integers little-endian, every region padded to 8 bytes)::
     footer  := "HBFO" n_chunks(u4) entry(offset u64 + counts)*
                footer_start(u64) "HBCOLEND"
 
-A torn write can only truncate the tail, so readers see a valid prefix of
-complete chunks; ``recover_to`` truncates to a chunk boundary exactly like
-the JSONL tail recovery, and re-closing after an append rewrites a footer
-identical to the one a clean run would have produced.
+Every reader reaches chunks through two functions.  :func:`_list_chunks`
+lists a file's complete chunks: from the footer index when the trailer is
+valid and consistent, otherwise by one walk of chunk headers between a
+start and a stop offset, reporting the tail as ``clean``, ``footer`` or
+``partial``.  :func:`_decode` turns chunk payloads into dictionary state
+and ``SiteDetection`` records, raising :class:`StorageError` with the chunk
+offset on any damage.  A torn write can only truncate the tail, and each
+reader applies one policy to the lister's tail result:
+
+* ``ColumnarStorage.read_new`` and ``ColumnarTable`` read the
+  complete-chunk prefix (a live or crashed file reads as the chunks
+  written so far);
+* ``ColumnarStorage.iter_load``/``load`` and an append-open
+  ``ColumnarDetectionSink`` refuse a torn tail;
+* ``ColumnarStorage.recover_to`` requires an exact chunk boundary and
+  truncates to it, like the JSONL tail recovery.
+
+Re-closing after an append rewrites a footer identical to the one a clean
+run would have produced.
 """
 
 from __future__ import annotations
 
+import bisect
 import mmap
+import os
 import struct
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +71,7 @@ from repro.analysis.dataset import CrawlDataset
 from repro.detector.records import ObservedAuction, ObservedBid, SiteDetection
 from repro.errors import EmptyDatasetError, StorageError
 from repro.models import HBFacet
-from repro.crawler.storage import STORE_FORMATS, CrawlStorage, DetectionSink
+from repro.crawler.storage import SAVE_CHUNK_RECORDS, STORE_FORMATS, CrawlStorage, _BufferedSink
 
 __all__ = [
     "COLUMNAR_MAGIC",
@@ -136,6 +155,25 @@ _END_TARGET = {
     "a_bids_end": "nb",
 }
 
+# Id columns: (column, index into DICT_NAMES or None for the facet table,
+# whether -1 marks an absent value).
+_ID_COLUMNS = (
+    ("d_domain", 0, False),
+    ("d_facet", None, True),
+    ("d_library", 1, True),
+    ("p_partner", 2, False),
+    ("l_partner", 2, False),
+    ("c_channel", 6, False),
+    ("a_slot", 4, False),
+    ("a_size", 5, True),
+    ("a_facet", None, False),
+    ("b_partner", 2, False),
+    ("b_bidder", 3, False),
+    ("b_slot", 4, False),
+    ("b_size", 5, True),
+    ("b_source", 7, False),
+)
+
 _FACETS = tuple(HBFacet)
 _FACET_INDEX = {facet: code for code, facet in enumerate(_FACETS)}
 
@@ -143,41 +181,36 @@ _FACET_INDEX = {facet: code for code, facet in enumerate(_FACETS)}
 COLUMNAR_SUFFIXES = frozenset({".hbc", ".columnar"})
 
 
-def _pad8(n: int) -> int:
-    return (n + 7) & ~7
+# Region names and sizes in payload order, precomputed for _layout.
+_DICT_REGIONS = tuple((dname + ".offsets", dname + ".blob") for dname in DICT_NAMES)
+_COLUMN_REGIONS = tuple((name, _COUNT_INDEX[key], _ITEMSIZE[name]) for name, _dtype, key in COLUMNS)
 
 
 def _layout(counts: tuple[int, ...]) -> tuple[dict[str, tuple[int, int]], int]:
     """Byte layout of a chunk payload for the given counts.
 
     Returns ``({region: (offset, count)}, payload_size)`` — dict blob regions
-    report a byte length instead of an element count.
+    report a byte length instead of an element count.  Every region is
+    padded to 8 bytes.
     """
     entries: dict[str, tuple[int, int]] = {}
     pos = 0
-    for i, dname in enumerate(DICT_NAMES):
+    for i, (offsets_region, blob_region) in enumerate(_DICT_REGIONS):
         n_new = counts[6 + 2 * i]
         blob_len = counts[7 + 2 * i]
-        entries[dname + ".offsets"] = (pos, n_new)
-        pos += _pad8(4 * n_new)
-        entries[dname + ".blob"] = (pos, blob_len)
-        pos += _pad8(blob_len)
-    for name, _dtype, key in COLUMNS:
-        count = counts[_COUNT_INDEX[key]]
+        entries[offsets_region] = (pos, n_new)
+        pos += (4 * n_new + 7) & ~7
+        entries[blob_region] = (pos, blob_len)
+        pos += (blob_len + 7) & ~7
+    for name, index, itemsize in _COLUMN_REGIONS:
+        count = counts[index]
         entries[name] = (pos, count)
-        pos += _pad8(count * _ITEMSIZE[name])
+        pos += (count * itemsize + 7) & ~7
     return entries, pos
 
 
 def _payload_size(counts: tuple[int, ...]) -> int:
     return _layout(counts)[1]
-
-
-def _unpack_header(header: bytes) -> tuple[int, ...]:
-    magic, *counts = _CHUNK_HEADER.unpack(header[: _CHUNK_HEADER.size])
-    if magic != _CHUNK_MAGIC:
-        raise StorageError("bad chunk magic")
-    return tuple(counts)
 
 
 def _encode_chunk(
@@ -291,33 +324,70 @@ def _encode_chunk(
     return header + bytes(payload), counts, added
 
 
-def _chunk_columns(payload, counts: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """Numpy views over every column of one chunk payload (bytes or mmap slice)."""
-    layout, _ = _layout(counts)
-    cols: dict[str, np.ndarray] = {}
-    for name, dtype, key in COLUMNS:
-        off, count = layout[name]
-        cols[name] = np.frombuffer(payload, dtype=dtype, count=count, offset=off)
-    return cols
+def _new_names() -> list[list[str]]:
+    return [[] for _ in range(_N_DICTS)]
 
 
-def _apply_dict_deltas(payload, counts: tuple[int, ...], names: list[list[str]]) -> None:
-    """Append this chunk's new dictionary strings to the global name tables."""
-    layout, _ = _layout(counts)
-    for i, dname in enumerate(DICT_NAMES):
-        n_new = counts[6 + 2 * i]
-        if not n_new:
+def _decode(source, chunks, names: list[list[str]], *, records: bool = True) -> list[SiteDetection]:
+    """The one chunk decoder: dictionary deltas into ``names``, columns into records.
+
+    ``source`` is a binary file handle or an mmap (both ``seek``/``read``);
+    ``chunks`` are ``(offset, counts)`` pairs from :func:`_list_chunks`, in
+    file order from the first chunk ``names`` does not cover yet.  Each
+    chunk's new strings are appended to ``names`` before its records are
+    rebuilt, so ids always resolve against the dictionaries as written.  With
+    ``records=False`` only each chunk's header and dictionary region are read
+    and nothing is returned.
+
+    Damage raises :class:`StorageError` naming the chunk offset: a header
+    that disagrees with the listing, a short read, dictionary deltas whose
+    ends run backwards or are not UTF-8, an id outside its dictionary, or
+    end counters that are not monotone or do not reach the chunk's counts.
+    """
+    out: list[SiteDetection] = []
+    for offset, counts in chunks:
+        layout, payload_size = _layout(counts)
+        length = _CHUNK_HEADER_SIZE + (payload_size if records else layout[COLUMNS[0][0]][0])
+        source.seek(offset)
+        buf = source.read(length)
+        if len(buf) < length:
+            raise StorageError(f"columnar chunk at offset {offset} is truncated")
+        if buf[: _CHUNK_HEADER.size] != _CHUNK_HEADER.pack(_CHUNK_MAGIC, *counts):
+            raise StorageError(f"columnar chunk at offset {offset} has a header that disagrees with its index")
+        payload = memoryview(buf)[_CHUNK_HEADER_SIZE:]
+        for i, dname in enumerate(DICT_NAMES):
+            off, n_new = layout[dname + ".offsets"]
+            if not n_new:
+                continue
+            blob_off, blob_len = layout[dname + ".blob"]
+            blob = bytes(payload[blob_off : blob_off + blob_len])
+            ends = np.frombuffer(payload, dtype="<u4", count=n_new, offset=off)
+            if ends[-1] != blob_len or (ends[1:] < ends[:-1]).any():
+                raise StorageError(f"columnar chunk at offset {offset}: {dname} dictionary ends are inconsistent")
+            ends = ends.tolist()
+            try:
+                names[i].extend([blob[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)])
+            except UnicodeDecodeError:
+                raise StorageError(f"columnar chunk at offset {offset}: {dname} dictionary is not UTF-8") from None
+        if not records:
             continue
-        off, count = layout[dname + ".offsets"]
-        ends = np.frombuffer(payload, dtype="<u4", count=count, offset=off)
-        off, blob_len = layout[dname + ".blob"]
-        blob = bytes(memoryview(payload)[off : off + blob_len])
-        bucket = names[i]
-        start = 0
-        for end in ends.tolist():
-            bucket.append(blob[start:end].decode("utf-8"))
-            start = end
-    return None
+        cols = {
+            name: np.frombuffer(payload, dtype=dtype, count=layout[name][1], offset=layout[name][0])
+            for name, dtype, _key in COLUMNS
+        }
+        for name, space, nullable in _ID_COLUMNS:
+            col = cols[name]
+            bound = len(_FACETS) if space is None else len(names[space])
+            lowest = -1 if nullable else 0
+            if col.size and (col.max() >= bound or (col.dtype.kind == "i" and col.min() < lowest)):
+                raise StorageError(f"columnar chunk at offset {offset}: {name} id out of range")
+        for name, key in _END_TARGET.items():
+            ends = cols[name]
+            last = int(ends[-1]) if ends.size else 0
+            if last != counts[_COUNT_INDEX[key]] or bool((ends[1:] < ends[:-1]).any()):
+                raise StorageError(f"columnar chunk at offset {offset}: {name} counters are inconsistent")
+        out.extend(_materialize_chunk(cols, counts, names))
+    return out
 
 
 def _materialize_chunk(
@@ -404,134 +474,100 @@ def _check_magic(path: Path, head: bytes) -> None:
     raise StorageError(f"{path} is not a columnar detection store (magic {head!r})")
 
 
-class _FileIndex:
-    """Result of walking a columnar file's chunk headers."""
+class _Listing(NamedTuple):
+    """A columnar file's complete chunks and what follows them."""
 
-    __slots__ = ("chunks", "data_end", "size", "tail", "footer_start")
-
-    def __init__(self, chunks, data_end, size, tail, footer_start):
-        self.chunks: list[tuple[int, tuple[int, ...]]] = chunks
-        self.data_end = data_end  # end of the last complete chunk (footer excluded)
-        self.size = size
-        self.tail = tail  # "clean" | "footer" | "partial"
-        self.footer_start = footer_start
+    chunks: list[tuple[int, tuple[int, ...]]]
+    #: End of the last complete chunk (the footer's start on a closed file).
+    data_end: int
+    #: "clean" (nothing follows), "footer" (a complete footer follows) or
+    #: "partial" (a torn chunk or footer, or a chunk crossing ``stop``).
+    tail: str
 
 
-def _complete_footer_at(handle, size: int, pos: int) -> bool:
-    """True if a complete, self-consistent footer occupies [pos, size)."""
-    if size - pos < _FOOTER_HEAD.size + _TRAILER.size:
-        return False
-    handle.seek(size - _TRAILER.size)
-    footer_start, magic = _TRAILER.unpack(handle.read(_TRAILER.size))
-    if magic != _TRAILER_MAGIC or footer_start != pos:
-        return False
-    handle.seek(pos)
-    fmagic, n_chunks = _FOOTER_HEAD.unpack(handle.read(_FOOTER_HEAD.size))
-    if fmagic != _FOOTER_MAGIC:
-        return False
-    return pos + _FOOTER_HEAD.size + n_chunks * _FOOTER_ENTRY.size + _TRAILER.size == size
+def _list_chunks(handle, path: Path, size: int, start: int = _MAGIC_LEN, stop: int | None = None) -> _Listing:
+    """The one chunk lister: every complete chunk of ``handle`` in ``[start, stop)``.
+
+    ``size`` is the file size the caller observed (a live file may grow
+    past it; nothing beyond it is read).  Listing a whole file (the default
+    bounds) reads the footer index when the trailer is valid and its entries
+    chain from the magic to the footer, so a closed file lists in three
+    reads.  Otherwise — a live, torn or partially read file, or an
+    inconsistent footer — one walk of chunk headers runs from ``start`` (a
+    chunk boundary) to ``stop`` (default: ``size``).  Bytes that cannot
+    begin a chunk or a footer raise :class:`StorageError`; each reader
+    applies its own torn-tail policy to the returned ``tail``.
+    """
+    limit = size if stop is None else min(stop, size)
+    if start == _MAGIC_LEN:
+        handle.seek(0)
+        head = handle.read(min(_MAGIC_LEN, limit))
+        if len(head) < _MAGIC_LEN and COLUMNAR_MAGIC.startswith(head):
+            return _Listing([], 0, "partial" if head else "clean")
+        _check_magic(path, head)
+    footer_start = None
+    if stop is None and size - start >= _FOOTER_HEAD.size + _TRAILER.size:
+        handle.seek(size - _TRAILER.size)
+        trailer_start, magic = _TRAILER.unpack(handle.read(_TRAILER.size))
+        if magic == _TRAILER_MAGIC and start <= trailer_start <= size - _FOOTER_HEAD.size - _TRAILER.size:
+            handle.seek(trailer_start)
+            fmagic, n_chunks = _FOOTER_HEAD.unpack(handle.read(_FOOTER_HEAD.size))
+            if fmagic == _FOOTER_MAGIC and size == (
+                trailer_start + _FOOTER_HEAD.size + n_chunks * _FOOTER_ENTRY.size + _TRAILER.size
+            ):
+                footer_start = trailer_start
+                if start == _MAGIC_LEN:
+                    chunks, pos = [], _MAGIC_LEN
+                    for offset, *counts in _FOOTER_ENTRY.iter_unpack(handle.read(n_chunks * _FOOTER_ENTRY.size)):
+                        if offset != pos:
+                            break
+                        chunks.append((offset, tuple(counts)))
+                        pos += _CHUNK_HEADER_SIZE + _payload_size(chunks[-1][1])
+                    if pos == footer_start and len(chunks) == n_chunks:
+                        return _Listing(chunks, pos, "footer")
+    chunks, pos, tail = [], start, "clean"
+    while pos < limit:
+        handle.seek(pos)
+        header = handle.read(min(_CHUNK_HEADER_SIZE, limit - pos))
+        magic = header[:4]
+        if magic == _FOOTER_MAGIC:
+            tail = "footer" if pos == footer_start else "partial"
+            break
+        if not (_CHUNK_MAGIC.startswith(magic) or _FOOTER_MAGIC.startswith(magic)):
+            raise StorageError(f"corrupt columnar store {path}: unrecognised bytes at offset {pos}")
+        if len(header) < _CHUNK_HEADER_SIZE:
+            tail = "partial"
+            break
+        counts = _CHUNK_HEADER.unpack_from(header)[1:]
+        end = pos + _CHUNK_HEADER_SIZE + _payload_size(counts)
+        if end > limit:
+            tail = "partial"
+            break
+        chunks.append((pos, counts))
+        pos = end
+    return _Listing(chunks, pos, tail)
 
 
-def _index_file(path: Path) -> _FileIndex:
-    """Walk chunk headers; tolerate a torn tail, reject mid-file garbage."""
+def _open_for_read(path: Path):
     try:
-        handle = path.open("rb")
+        return path.open("rb")
     except OSError as exc:
         raise StorageError(f"could not read {path}: {exc}") from exc
-    with handle:
-        handle.seek(0, 2)
-        size = handle.tell()
-        if size == 0:
-            return _FileIndex([], 0, 0, "clean", None)
-        handle.seek(0)
-        head = handle.read(_MAGIC_LEN)
-        if len(head) < _MAGIC_LEN:
-            return _FileIndex([], 0, size, "partial", None)
-        _check_magic(path, head)
-        chunks: list[tuple[int, tuple[int, ...]]] = []
-        pos = _MAGIC_LEN
-        tail = "clean"
-        footer_start = None
-        while pos < size:
-            remaining = size - pos
-            handle.seek(pos)
-            peek = handle.read(min(4, remaining))
-            if peek == _FOOTER_MAGIC:
-                if _complete_footer_at(handle, size, pos):
-                    tail, footer_start = "footer", pos
-                else:
-                    tail = "partial"
-                break
-            if len(peek) < 4 or not _CHUNK_MAGIC.startswith(peek[: len(peek)]):
-                if peek[: len(peek)] and not _CHUNK_MAGIC.startswith(peek) and not _FOOTER_MAGIC.startswith(peek):
-                    raise StorageError(f"corrupt columnar store {path}: unrecognised bytes at offset {pos}")
-                tail = "partial"
-                break
-            if remaining < _CHUNK_HEADER_SIZE:
-                tail = "partial"
-                break
-            handle.seek(pos)
-            counts = _unpack_header(handle.read(_CHUNK_HEADER_SIZE))
-            total = _CHUNK_HEADER_SIZE + _payload_size(counts)
-            if remaining < total:
-                tail = "partial"
-                break
-            chunks.append((pos, counts))
-            pos += total
-        data_end = chunks[-1][0] + _CHUNK_HEADER_SIZE + _payload_size(chunks[-1][1]) if chunks else _MAGIC_LEN
-        return _FileIndex(chunks, data_end, size, tail, footer_start)
 
 
-def _load_names(handle, chunks: Iterable[tuple[int, tuple[int, ...]]]) -> list[list[str]]:
-    """Rebuild the global string tables by reading only the dict-delta regions."""
-    names: list[list[str]] = [[] for _ in range(_N_DICTS)]
-    for offset, counts in chunks:
-        layout, _ = _layout(counts)
-        base = offset + _CHUNK_HEADER_SIZE
-        for i, dname in enumerate(DICT_NAMES):
-            n_new = counts[6 + 2 * i]
-            if not n_new:
-                continue
-            off, count = layout[dname + ".offsets"]
-            handle.seek(base + off)
-            ends = np.frombuffer(handle.read(4 * count), dtype="<u4")
-            off, blob_len = layout[dname + ".blob"]
-            handle.seek(base + off)
-            blob = handle.read(blob_len)
-            bucket = names[i]
-            start = 0
-            for end in ends.tolist():
-                bucket.append(blob[start:end].decode("utf-8"))
-                start = end
-    return names
-
-
-class ColumnarDetectionSink:
-    """Buffered columnar sink with the exact ``DetectionSink`` contract.
+class ColumnarDetectionSink(_BufferedSink):
+    """The columnar detection sink, on the shared ``_BufferedSink`` contract.
 
     Detections are buffered as objects and encoded one chunk per flush;
     ``offset`` reports flushed data bytes (footer excluded), so checkpoint
     offsets recorded against this sink are chunk boundaries by construction.
-    ``close()`` appends the footer index; reopening in append mode strips it
-    and a later close rewrites an identical one.
+    ``close()`` appends the footer index; reopening in append mode reads the
+    file's dictionaries through the one lister and decoder, refuses a torn
+    tail, strips the footer, and a later close rewrites an identical one.
     """
 
-    DEFAULT_FLUSH_EVERY = DetectionSink.DEFAULT_FLUSH_EVERY
-
-    def __init__(self, path: str | Path, *, append: bool = False, flush_every: int = DEFAULT_FLUSH_EVERY) -> None:
-        if flush_every < 1:
-            raise StorageError(f"flush_every must be a positive integer, got {flush_every}")
-        self.path = Path(path)
-        self.append = append
-        self.flush_every = flush_every
-        self.count = 0
-        self.flushes = 0
-        self._buffer: list[SiteDetection] = []
-        self._handle = None
-        self._closed = False
-        self._offset: int | None = None
-        self._dicts: list[dict[str, int]] | None = None
-        self._chunks: list[tuple[int, tuple[int, ...]]] | None = None
+    _dicts: list[dict[str, int]] | None = None
+    _chunks: list[tuple[int, tuple[int, ...]]] | None = None
 
     @property
     def offset(self) -> int:
@@ -542,86 +578,49 @@ class ColumnarDetectionSink:
     def _prepare(self) -> None:
         if self._dicts is not None:
             return
-        if self.append and self.path.exists() and self.path.stat().st_size > 0:
-            index = _index_file(self.path)
-            if index.tail == "partial":
-                raise StorageError(
-                    f"cannot append to {self.path}: the file ends in a torn write; "
-                    f"recover it to a checkpointed offset first"
-                )
-            with self.path.open("rb") as handle:
-                names = _load_names(handle, index.chunks)
-            self._dicts = [{name: idx for idx, name in enumerate(bucket)} for bucket in names]
-            self._chunks = list(index.chunks)
-            self._offset = index.data_end
-        else:
-            self._dicts = [{} for _ in range(_N_DICTS)]
-            self._chunks = []
-            self._offset = 0
+        names, chunks, data_end = _new_names(), [], 0
+        if self.append and self.path.exists():
+            with _open_for_read(self.path) as handle:
+                listing = _list_chunks(handle, self.path, os.fstat(handle.fileno()).st_size)
+                if listing.tail == "partial":
+                    raise StorageError(
+                        f"cannot append to {self.path}: the file ends in a torn write; "
+                        f"recover it to a checkpointed offset first"
+                    )
+                _decode(handle, listing.chunks, names, records=False)
+            chunks, data_end = listing.chunks, listing.data_end
+        self._dicts = [{name: idx for idx, name in enumerate(bucket)} for bucket in names]
+        self._chunks = chunks
+        self._offset = data_end
 
-    def _ensure_open(self):
-        if self._closed:
-            raise StorageError(f"detection sink for {self.path} is closed")
-        if self._handle is None:
-            self._prepare()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                if self.append and self.path.exists():
-                    handle = self.path.open("r+b")
-                    handle.truncate(self._offset)  # strip any footer / torn-free tail
-                    handle.seek(self._offset)  # type: ignore[arg-type]
-                else:
-                    handle = self.path.open("wb")
-            except OSError as exc:
-                raise StorageError(f"could not open detection sink {self.path}: {exc}") from exc
-            self._handle = handle
-        return self._handle
+    def _open(self):
+        self._prepare()
+        if self.append and self.path.exists():
+            handle = self.path.open("r+b")
+            handle.truncate(self._offset)  # strip any footer
+            handle.seek(self._offset)  # type: ignore[arg-type]
+            return handle
+        return self.path.open("wb")
 
-    def write(self, detection: SiteDetection) -> None:
-        if self._closed:
-            raise StorageError(f"detection sink for {self.path} is closed")
-        self._buffer.append(detection)
-        self.count += 1
-        if len(self._buffer) >= self.flush_every:
-            try:
-                self.flush()
-            except StorageError:
-                # Leave the sink as it was before this call, so a retried
-                # write lands the record exactly once.
-                self._buffer.pop()
-                self.count -= 1
-                raise
-
-    def write_many(self, detections: Iterable[SiteDetection]) -> int:
-        before = self.count
-        for detection in detections:
-            self.write(detection)
-        return self.count - before
-
-    def flush(self) -> None:
-        if not self._buffer:
-            return
-        handle = self._ensure_open()
-        chunk, counts, added = _encode_chunk(self._buffer, self._dicts)  # type: ignore[arg-type]
+    def _write_records(self, handle, records: list[SiteDetection]) -> None:
+        chunk, counts, added = _encode_chunk(records, self._dicts)  # type: ignore[arg-type]
         base = self._offset  # type: ignore[assignment]
         prefix = COLUMNAR_MAGIC if base == 0 else b""
         try:
             handle.write(prefix + chunk)
             handle.flush()
         except OSError as exc:
-            # Keep the buffer and un-intern this chunk's new strings so a
-            # retried flush re-encodes an identical chunk.
+            # Un-intern this chunk's new strings so a retried flush
+            # re-encodes an identical chunk.
             for table, news in zip(self._dicts, added):  # type: ignore[arg-type]
                 for name in news:
                     del table[name]
             raise StorageError(f"could not write detections to {self.path}: {exc}") from exc
         self._chunks.append((base + len(prefix), counts))  # type: ignore[union-attr]
         self._offset = base + len(prefix) + len(chunk)
-        self._buffer.clear()
-        self.flushes += 1
 
-    def _write_footer(self) -> None:
-        handle = self._handle
+    def _finish(self, handle) -> None:
+        """Append the footer index."""
         base = self._offset or 0
         prefix = COLUMNAR_MAGIC if base == 0 else b""
         footer_start = base + len(prefix)
@@ -638,45 +637,17 @@ class ColumnarDetectionSink:
         except OSError as exc:
             raise StorageError(f"could not finalise detection sink {self.path}: {exc}") from exc
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        try:
-            self.flush()
-            if self._handle is not None:
-                self._write_footer()
-        finally:
-            self._closed = True
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> ColumnarDetectionSink:
-        self._ensure_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        try:
-            self.close()
-        except StorageError:
-            if exc_type is None:
-                raise
-        return False
-
 
 class ColumnarStorage:
     """``CrawlStorage`` API over the columnar file format."""
 
     format = "columnar"
-    #: Chunk size used by bulk ``save``/``append`` — few large chunks, so a
-    #: converted file mmaps into near-contiguous columns.
-    SAVE_CHUNK_RECORDS = 8192
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         # Tailing state for read_new: dictionary contents up to _tail_offset.
         self._tail_offset = 0
-        self._tail_names: list[list[str]] = [[] for _ in range(_N_DICTS)]
+        self._tail_names: list[list[str]] = _new_names()
 
     def open_sink(
         self, *, append: bool = False, flush_every: int = ColumnarDetectionSink.DEFAULT_FLUSH_EVERY
@@ -684,36 +655,31 @@ class ColumnarStorage:
         return ColumnarDetectionSink(self.path, append=append, flush_every=flush_every)
 
     def save(self, detections: Iterable[SiteDetection]) -> int:
-        self._tail_offset = 0
-        self._tail_names = [[] for _ in range(_N_DICTS)]
-        with self.open_sink(append=False, flush_every=self.SAVE_CHUNK_RECORDS) as sink:
-            written = sink.write_many(detections)
-        return written
+        self._tail_offset, self._tail_names = 0, _new_names()
+        with self.open_sink(flush_every=SAVE_CHUNK_RECORDS) as sink:
+            return sink.write_many(detections)
 
     def append(self, detections: Iterable[SiteDetection]) -> int:
-        with self.open_sink(append=True, flush_every=self.SAVE_CHUNK_RECORDS) as sink:
-            written = sink.write_many(detections)
-        return written
+        with self.open_sink(append=True, flush_every=SAVE_CHUNK_RECORDS) as sink:
+            return sink.write_many(detections)
 
     def load(self) -> list[SiteDetection]:
         return list(self.iter_load())
 
     def iter_load(self) -> Iterator[SiteDetection]:
+        """Stream every record, chunk by chunk; a torn tail is refused."""
         if not self.path.exists():
             raise StorageError(f"crawl dataset not found: {self.path}")
-        index = _index_file(self.path)
-        if index.tail == "partial":
-            raise StorageError(
-                f"truncated columnar store {self.path}: the file ends mid-write; "
-                f"recover it to a checkpointed offset first"
-            )
-        names: list[list[str]] = [[] for _ in range(_N_DICTS)]
-        with self.path.open("rb") as handle:
-            for offset, counts in index.chunks:
-                handle.seek(offset + _CHUNK_HEADER_SIZE)
-                payload = handle.read(_payload_size(counts))
-                _apply_dict_deltas(payload, counts, names)
-                yield from _materialize_chunk(_chunk_columns(payload, counts), counts, names)
+        with _open_for_read(self.path) as handle:
+            listing = _list_chunks(handle, self.path, os.fstat(handle.fileno()).st_size)
+            if listing.tail == "partial":
+                raise StorageError(
+                    f"truncated columnar store {self.path}: the file ends mid-write; "
+                    f"recover it to a checkpointed offset first"
+                )
+            names = _new_names()
+            for chunk in listing.chunks:
+                yield from _decode(handle, [chunk], names)
 
     def size(self) -> int:
         try:
@@ -726,7 +692,10 @@ class ColumnarStorage:
 
         A trailing half-written chunk (or half-written footer) is left for the
         next call; a complete footer is consumed by advancing the offset to
-        end-of-file so pollers observe the store as drained after close.
+        end-of-file so pollers observe the store as drained after close.  A
+        reader continuing from its last returned offset lists only the new
+        chunks; one joining elsewhere lists the whole file and rebuilds the
+        dictionaries up to ``offset``, which must be a chunk boundary.
         """
         if offset < 0:
             raise StorageError(f"read offset cannot be negative, got {offset}")
@@ -738,71 +707,23 @@ class ColumnarStorage:
                 f"detection store {self.path} shrank below read offset {offset} "
                 f"(size is now {size}); it was truncated or replaced mid-read"
             )
-        if offset == 0:
-            names: list[list[str]] = [[] for _ in range(_N_DICTS)]
-            pos = 0
-        elif offset == self._tail_offset:
-            names = self._tail_names
-            pos = offset
-        else:
-            names = self._names_up_to(offset)
-            pos = offset
-        detections: list[SiteDetection] = []
-        try:
-            handle = self.path.open("rb")
-        except OSError as exc:
-            raise StorageError(f"could not read {self.path}: {exc}") from exc
-        with handle:
-            if pos == 0:
-                if size < _MAGIC_LEN:
-                    return [], 0
-                head = handle.read(_MAGIC_LEN)
-                _check_magic(self.path, head)
-                pos = _MAGIC_LEN
-            while pos < size:
-                remaining = size - pos
-                handle.seek(pos)
-                peek = handle.read(min(4, remaining))
-                if peek == _FOOTER_MAGIC:
-                    if _complete_footer_at(handle, size, pos):
-                        pos = size
-                    break
-                if len(peek) < 4:
-                    break
-                if peek != _CHUNK_MAGIC:
-                    raise StorageError(f"corrupt columnar store {self.path}: unrecognised bytes at offset {pos}")
-                if remaining < _CHUNK_HEADER_SIZE:
-                    break
-                handle.seek(pos)
-                counts = _unpack_header(handle.read(_CHUNK_HEADER_SIZE))
-                payload_size = _payload_size(counts)
-                if remaining < _CHUNK_HEADER_SIZE + payload_size:
-                    break
-                payload = handle.read(payload_size)
-                _apply_dict_deltas(payload, counts, names)
-                detections.extend(_materialize_chunk(_chunk_columns(payload, counts), counts, names))
-                pos += _CHUNK_HEADER_SIZE + payload_size
-        self._tail_offset = pos
-        self._tail_names = names
-        return detections, pos
-
-    def _names_up_to(self, offset: int) -> list[list[str]]:
-        """Rebuild dictionary state for a reader joining at ``offset``."""
-        index = _index_file(self.path)
-        kept = []
-        pos = _MAGIC_LEN
-        for chunk_offset, counts in index.chunks:
-            if chunk_offset + _CHUNK_HEADER_SIZE + _payload_size(counts) > offset:
-                break
-            kept.append((chunk_offset, counts))
-            pos = chunk_offset + _CHUNK_HEADER_SIZE + _payload_size(counts)
-        if pos != offset and not (index.tail == "footer" and offset == index.size):
-            raise StorageError(
-                f"read offset {offset} of {self.path} is not a chunk boundary; "
-                f"nearest boundary is {pos}"
-            )
-        with self.path.open("rb") as handle:
-            return _load_names(handle, kept)
+        resumed = offset != 0 and offset == self._tail_offset
+        names = self._tail_names if resumed else _new_names()
+        self._tail_offset = -1  # the cached dictionaries are stale until this read completes
+        with _open_for_read(self.path) as handle:
+            listing = _list_chunks(handle, self.path, size, start=offset if resumed else _MAGIC_LEN)
+            first = 0
+            if offset and not resumed:
+                boundaries = [chunk_offset for chunk_offset, _ in listing.chunks] + [listing.data_end]
+                first = bisect.bisect_left(boundaries, offset)
+                if first == len(boundaries) or boundaries[first] != offset:
+                    if not (listing.tail == "footer" and offset == size):
+                        raise StorageError(f"read offset {offset} of {self.path} is not a chunk boundary")
+                _decode(handle, listing.chunks[:first], names, records=False)
+            detections = _decode(handle, listing.chunks[first:], names)
+        end = size if listing.tail == "footer" else listing.data_end
+        self._tail_offset, self._tail_names = end, names
+        return detections, end
 
     def recover_to(self, offset: int) -> list[SiteDetection]:
         """Validate and truncate the store to a checkpointed chunk boundary.
@@ -813,11 +734,10 @@ class ColumnarStorage:
         """
         if offset < 0:
             raise StorageError(f"cannot recover {self.path} to negative offset {offset}")
+        self._tail_offset, self._tail_names = 0, _new_names()
         if offset == 0:
             if self.path.exists():
                 self._truncate(0)
-            self._tail_offset = 0
-            self._tail_names = [[] for _ in range(_N_DICTS)]
             return []
         if not self.path.exists():
             raise StorageError(
@@ -828,44 +748,18 @@ class ColumnarStorage:
             raise StorageError(
                 f"cannot recover {self.path} to offset {offset}: the file holds only {size} bytes"
             )
-        if offset < _MAGIC_LEN:
-            raise StorageError(
-                f"cannot recover {self.path} to offset {offset}: not a chunk boundary"
-            )
-        detections: list[SiteDetection] = []
-        names: list[list[str]] = [[] for _ in range(_N_DICTS)]
-        with self.path.open("rb") as handle:
-            head = handle.read(_MAGIC_LEN)
-            if len(head) < _MAGIC_LEN:
-                raise StorageError(f"cannot recover {self.path}: the file is too short to hold its magic")
-            _check_magic(self.path, head)
-            pos = _MAGIC_LEN
-            while pos < offset:
-                handle.seek(pos)
-                header = handle.read(_CHUNK_HEADER_SIZE)
-                if len(header) < _CHUNK_HEADER_SIZE or header[:4] != _CHUNK_MAGIC:
-                    raise StorageError(
-                        f"cannot recover {self.path} to offset {offset}: corrupt chunk header at {pos}"
-                    )
-                counts = _unpack_header(header)
-                payload_size = _payload_size(counts)
-                if pos + _CHUNK_HEADER_SIZE + payload_size > offset:
-                    raise StorageError(
-                        f"cannot recover {self.path} to offset {offset}: not a chunk boundary "
-                        f"(a chunk starting at {pos} crosses it)"
-                    )
-                payload = handle.read(payload_size)
-                if len(payload) < payload_size:
-                    raise StorageError(
-                        f"cannot recover {self.path} to offset {offset}: chunk at {pos} is truncated"
-                    )
-                _apply_dict_deltas(payload, counts, names)
-                detections.extend(_materialize_chunk(_chunk_columns(payload, counts), counts, names))
-                pos += _CHUNK_HEADER_SIZE + payload_size
+        names = _new_names()
+        with _open_for_read(self.path) as handle:
+            listing = _list_chunks(handle, self.path, size, stop=offset)
+            if listing.tail != "clean":
+                raise StorageError(
+                    f"cannot recover {self.path} to offset {offset}: not a chunk boundary "
+                    f"(the complete chunks before it end at {listing.data_end})"
+                )
+            detections = _decode(handle, listing.chunks, names)
         if size > offset:
             self._truncate(offset)
-        self._tail_offset = offset
-        self._tail_names = names
+        self._tail_offset, self._tail_names = offset, names
         return detections
 
     def _truncate(self, offset: int) -> None:
@@ -879,62 +773,26 @@ class ColumnarStorage:
 class ColumnarTable:
     """Zero-copy reader: mmaps a columnar file and serves numpy column views.
 
-    Uses the footer index when the file was cleanly closed (O(1) open);
-    otherwise walks chunk headers, ignoring a torn tail, so a live or crashed
-    file reads as its complete-chunk prefix.
+    Lists the file through :func:`_list_chunks` (the footer index when the
+    file was cleanly closed, an O(1) open) and keeps the complete-chunk
+    prefix, so a live or crashed file reads as the chunks written so far.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         if not self.path.exists():
             raise StorageError(f"crawl dataset not found: {self.path}")
-        size = self.path.stat().st_size
         self._chunks: list[tuple[int, tuple[int, ...]]] = []
         self._mm: mmap.mmap | None = None
         self._columns: dict[str, np.ndarray] = {}
         self._ends: dict[str, np.ndarray] = {}
         self._layouts: dict[int, dict[str, tuple[int, int]]] = {}
-        self._names: list[list[str]] | None = None
-        self.n_records = 0
-        if size == 0:
-            return
-        if size < _MAGIC_LEN:
-            raise StorageError(f"{self.path} is too short to be a columnar detection store")
-        with self.path.open("rb") as handle:
-            _check_magic(self.path, handle.read(_MAGIC_LEN))
-            self._chunks = self._chunks_from_footer(handle, size)
-            if self._chunks is None:
-                self._chunks = _index_file(self.path).chunks
-            self._mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        with _open_for_read(self.path) as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size:
+                self._chunks = _list_chunks(handle, self.path, size).chunks
+                self._mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         self.n_records = sum(counts[0] for _, counts in self._chunks)
-
-    def _chunks_from_footer(self, handle, size: int):
-        """Parse the footer index; return None to fall back to a header walk."""
-        if size < _MAGIC_LEN + _FOOTER_HEAD.size + _TRAILER.size:
-            return None
-        handle.seek(size - _TRAILER.size)
-        footer_start, magic = _TRAILER.unpack(handle.read(_TRAILER.size))
-        if magic != _TRAILER_MAGIC or not (_MAGIC_LEN <= footer_start <= size - _FOOTER_HEAD.size - _TRAILER.size):
-            return None
-        handle.seek(footer_start)
-        fmagic, n_chunks = _FOOTER_HEAD.unpack(handle.read(_FOOTER_HEAD.size))
-        if fmagic != _FOOTER_MAGIC:
-            return None
-        if footer_start + _FOOTER_HEAD.size + n_chunks * _FOOTER_ENTRY.size + _TRAILER.size != size:
-            return None
-        raw = handle.read(n_chunks * _FOOTER_ENTRY.size)
-        chunks: list[tuple[int, tuple[int, ...]]] = []
-        expected = _MAGIC_LEN
-        for i in range(n_chunks):
-            entry = _FOOTER_ENTRY.unpack_from(raw, i * _FOOTER_ENTRY.size)
-            offset, counts = entry[0], entry[1:]
-            if offset != expected:
-                raise StorageError(f"corrupt footer index in {self.path}: chunk {i} offset mismatch")
-            chunks.append((offset, counts))
-            expected = offset + _CHUNK_HEADER_SIZE + _payload_size(counts)
-        if expected != footer_start:
-            raise StorageError(f"corrupt footer index in {self.path}: chunk sizes do not reach the footer")
-        return chunks
 
     def _chunk_layout(self, chunk: tuple[int, tuple[int, ...]]) -> dict[str, tuple[int, int]]:
         # Memoised per chunk: reading ~10 columns over a few hundred chunks
@@ -981,28 +839,11 @@ class ColumnarTable:
             self._ends[name] = arr
         return arr
 
-    def names(self) -> list[list[str]]:
-        """Per-dictionary id → string tables, decoded lazily once."""
-        if self._names is None:
-            names: list[list[str]] = [[] for _ in range(_N_DICTS)]
-            mv = memoryview(self._mm) if self._mm is not None else None
-            for offset, counts in self._chunks:
-                base = offset + _CHUNK_HEADER_SIZE
-                payload = mv[base : base + _payload_size(counts)]
-                _apply_dict_deltas(payload, counts, names)
-            self._names = names
-        return self._names
-
     def materialize(self) -> list[SiteDetection]:
         """Exact ``SiteDetection`` records, chunk by chunk."""
-        names = self.names()
-        out: list[SiteDetection] = []
-        mv = memoryview(self._mm) if self._mm is not None else None
-        for offset, counts in self._chunks:
-            base = offset + _CHUNK_HEADER_SIZE
-            payload = mv[base : base + _payload_size(counts)]
-            out.extend(_materialize_chunk(_chunk_columns(payload, counts), counts, names))
-        return out
+        if self._mm is None:
+            return []
+        return _decode(self._mm, self._chunks, _new_names())
 
 
 class ColumnarDataset(CrawlDataset):

@@ -4,13 +4,16 @@ Detections are stored as JSON Lines (one :class:`SiteDetection` per line),
 which keeps the files append-friendly during long crawls, diff-able in code
 review, and loadable without any third-party dependency.
 
-The write hot path is :class:`DetectionSink`: it serialises each detection
-through the fast path :func:`detection_to_json_line` and batches lines in
-memory, touching the file (and flushing the OS buffer) only every
-``flush_every`` records, at shard boundaries (the crawl engine calls
-:meth:`DetectionSink.flush`) and on close.  ``flush_every=1`` reproduces the
-old write-and-fsync-per-record behaviour.  The produced bytes are identical
-for every flush interval.
+The write hot path is :class:`DetectionSink`: it batches detections in
+memory and, only every ``flush_every`` records, at shard boundaries (the
+crawl engine calls :meth:`DetectionSink.flush`) and on close, serialises
+them through the fast path :func:`detection_to_json_line` and flushes the
+OS buffer.  ``flush_every=1`` reproduces the old write-and-fsync-per-record
+behaviour.  The produced bytes are identical for every flush interval.
+:meth:`CrawlStorage.save` and :meth:`CrawlStorage.append` write through the
+same sink.  The buffering, retry and close contract lives in
+:class:`_BufferedSink`, which the columnar sink
+(:mod:`repro.crawler.colstore`) extends too.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ __all__ = [
 #: Detection store backends: "jsonl" is the human-greppable reference format,
 #: "columnar" (repro.crawler.colstore) the typed binary fast path.
 STORE_FORMATS = ("jsonl", "columnar")
+
+#: Records per flush for bulk ``save``/``append``: few large writes (and, in
+#: the columnar store, few large chunks that mmap into near-contiguous columns).
+SAVE_CHUNK_RECORDS = 8192
 
 
 def detection_to_dict(detection: SiteDetection) -> dict:
@@ -140,88 +147,69 @@ def detection_from_dict(data: dict) -> SiteDetection:
         raise StorageError(f"malformed detection record: {exc}") from exc
 
 
-class DetectionSink:
-    """Buffered streaming writer of detections to a JSON-Lines file.
+class _BufferedSink:
+    """The contract every detection sink keeps, whatever it encodes.
 
-    Used by the crawl engine to persist detections incrementally as shards
-    complete instead of buffering a whole crawl in memory; writing detections
-    one at a time produces byte-identical files to a single
-    :meth:`CrawlStorage.save` call over the same sequence.  Lines accumulate
-    in an in-memory buffer and hit the file every ``flush_every`` records,
-    on :meth:`flush` (the engine flushes at shard boundaries) and on close.
-    Use as a context manager (or call :meth:`close`), e.g.::
-
-        with CrawlStorage("crawl.jsonl").open_sink() as sink:
-            engine.crawl(population, sink=sink)
+    Records are buffered as :class:`SiteDetection` objects and hit the file
+    every ``flush_every`` records, on :meth:`flush` (the engine flushes at
+    shard boundaries) and on :meth:`close`.  A write whose automatic flush
+    fails leaves the sink as it was before the call, so a retried write
+    lands the record exactly once.  :meth:`close` is idempotent and
+    ``__exit__`` never masks the body's exception.  Subclasses add only
+    ``_open`` (the file handle), ``_write_records`` (encode one flush and
+    write it, raising :class:`StorageError`) and optionally ``_finish``.
     """
 
     #: Default number of records buffered between file writes.
     DEFAULT_FLUSH_EVERY = 64
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        append: bool = False,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> None:
+    def __init__(self, path: str | Path, *, append: bool = False, flush_every: int = DEFAULT_FLUSH_EVERY) -> None:
         if flush_every < 1:
-            raise StorageError("flush_every must be >= 1")
+            raise StorageError(f"flush_every must be a positive integer, got {flush_every}")
         self.path = Path(path)
         self.append = append
         self.flush_every = flush_every
         self.count = 0
         #: Lifetime number of buffer-to-file flushes (for benchmarks).
         self.flushes = 0
-        self._buffer: list[str] = []
-        self._handle: IO[str] | None = None
+        self._buffer: list[SiteDetection] = []
+        self._handle: IO[bytes] | None = None
         self._closed = False
         self._offset: int | None = None
 
-    @property
-    def offset(self) -> int:
-        """Bytes durably in the file from this sink's point of view.
+    def _open(self) -> IO[bytes]:
+        raise NotImplementedError
 
-        Counts only flushed data (buffered lines are excluded), starting from
-        the pre-existing file size in append mode and from zero otherwise.
-        This is the byte position a crawl checkpoint records: everything
-        before it is complete, canonical JSON-Lines records.
-        """
-        if self._offset is None:
-            if self.append:
-                try:
-                    self._offset = self.path.stat().st_size
-                except OSError:
-                    self._offset = 0
-            else:
-                self._offset = 0
-        return self._offset
+    def _write_records(self, handle: IO[bytes], records: list[SiteDetection]) -> None:
+        raise NotImplementedError
 
-    def _ensure_open(self) -> IO[str]:
+    def _finish(self, handle: IO[bytes]) -> None:
+        """Write whatever a cleanly closed file ends with (nothing by default)."""
+
+    def _ensure_open(self) -> IO[bytes]:
         if self._closed:
-            # Reopening a "w"-mode sink would silently truncate everything
+            # Reopening a fresh-mode sink would silently truncate everything
             # written before close(); refuse instead.
             raise StorageError(f"detection sink for {self.path} is closed")
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             try:
-                self._handle = self.path.open("a" if self.append else "w", encoding="utf-8")
+                self._handle = self._open()
             except OSError as exc:
-                raise StorageError(f"could not open {self.path}: {exc}") from exc
+                raise StorageError(f"could not open detection sink {self.path}: {exc}") from exc
         return self._handle
 
     def write(self, detection: SiteDetection) -> None:
         """Buffer one detection (hits the file every ``flush_every`` records)."""
         if self._closed:
             raise StorageError(f"detection sink for {self.path} is closed")
-        self._buffer.append(detection_to_json_line(detection))
+        self._buffer.append(detection)
         self.count += 1
         if len(self._buffer) >= self.flush_every:
             try:
                 self.flush()
             except StorageError:
-                # Leave the sink as it was before this call, so a retried
-                # write lands the record exactly once.
+                # Leave the sink as it was before this call.
                 self._buffer.pop()
                 self.count -= 1
                 raise
@@ -234,25 +222,19 @@ class DetectionSink:
         return self.count - before
 
     def flush(self) -> None:
-        """Write any buffered lines to the file and flush the OS buffer."""
+        """Encode and write the buffered records, then flush the OS buffer.
+
+        On failure the buffer is kept, so a retried flush writes the same
+        bytes.
+        """
         if not self._buffer:
             return
-        handle = self._ensure_open()
-        payload = "".join(self._buffer)
-        # Snapshot before the write: the lazy property stats the file, and a
-        # post-write stat would count this payload twice in append mode.
-        base = self.offset
-        try:
-            handle.write(payload)
-            handle.flush()
-        except OSError as exc:
-            raise StorageError(f"could not write {self.path}: {exc}") from exc
+        self._write_records(self._ensure_open(), self._buffer)
         self._buffer.clear()
         self.flushes += 1
-        self._offset = base + len(payload.encode("utf-8"))
 
     def close(self) -> None:
-        """Flush the buffered tail and close the file.
+        """Flush the buffered tail, finish the file and close it.
 
         Idempotent: every call after the first is a no-op, including when the
         first call's flush failed mid-write — the sink still ends closed with
@@ -263,13 +245,15 @@ class DetectionSink:
             return
         try:
             self.flush()
+            if self._handle is not None:
+                self._finish(self._handle)
         finally:
             self._closed = True
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
 
-    def __enter__(self) -> "DetectionSink":
+    def __enter__(self):
         self._ensure_open()
         return self
 
@@ -287,6 +271,55 @@ class DetectionSink:
             # a clean body still surfaces the close failure.
             if exc_type is None:
                 raise
+
+
+class DetectionSink(_BufferedSink):
+    """Buffered streaming writer of detections to a JSON-Lines file.
+
+    Used by the crawl engine to persist detections incrementally as shards
+    complete instead of buffering a whole crawl in memory; writing detections
+    one at a time produces byte-identical files to a single
+    :meth:`CrawlStorage.save` call over the same sequence.  Records are
+    encoded at flush time.  Use as a context manager (or call
+    :meth:`close`), e.g.::
+
+        with CrawlStorage("crawl.jsonl").open_sink() as sink:
+            engine.crawl(population, sink=sink)
+    """
+
+    @property
+    def offset(self) -> int:
+        """Bytes durably in the file from this sink's point of view.
+
+        Counts only flushed data (buffered records are excluded), starting
+        from the pre-existing file size in append mode and from zero
+        otherwise.  This is the byte position a crawl checkpoint records:
+        everything before it is complete, canonical JSON-Lines records.
+        """
+        if self._offset is None:
+            if self.append:
+                try:
+                    self._offset = self.path.stat().st_size
+                except OSError:
+                    self._offset = 0
+            else:
+                self._offset = 0
+        return self._offset
+
+    def _open(self) -> IO[bytes]:
+        return self.path.open("ab" if self.append else "wb")
+
+    def _write_records(self, handle: IO[bytes], records: list[SiteDetection]) -> None:
+        payload = "".join([detection_to_json_line(detection) for detection in records]).encode("utf-8")
+        # Snapshot before the write: the lazy property stats the file, and a
+        # post-write stat would count this payload twice in append mode.
+        base = self.offset
+        try:
+            handle.write(payload)
+            handle.flush()
+        except OSError as exc:
+            raise StorageError(f"could not write {self.path}: {exc}") from exc
+        self._offset = base + len(payload)
 
 
 class CrawlStorage:
@@ -314,29 +347,13 @@ class CrawlStorage:
 
     def save(self, detections: Iterable[SiteDetection]) -> int:
         """Write detections to the file, replacing previous content."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        count = 0
-        try:
-            with self.path.open("w", encoding="utf-8") as handle:
-                for detection in detections:
-                    handle.write(detection_to_json_line(detection))
-                    count += 1
-        except OSError as exc:
-            raise StorageError(f"could not write {self.path}: {exc}") from exc
-        return count
+        with self.open_sink(flush_every=SAVE_CHUNK_RECORDS) as sink:
+            return sink.write_many(detections)
 
     def append(self, detections: Iterable[SiteDetection]) -> int:
         """Append detections (e.g. one crawl day) to the file."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        count = 0
-        try:
-            with self.path.open("a", encoding="utf-8") as handle:
-                for detection in detections:
-                    handle.write(detection_to_json_line(detection))
-                    count += 1
-        except OSError as exc:
-            raise StorageError(f"could not append to {self.path}: {exc}") from exc
-        return count
+        with self.open_sink(append=True, flush_every=SAVE_CHUNK_RECORDS) as sink:
+            return sink.write_many(detections)
 
     def load(self) -> list[SiteDetection]:
         """Load every detection stored in the file."""

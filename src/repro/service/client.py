@@ -64,7 +64,8 @@ class ServiceClient:
         try:
             return urlopen(request, timeout=timeout or self.timeout)
         except HTTPError as exc:
-            raw = exc.read()
+            with exc:  # an error response still holds its socket
+                raw = exc.read()
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError):
@@ -201,7 +202,8 @@ class ServiceClient:
         try:
             stream = urlopen(request, timeout=read_timeout)
         except HTTPError as exc:
-            raw = exc.read()
+            with exc:  # an error response still holds its socket
+                raw = exc.read()
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError):

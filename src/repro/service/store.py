@@ -5,8 +5,8 @@ an incrementally-maintained :class:`~repro.analysis.dataset.CrawlDataset`
 over it: :meth:`refresh` tails the file through
 :meth:`~repro.crawler.storage.CrawlStorage.read_new` (guarded by one cheap
 :meth:`~repro.crawler.storage.CrawlStorage.size` probe) and folds the new
-records into the dataset's O(Δ) indices — exactly the machinery behind
-``hbrepro analyze --watch``, shared here by every HTTP request thread.
+records into the dataset's O(Δ) indices.  It is the one tail loop: every
+HTTP request thread shares it, and ``hbrepro analyze --watch`` runs on it.
 
 Beside the dataset the store keeps a small column view of the same records:
 numpy arrays of ``hb_detected``, ``crawl_day``, ``rank`` and a facet code,
@@ -223,14 +223,18 @@ class DetectionStore:
     serialises the dicts this class returns.
     """
 
-    def __init__(self, path: str | Path, *, label: str | None = None) -> None:
-        # Sniffed by magic bytes (extension for files not yet created), so a
-        # columnar campaign's store tails typed chunks instead of JSON lines.
-        self.storage = storage_for(path)
-        self._label = label or Path(path).stem
+    def __init__(self, source, *, label: str | None = None) -> None:
+        # A path is sniffed by magic bytes (extension for files not yet
+        # created), so a columnar campaign's store tails typed chunks instead
+        # of JSON lines; a storage backend is tailed as given.
+        self.storage = storage_for(source) if isinstance(source, (str, Path)) else source
+        self._label = label or self.storage.path.stem
         self._dataset = CrawlDataset(label=self._label)
         self._columns = _Columns()
         self._offset = 0
+        #: How many times the sink shrank or changed under the store, each
+        #: restarting it from byte zero.
+        self.restarts = 0
         self._lock = threading.RLock()
 
     # -- tailing ---------------------------------------------------------------
@@ -279,6 +283,7 @@ class DetectionStore:
         self._dataset = CrawlDataset(label=self._label)
         self._columns = _Columns()
         self._offset = 0
+        self.restarts += 1
 
     def drained(self) -> bool:
         """Whether every byte currently in the sink has been indexed."""

@@ -9,11 +9,11 @@ seed plus a stable string key rather than shared or re-seeded ad hoc.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["derive_rng", "spawn_rngs", "stable_hash", "fast_uniform"]
+__all__ = ["derive_rng", "stable_hash", "fast_uniform"]
 
 
 def fast_uniform(rng: np.random.Generator, low: float, high: float) -> float:
@@ -55,11 +55,6 @@ def derive_rng(seed: int, *keys: object) -> np.random.Generator:
     """
     mixed = np.random.SeedSequence([seed & 0xFFFFFFFF, stable_hash(*keys) & 0xFFFFFFFF])
     return np.random.default_rng(mixed)
-
-
-def spawn_rngs(seed: int, keys: Iterable[object]) -> list[np.random.Generator]:
-    """Derive one generator per key, preserving the key order."""
-    return [derive_rng(seed, key) for key in keys]
 
 
 def weighted_choice(

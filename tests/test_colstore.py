@@ -11,6 +11,7 @@ direct JSONL run would have written.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from dataclasses import replace
@@ -268,17 +269,6 @@ class TestColumnarSink:
         # A footer-indexed open and a header-walk open agree.
         assert ColumnarStorage(path).load() == records[:7]
 
-    def test_write_after_close_raises(self, records, tmp_path):
-        sink = ColumnarDetectionSink(tmp_path / "sink.hbc")
-        sink.write(records[0])
-        sink.close()
-        with pytest.raises(StorageError, match="closed"):
-            sink.write(records[1])
-
-    def test_invalid_flush_interval_rejected(self, tmp_path):
-        with pytest.raises(StorageError, match="flush_every"):
-            ColumnarDetectionSink(tmp_path / "sink.hbc", flush_every=0)
-
     def test_entering_sink_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "sink.hbc"
         with ColumnarDetectionSink(path):
@@ -504,6 +494,44 @@ class TestColumnarRecoverTo:
             assert sink.offset == boundary
             sink.write_many(records[4:8])
         assert storage.load() == records[:8]
+
+
+# ---------------------------------------------------------------------------
+# Flipped bits: every reader fails typed, and the readers agree
+
+
+class TestFlippedBits:
+    TRIALS = 200
+
+    def test_single_bit_flips_raise_only_typed_errors(self, campaign, tmp_path):
+        """Seeded single-bit flips of a closed campaign file, through every
+        reader: nothing but a ``ReproError`` escapes, and whenever both a
+        streaming load and a table materialisation return, they agree."""
+        clean = campaign.columnar.path.read_bytes()
+        path = tmp_path / "flipped.hbc"
+        rng = random.Random(1)
+        outcomes: dict[str, set] = {"load": set(), "read_new": set(), "materialize": set()}
+        for _ in range(self.TRIALS):
+            flipped = bytearray(clean)
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+            path.write_bytes(bytes(flipped))
+            results = {}
+            for name, read in (
+                ("load", lambda: ColumnarStorage(path).load()),
+                ("read_new", lambda: ColumnarStorage(path).read_new(0)[0]),
+                ("materialize", lambda: ColumnarTable(path).materialize()),
+                ("append-open", lambda: ColumnarDetectionSink(path, append=True).offset),
+            ):
+                try:
+                    results[name] = read()
+                except ReproError:
+                    results[name] = ReproError
+            if ReproError not in (results["load"], results["materialize"]):
+                assert results["load"] == results["materialize"]
+            for name, bucket in outcomes.items():
+                bucket.add(results[name] is ReproError)
+        # The corpus exercises both verdicts in every reader.
+        assert all(bucket == {True, False} for bucket in outcomes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.crawler.storage import CrawlStorage, detection_from_dict, detection_to_dict
+from repro.crawler.colstore import storage_for
+from repro.crawler.storage import STORE_FORMATS, CrawlStorage, detection_from_dict, detection_to_dict
 from repro.detector.records import ObservedAuction, ObservedBid, SiteDetection
 from repro.errors import StorageError
 from repro.models import HBFacet
@@ -21,6 +22,30 @@ def sample_detection(domain="pub.example", day=0):
         partner_latencies_ms={"AppNexus": 210.0}, total_latency_ms=550.0,
         detection_channels=("dom-events", "web-requests"), crawl_day=day, page_load_ms=4200.0,
     )
+
+
+@pytest.fixture(params=STORE_FORMATS)
+def any_storage(request, tmp_path):
+    """An empty dataset file in each store format: the sink contract is shared."""
+    suffix = "hbc" if request.param == "columnar" else "jsonl"
+    return storage_for(tmp_path / f"crawl.{suffix}", format=request.param)
+
+
+class FlakyHandle:
+    """A sink file handle whose first write fails, then passes through."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.failed = False
+
+    def write(self, data):
+        if not self.failed:
+            self.failed = True
+            raise OSError("transient disk error")
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 class TestSerialisation:
@@ -170,14 +195,13 @@ class TestDetectionSink:
         assert nested.exists()
         assert sink.count == 0
 
-    def test_write_after_close_raises_instead_of_truncating(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        sink = storage.open_sink()
+    def test_write_after_close_raises_instead_of_truncating(self, any_storage):
+        sink = any_storage.open_sink()
         sink.write(sample_detection())
         sink.close()
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="closed"):
             sink.write(sample_detection("late.example"))
-        assert storage.load() == [sample_detection()]
+        assert any_storage.load() == [sample_detection()]
 
 
 class TestBufferedSink:
@@ -231,9 +255,27 @@ class TestBufferedSink:
             assert sink.flushes == 1
             assert len(CrawlStorage(path).load()) == 1
 
-    def test_invalid_flush_interval_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            CrawlStorage(tmp_path / "x.jsonl").open_sink(flush_every=0)
+    def test_invalid_flush_interval_rejected(self, any_storage):
+        with pytest.raises(StorageError, match="flush_every"):
+            any_storage.open_sink(flush_every=0)
+
+    def test_retried_write_after_a_failed_auto_flush_lands_once(self, any_storage, tmp_path):
+        """A write whose automatic flush fails leaves the sink as it was, so
+        retrying the same record writes it exactly once."""
+        detections = self.detections(4)
+        with any_storage.open_sink(flush_every=2) as sink:
+            sink._handle = FlakyHandle(sink._handle)
+            sink.write(detections[0])
+            with pytest.raises(StorageError, match="transient"):
+                sink.write(detections[1])
+            assert sink.count == 1 and sink.flushes == 0
+            sink.write_many(detections[1:])
+        assert sink.count == 4 and sink.flushes == 2
+        clean = storage_for(tmp_path / f"clean{any_storage.path.suffix}", format=any_storage.format)
+        with clean.open_sink(flush_every=2) as clean_sink:
+            clean_sink.write_many(detections)
+        assert any_storage.path.read_bytes() == clean.path.read_bytes()
+        assert any_storage.load() == detections
 
 
 class TestReadNew:
@@ -441,7 +483,10 @@ class TestSinkCloseSafety:
     """close() stays idempotent and never masks a mid-crawl error."""
 
     class ExplodingHandle:
-        def __init__(self):
+        """Fails every write; closing it still releases the real file."""
+
+        def __init__(self, inner):
+            self.inner = inner
             self.closed = False
 
         def write(self, data):
@@ -452,12 +497,17 @@ class TestSinkCloseSafety:
 
         def close(self):
             self.closed = True
+            self.inner.close()
 
-    def test_close_twice_after_a_flush_failure(self, tmp_path):
-        sink = CrawlStorage(tmp_path / "crawl.jsonl").open_sink(flush_every=100)
-        sink.write(sample_detection())
-        handle = self.ExplodingHandle()
+    def explode(self, sink):
+        handle = self.ExplodingHandle(sink._ensure_open())
         sink._handle = handle
+        return handle
+
+    def test_close_twice_after_a_flush_failure(self, any_storage):
+        sink = any_storage.open_sink(flush_every=100)
+        sink.write(sample_detection())
+        handle = self.explode(sink)
         with pytest.raises(StorageError, match="disk full"):
             sink.close()
         assert handle.closed  # the OS handle was released despite the failure
@@ -465,21 +515,21 @@ class TestSinkCloseSafety:
         with pytest.raises(StorageError):
             sink.write(sample_detection())  # and the sink stays closed
 
-    def test_exit_does_not_mask_the_body_exception(self, tmp_path):
+    def test_exit_does_not_mask_the_body_exception(self, any_storage):
         """A crawl error inside `with sink:` must surface even when the final
         close-flush fails too (e.g. the disk that killed the crawl is full)."""
         with pytest.raises(ZeroDivisionError):
-            with CrawlStorage(tmp_path / "crawl.jsonl").open_sink(flush_every=100) as sink:
+            with any_storage.open_sink(flush_every=100) as sink:
                 sink.write(sample_detection())
-                sink._handle = self.ExplodingHandle()
+                self.explode(sink)
                 1 / 0
         assert sink._closed
 
-    def test_exit_still_raises_close_failures_on_a_clean_body(self, tmp_path):
+    def test_exit_still_raises_close_failures_on_a_clean_body(self, any_storage):
         with pytest.raises(StorageError, match="disk full"):
-            with CrawlStorage(tmp_path / "crawl.jsonl").open_sink(flush_every=100) as sink:
+            with any_storage.open_sink(flush_every=100) as sink:
                 sink.write(sample_detection())
-                sink._handle = self.ExplodingHandle()
+                self.explode(sink)
 
     def test_engine_close_does_not_mask_a_crawl_error(self):
         """Crawler.__exit__ swallows teardown failures while an exception

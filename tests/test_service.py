@@ -171,8 +171,9 @@ class TestSubmissionValidation:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)
-        assert err.value.code == 400
-        assert "error" in json.loads(err.value.read().decode("utf-8"))
+        with err.value:  # an error response still holds its socket
+            assert err.value.code == 400
+            assert "error" in json.loads(err.value.read().decode("utf-8"))
 
     def test_unknown_campaign_is_404(self, client):
         for call in (client.campaign, client.cancel, client.resume,
@@ -184,8 +185,9 @@ class TestSubmissionValidation:
     def test_unknown_route_is_404_json(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.base_url + "/not-a-route")
-        assert err.value.code == 404
-        assert "error" in json.loads(err.value.read().decode("utf-8"))
+        with err.value:
+            assert err.value.code == 404
+            assert "error" in json.loads(err.value.read().decode("utf-8"))
 
     def test_unknown_metric_is_404(self, client, campaign):
         with pytest.raises(ServiceClientError) as err:
@@ -579,7 +581,8 @@ class TestTicks:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=30)
-        assert err.value.code == 400
+        with err.value:
+            assert err.value.code == 400
 
     def test_tick_with_malformed_threshold_is_400(self, client, campaign):
         with pytest.raises(ServiceClientError) as err:
@@ -598,7 +601,8 @@ class TestKeepalive:
                 f"{srv.base_url}/campaigns/{queued['id']}/events"
                 f"?interval=0.05&keepalive=0.05&timeout=0.5"
             )
-            raw = urllib.request.urlopen(url, timeout=30).read()
+            with urllib.request.urlopen(url, timeout=30) as response:
+                raw = response.read()
             assert b": keepalive\n\n" in raw
             assert b"event: timeout" in raw
             for cid in (blocker["id"], queued["id"]):

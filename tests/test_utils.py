@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.ids import IdFactory, slugify
-from repro.utils.rng import derive_rng, spawn_rngs, stable_hash, weighted_choice
+from repro.utils.rng import derive_rng, stable_hash, weighted_choice
 from repro.utils.urls import build_url, parse_query, url_host, url_path
 
 
@@ -25,11 +25,6 @@ class TestRng:
     def test_stable_hash_is_stable(self):
         assert stable_hash("a", 1) == stable_hash("a", 1)
         assert stable_hash("a", 1) != stable_hash("a", 2)
-
-    def test_spawn_rngs_preserves_order_and_count(self):
-        rngs = spawn_rngs(3, ["a", "b", "c"])
-        assert len(rngs) == 3
-        assert rngs[0].random() == derive_rng(3, "a").random()
 
     def test_weighted_choice_respects_zero_weight(self):
         rng = np.random.default_rng(0)
