@@ -11,20 +11,25 @@ This module changes the unit of work from the page to the
 :class:`~repro.crawler.engine.CrawlShard`:
 
 * **Batch seeding.**  ``derive_rng(seed, "visit", domain, day)`` is a
-  SeedSequence over two 32-bit entropy words.  :func:`_seed_states`
-  replicates numpy's entropy-mixing and PCG64 state derivation as vectorized
-  ``uint32``/``uint64`` array arithmetic, producing every page's initial
-  ``(state, inc)`` pair in a handful of numpy operations per shard.
+  SeedSequence over two 32-bit entropy words.  The batch-seeding helpers of
+  :mod:`repro.utils.rng` replicate numpy's entropy mixing and PCG64 state
+  derivation as vectorized ``uint32``/``uint64`` array arithmetic, producing
+  every page's initial ``(state, inc)`` pair in a handful of numpy
+  operations per shard.  Three streams are seeded this way: the visit
+  streams here, the ``("publisher", rank)`` streams of
+  :func:`~repro.ecosystem.publishers.generate_population` and the
+  ``("page", domain)`` streams of
+  :meth:`~repro.ecosystem.profiles.SiteProfileTable.precompile`.
 * **Vectorized draws for plain pages.**  Pages without header bidding and
   without waterfall ads consume a fixed, site-determined number of uniform
-  draws.  :func:`_mul128_add`/:func:`_output_doubles` step all those streams
-  in lockstep (the PCG64 LCG and its XSL-RR output function, elementwise),
-  so an entire shard's plain pages cost a few array operations total.
+  draws.  ``_mul128_add``/``_output_doubles`` step all those streams in
+  lockstep (the PCG64 LCG and its XSL-RR output function, elementwise), so
+  an entire shard's plain pages cost a few array operations total.
 * **Fused scalar simulation for ad pages.**  Waterfall and HB pages draw
   data-dependent amounts of randomness (ziggurat log-normals, rejection
   sampling), which cannot be vectorized without perturbing the stream.  For
   those, one reusable ``Generator`` is *activated* with the precomputed page
-  state (a state-dict assignment, ~1.5 µs, vs ~20 µs for ``derive_rng``) and
+  state (a state-dict assignment, ~1.5 µs, vs ~27 µs for ``derive_rng``) and
   a fused simulator replays the facet executor's exact draw and event order
   against the site's compiled record
   (:class:`~repro.ecosystem.profiles.SiteRecord`, which the worker's
@@ -36,14 +41,13 @@ classification/reconstruction logic is shared with the reference path, and
 ``SiteDetection`` objects are materialised only at the sink seam.  The
 reference pipeline is this module's oracle: byte identity of the two paths
 is enforced by ``tests/test_fastpath_equivalence`` and the stream-level
-parity of the kernels by ``tests/test_columnar_samplers`` and
-``tests/test_profiles``.
+parity of the kernels by ``tests/test_columnar_samplers``,
+``tests/test_batch_seeding`` and ``tests/test_profiles``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -62,139 +66,25 @@ from repro.ecosystem.profiles import (
 from repro.hb.events import price_bucket
 from repro.hb.waterfall import _DEFAULT_SLOT_SIZES
 from repro.models import HBFacet, RequestDirection, WebRequest
-from repro.utils.rng import fast_uniform, stable_hash
+from repro.utils.rng import (
+    _activator,
+    _key_entropy,
+    _mul128_add,
+    _output_doubles,
+    _seed_states,
+    _swr,
+    fast_uniform,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crawler.engine import CrawlShard, WorkerContext
     from repro.detector.detector import HBDetector
-    from repro.ecosystem.publishers import Publisher
 
 __all__ = ["simulate_shard_columnar"]
 
 
-# ---------------------------------------------------------------------------
-# Vectorized PCG64 seeding and stepping
-#
-# Constants from numpy's SeedSequence (entropy hashing / pool mixing) and the
-# PCG64 LCG multiplier.  The kernels below are asserted bit-identical to
-# numpy, value and stream state both, by tests/test_columnar_samplers.py.
-
-_INIT_A = np.uint32(0x43B0D7E5)
-_MULT_A = np.uint32(0x931E8875)
-_INIT_B = np.uint32(0x8B51F9DD)
-_MULT_B = np.uint32(0x58F38DED)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_MULT_HI = np.uint64(2549297995355413924)
-_MULT_LO = np.uint64(4865540595714422341)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_U32_16 = np.uint32(16)
-_U64_1 = np.uint64(1)
-_U64_11 = np.uint64(11)
-_U64_32 = np.uint64(32)
-_U64_58 = np.uint64(58)
-_U64_63 = np.uint64(63)
-_U64_64 = np.uint64(64)
-_DOUBLE_SCALE = 2.0 ** -53
-
 #: Responses without hb_* keys all extract to the same (never mutated) set.
 _EMPTY_HB = HBParameterSet(global_values={}, per_slot={})
-
-
-def _mul128_add(
-    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 LCG step, elementwise: ``state = state * MULT + inc`` mod 2^128.
-
-    128-bit values are carried as ``(hi, lo)`` uint64 array pairs; the
-    multiply is schoolbook over 32-bit limbs so every partial product fits a
-    uint64 without losing carries.
-    """
-    with np.errstate(over="ignore"):
-        a0 = lo & _MASK32
-        a1 = lo >> _U64_32
-        b0 = _MULT_LO & _MASK32
-        b1 = _MULT_LO >> _U64_32
-        p00 = a0 * b0
-        p01 = a0 * b1
-        p10 = a1 * b0
-        p11 = a1 * b1
-        mid = (p00 >> _U64_32) + (p01 & _MASK32) + (p10 & _MASK32)
-        new_lo = (p00 & _MASK32) | ((mid & _MASK32) << _U64_32)
-        carry = (mid >> _U64_32) + (p01 >> _U64_32) + (p10 >> _U64_32)
-        new_hi = p11 + carry + lo * _MULT_HI + hi * _MULT_LO
-        new_lo2 = new_lo + inc_lo
-        new_hi = new_hi + inc_hi + (new_lo2 < new_lo).astype(np.uint64)
-        return new_hi, new_lo2
-
-
-def _output_doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The XSL-RR output of each (post-step) state, as ``random()`` doubles."""
-    with np.errstate(over="ignore"):
-        x = hi ^ lo
-        rot = hi >> _U64_58
-        out = (x >> rot) | (x << ((_U64_64 - rot) & _U64_63))
-        return (out >> _U64_11) * _DOUBLE_SCALE
-
-
-def _seed_states(
-    seed: int, entropy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch-replicate ``default_rng(SeedSequence([seed, e]))`` per entropy word.
-
-    Returns ``(state_hi, state_lo, inc_hi, inc_lo)`` uint64 arrays holding
-    each stream's post-seeding PCG64 state — exactly the state a fresh
-    ``derive_rng`` generator starts from.
-    """
-    n = entropy.shape[0]
-    with np.errstate(over="ignore"):
-        words = np.zeros((4, n), dtype=np.uint32)
-        words[0] = np.uint32(seed & 0xFFFFFFFF)
-        words[1] = entropy
-        pool = np.zeros((4, n), dtype=np.uint32)
-        hashconst = np.full(n, _INIT_A, dtype=np.uint32)
-
-        def hashed(value: np.ndarray) -> np.ndarray:
-            nonlocal hashconst
-            value = value ^ hashconst
-            hashconst = hashconst * _MULT_A
-            value = value * hashconst
-            return value ^ (value >> _U32_16)
-
-        for i in range(4):
-            pool[i] = hashed(words[i])
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    mixed = pool[dst] * _MIX_MULT_L - hashed(pool[src]) * _MIX_MULT_R
-                    pool[dst] = mixed ^ (mixed >> _U32_16)
-
-        out32 = np.zeros((8, n), dtype=np.uint64)
-        hashconst_b = np.full(n, _INIT_B, dtype=np.uint32)
-        for i in range(8):
-            value = pool[i % 4] ^ hashconst_b
-            hashconst_b = hashconst_b * _MULT_B
-            value = value * hashconst_b
-            out32[i] = value ^ (value >> _U32_16)
-
-        val = [out32[2 * j] | (out32[2 * j + 1] << _U64_32) for j in range(4)]
-        # initstate = val0:val1, initseq = val2:val3 (big-halves first);
-        # inc = (initseq << 1) | 1, state = (inc + initstate) * MULT + inc.
-        inc_lo = (val[3] << _U64_1) | _U64_1
-        inc_hi = (val[2] << _U64_1) | (val[3] >> _U64_63)
-        t_lo = val[1] + inc_lo
-        t_hi = val[0] + inc_hi + (t_lo < val[1]).astype(np.uint64)
-    hi, lo = _mul128_add(t_hi, t_lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
-
-
-def _visit_entropy(publishers: Sequence["Publisher"], visit_index: int) -> np.ndarray:
-    """The second SeedSequence entropy word of every page's visit stream."""
-    return np.fromiter(
-        (stable_hash("visit", p.domain, visit_index) & 0xFFFFFFFF for p in publishers),
-        dtype=np.uint32,
-        count=len(publishers),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,49 +148,6 @@ def _simulate_waterfall_page(sim: SiteRecord, gen: np.random.Generator) -> float
     for value in (3.0 + 17.0 * gen.random(sim.n_scr)).tolist():
         t += value
     return float(t + sim.content_load_ms)
-
-
-def _swr(gen, p_list: list, cdf_list: list, size: int) -> list:
-    """``gen.choice(len(p), size=size, replace=False, p=p)`` over a precomputed CDF.
-
-    Stream consumption is identical — the only RNG calls are the same
-    batched ``gen.random(k)`` draws — and every float operation repeats
-    numpy's algorithm in the same IEEE order: ``bisect_right`` is
-    ``searchsorted(side="right")``, the per-batch first-occurrence dedup is
-    ``np.unique``'s sorted-index take, the redraw loop's running sum and
-    elementwise division are ``np.cumsum`` (sequential for float64) and
-    ``/= cdf[-1]``.  The popularity-skewed heads collide often, so the
-    redraw loop is hot too; keeping both halves allocation-free beats the
-    array version on these tiny pools.
-    """
-    chosen = [bisect_right(cdf_list, x) for x in gen.random(size).tolist()]
-    if size == 1:
-        return chosen
-    seen = set()
-    uniq = []
-    for value in chosen:
-        if value not in seen:
-            seen.add(value)
-            uniq.append(value)
-    if len(uniq) == size:
-        return chosen
-    weights = list(p_list)
-    while len(uniq) < size:
-        draws = gen.random(size - len(uniq)).tolist()
-        for index in uniq:
-            weights[index] = 0.0
-        total = 0.0
-        cdf = []
-        for weight in weights:
-            total += weight
-            cdf.append(total)
-        cdf = [value / total for value in cdf]
-        batch_seen = set()
-        for value in [bisect_right(cdf, x) for x in draws]:
-            if value not in batch_seen:
-                batch_seen.add(value)
-                uniq.append(value)
-    return uniq
 
 
 def _sample_internal(gen, rec) -> list:
@@ -763,7 +610,7 @@ def simulate_shard_columnar(
     sims = context.profiles.precompile(publishers)
 
     state_hi, state_lo, inc_hi, inc_lo = _seed_states(
-        config.seed, _visit_entropy(publishers, crawl_day)
+        config.seed, _key_entropy([("visit", p.domain, crawl_day) for p in publishers])
     )
     # Every page's first draw: the waterfall gate for non-HB pages.
     hi1, lo1 = _mul128_add(state_hi, state_lo, inc_hi, inc_lo)
@@ -803,15 +650,7 @@ def simulate_shard_columnar(
 
     # One reusable generator, re-activated per ad page with the precomputed
     # stream state (initial state for HB pages, post-gate for waterfall).
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_generator = gen.bit_generator
-    state_template: dict = {
-        "bit_generator": "PCG64",
-        "state": {"state": 0, "inc": 0},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    inner_state = state_template["state"]
+    activate = _activator()
 
     # Bulk-convert the state arrays to Python ints once; per-page
     # ``int(arr[i])`` item getters dominate the loop otherwise.
@@ -837,9 +676,7 @@ def simulate_shard_columnar(
         result.pages_visited += 1
         pages_in_session += 1
         if sim.uses_hb:
-            inner_state["state"] = (state_hi_l[i] << 64) | state_lo_l[i]
-            inner_state["inc"] = (inc_hi_l[i] << 64) | inc_lo_l[i]
-            bit_generator.state = state_template
+            gen = activate(state_hi_l[i], state_lo_l[i], inc_hi_l[i], inc_lo_l[i])
             detection, load_event = _simulate_hb_page(sim, gen, detector, crawl_day)
         elif plain_l[i]:
             load_event = load_plain_l[i]
@@ -848,9 +685,7 @@ def simulate_shard_columnar(
                 crawl_day=crawl_day, page_load_ms=load_event,
             )
         else:
-            inner_state["state"] = (hi1_l[i] << 64) | lo1_l[i]
-            inner_state["inc"] = (inc_hi_l[i] << 64) | inc_lo_l[i]
-            bit_generator.state = state_template
+            gen = activate(hi1_l[i], lo1_l[i], inc_hi_l[i], inc_lo_l[i])
             load_event = _simulate_waterfall_page(sim, gen)
             detection = SiteDetection(
                 domain=sim.domain, rank=sim.rank, hb_detected=False,

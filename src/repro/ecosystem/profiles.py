@@ -39,11 +39,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.browser.page import build_page
+from repro.browser.page import PageDraws, batch_page_draws
 from repro.ecosystem.bidding import popularity_price_multiplier
 from repro.ecosystem.partners import DemandPartner, LatencyModel
 from repro.ecosystem.publishers import Publisher
 from repro.models import AdSlotSize, HBFacet
+from repro.utils.rng import _cdf
 from repro.utils.urls import url_host
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -151,6 +152,13 @@ class SiteRecord:
     )
 
 
+def _stale(record: SiteRecord | None, publisher: Publisher) -> bool:
+    """Whether ``record`` is not ``publisher``'s (a pool worker's copy compares equal)."""
+    return record is None or (
+        record.publisher is not publisher and record.publisher != publisher
+    )
+
+
 class SiteProfileTable:
     """Lazily-compiled, bounded cache of :class:`SiteRecord` objects.
 
@@ -212,14 +220,19 @@ class SiteProfileTable:
         of itself (see :meth:`_evict`), which only later batches can miss.
         """
         records = self._records
+        # The page streams of the missing sites, seeded in one pass.
+        missing = [i for i, p in enumerate(publishers) if _stale(records.get(p.domain), p)]
+        draws = dict(
+            zip(missing, batch_page_draws([publishers[i] for i in missing], self.seed))
+        )
         batch: list[SiteRecord] = []
-        for publisher in publishers:
+        for i, publisher in enumerate(publishers):
             domain = publisher.domain
             record = records.get(domain)
-            if record is None or (
-                record.publisher is not publisher and record.publisher != publisher
-            ):
-                record = self._compile(publisher)
+            if _stale(record, publisher):
+                # ``draws`` misses only a site evicted earlier in this batch.
+                page = draws.get(i) or batch_page_draws([publisher], self.seed)[0]
+                record = self._compile(publisher, page)
                 if len(records) >= self.max_sites and domain not in records:
                     self._evict()
                 records[domain] = record
@@ -308,10 +321,7 @@ class SiteProfileTable:
         built = []
         for n_levels in range(1, WATERFALL_MAX_LEVELS + 1):
             head = partners[: waterfall_head_size(n_levels)]
-            weights = np.asarray([p.popularity_weight for p in head], dtype=float)
-            weights = weights / weights.sum()
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
+            p_list, cdf_list = _cdf([p.popularity_weight for p in head])
             for partner in head:
                 if partner.name in samplers:
                     continue
@@ -333,8 +343,8 @@ class SiteProfileTable:
             built.append((
                 tuple(samplers[partner.name] for partner in head),
                 tuple(partner.popularity_weight for partner in head),
-                weights.tolist(),
-                cdf.tolist(),
+                p_list,
+                cdf_list,
                 len(head),
             ))
         heads = self._waterfall_cache[scale] = tuple(built)
@@ -360,31 +370,29 @@ class SiteProfileTable:
         candidates = [p for p in env.registry.partners if p.name not in excluded]
         if not candidates:
             return (low, high, [], None, None, None)
-        weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
-        weights = weights / weights.sum()
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
+        p_list, cdf_list = _cdf([p.popularity_weight for p in candidates])
 
         def compile_entry(index: int) -> tuple:
             partner = candidates[index]
             return (partner.bidder_code, partner.name, self._respond(partner, publisher, facet))
 
         entries = [None] * len(candidates)
-        return (low, high, entries, weights.tolist(), cdf.tolist(), compile_entry)
+        return (low, high, entries, p_list, cdf_list, compile_entry)
 
-    def _compile(self, publisher: Publisher) -> SiteRecord:
+    def _compile(self, publisher: Publisher, page: PageDraws) -> SiteRecord:
+        """The record of ``publisher``, whose page drew ``page`` (see :func:`page_draws`)."""
         self.compiles += 1
-        page = build_page(publisher, seed=self.seed)
+        header_scripts, html_fetch_ms, content_load_ms, n_resources = page
         scale = publisher.latency_scale
         record = SiteRecord()
         record.publisher = publisher
         record.domain = publisher.domain
         record.rank = publisher.rank
         record.uses_hb = publisher.uses_hb
-        record.html_fetch_ms = page.html_fetch_ms
-        record.content_load_ms = page.content_load_ms
-        record.n_res = len(page.baseline_resources)
-        record.n_scr = len(page.header_script_urls)
+        record.html_fetch_ms = html_fetch_ms
+        record.content_load_ms = content_load_ms
+        record.n_res = n_resources
+        record.n_scr = len(header_scripts)
         record.latency_scale = scale
         if not publisher.uses_hb:
             # Baseline and waterfall traffic never carries hb_* parameters and
@@ -406,9 +414,10 @@ class SiteProfileTable:
         record.facet = facet
         record.page_url = publisher.url
         record.library, record.lifecycle = wrapper_traits(publisher)
-        page_host = url_host(page.url)
+        page_url = publisher.url
+        page_host = url_host(page_url)
         page_partner = match(page_host)
-        record.page_event = (page.url, page_host, page_partner) if page_partner is not None else None
+        record.page_event = (page_url, page_host, page_partner) if page_partner is not None else None
         display = {slot.code for slot in publisher.slots}
         record.n_slots = len(slots)
         record.slot_codes = tuple(slot.code for slot in slots)

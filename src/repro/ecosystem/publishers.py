@@ -26,7 +26,16 @@ from repro.errors import ConfigurationError
 from repro.models import AdSlot, AdSlotSize, HBFacet, WrapperKind, STANDARD_SIZES
 from repro.ecosystem.partners import DemandPartner
 from repro.ecosystem.registry import PartnerRegistry, default_registry
-from repro.utils.rng import derive_rng
+from repro.utils.rng import (
+    _activator,
+    _cdf,
+    _key_entropy,
+    _mul128_add,
+    _output_doubles,
+    _pick,
+    _seed_states,
+    _swr,
+)
 
 __all__ = [
     "PopulationConfig",
@@ -310,20 +319,51 @@ def _site_domain(rank: int) -> str:
     return f"site-{rank:06d}.example"
 
 
-def _choose_from_shares(rng: np.random.Generator, shares: Sequence[tuple[object, float]]) -> object:
-    values = [value for value, _ in shares]
-    weights = np.asarray([weight for _, weight in shares], dtype=float)
-    weights = weights / weights.sum()
-    return values[int(rng.choice(len(values), p=weights))]
+def _share_table(shares: Sequence[tuple[object, float]]) -> tuple[list, list[float]]:
+    """``(values, cdf)`` of a ``(value, weight)`` table, for :func:`_choose_from_shares`."""
+    return [value for value, _ in shares], _cdf([weight for _, weight in shares])[1]
+
+
+def _partner_pool(partners: Sequence[DemandPartner]) -> tuple[list, list[float], list[float]]:
+    """``(partners, p, cdf)`` by popularity, for :func:`_weighted_sample_without_replacement`."""
+    if not partners:
+        return [], [], []
+    return list(partners), *_cdf([p.popularity_weight for p in partners])
+
+
+#: ``(sizes, cdf)`` of each facet's creative-size popularity.
+_SIZE_TABLES = {
+    facet: _share_table([(_SIZE_BY_LABEL[label], w) for label, w in weights.items()])
+    for facet, weights in _SIZE_WEIGHTS.items()
+}
+
+
+class _Tables:
+    """The CDFs one population draws from, built once from its config and registry.
+
+    Registry weights differ per seed, so the partner pools belong to one
+    ``generate_population`` call and are never cached across calls.
+    """
+
+    __slots__ = ("facets", "wrappers", "partner_counts", "dfp", "capable", "others")
+
+    def __init__(self, config: PopulationConfig, registry: PartnerRegistry) -> None:
+        self.facets = _share_table(config.facet_shares)
+        self.wrappers = _share_table(config.wrapper_shares)
+        self.partner_counts = _share_table(config.partner_count_distribution)
+        ad_servers = registry.ad_servers()
+        dfp = self.dfp = ad_servers[0] if ad_servers else registry.partners[0]
+        self.capable = _partner_pool([p for p in registry.server_side_capable() if p is not dfp])
+        self.others = _partner_pool([p for p in registry.partners if p is not dfp])
+
+
+def _choose_from_shares(rng: np.random.Generator, table: tuple[list, list[float]]) -> object:
+    values, cdf = table
+    return values[_pick(rng, cdf)]
 
 
 def _sample_size(rng: np.random.Generator, facet: HBFacet) -> AdSlotSize:
-    weights = _SIZE_WEIGHTS[facet]
-    labels = list(weights)
-    probabilities = np.asarray([weights[label] for label in labels], dtype=float)
-    probabilities = probabilities / probabilities.sum()
-    label = labels[int(rng.choice(len(labels), p=probabilities))]
-    return _SIZE_BY_LABEL[label]
+    return _choose_from_shares(rng, _SIZE_TABLES[facet])
 
 
 def _build_slots(rng: np.random.Generator, config: PopulationConfig, facet: HBFacet,
@@ -359,70 +399,54 @@ def _build_slots(rng: np.random.Generator, config: PopulationConfig, facet: HBFa
 
 def _weighted_sample_without_replacement(
     rng: np.random.Generator,
-    candidates: Sequence[DemandPartner],
+    pool: tuple[list, list[float], list[float]],
     count: int,
 ) -> list[DemandPartner]:
-    weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
-    weights = weights / weights.sum()
-    count = min(count, len(candidates))
-    chosen = rng.choice(len(candidates), size=count, replace=False, p=weights)
-    return [candidates[int(i)] for i in np.atleast_1d(chosen)]
+    candidates, p, cdf = pool
+    return [candidates[i] for i in _swr(rng, p, cdf, min(count, len(candidates)))]
 
 
 def _choose_partners(
     rng: np.random.Generator,
     config: PopulationConfig,
-    registry: PartnerRegistry,
+    tables: _Tables,
     facet: HBFacet,
 ) -> tuple[tuple[DemandPartner, ...], DemandPartner | None]:
     """Pick the visible partner mix and the ad server for one HB publisher."""
-    ad_servers = registry.ad_servers()
-    dfp = ad_servers[0] if ad_servers else registry.partners[0]
+    dfp = tables.dfp
 
     if facet is HBFacet.SERVER_SIDE:
         # A single aggregation endpoint handles everything.
         if rng.random() < config.server_side_dfp_share:
             aggregator = dfp
         else:
-            capable = [p for p in registry.server_side_capable() if p is not dfp]
-            aggregator = (
-                _weighted_sample_without_replacement(rng, capable, 1)[0] if capable else dfp
-            )
+            aggregator = (_weighted_sample_without_replacement(rng, tables.capable, 1) or [dfp])[0]
         return (aggregator,), aggregator
 
-    n_partners = int(
-        _choose_from_shares(
-            rng, [(count, share) for count, share in config.partner_count_distribution]
-        )
-    )
+    n_partners = int(_choose_from_shares(rng, tables.partner_counts))
     partners: list[DemandPartner] = []
     include_dfp = rng.random() < config.multi_partner_dfp_share
     if include_dfp:
         partners.append(dfp)
-    candidates = [p for p in registry.partners if p is not dfp]
     needed = n_partners - len(partners)
     if needed > 0:
-        partners.extend(_weighted_sample_without_replacement(rng, candidates, needed))
+        partners.extend(_weighted_sample_without_replacement(rng, tables.others, needed))
 
-    # De-duplicate while preserving order (DFP first when present).
-    unique: list[DemandPartner] = []
-    for partner in partners:
-        if partner not in unique:
-            unique.append(partner)
-
+    # The partners are distinct (DFP first when present): DFP is not in
+    # ``tables.others``, which is sampled without replacement.
     if facet is HBFacet.HYBRID:
         # The hybrid ad server must be able to run its own server-side auction;
         # DFP when configured, otherwise the first capable partner, otherwise DFP.
-        if any(p is dfp for p in unique):
+        if include_dfp:
             ad_server: DemandPartner | None = dfp
         else:
-            capable = [p for p in unique if p.can_run_server_side]
+            capable = [p for p in partners if p.can_run_server_side]
             ad_server = capable[0] if capable else dfp
     else:
         # Client-side publishers operate their own ad server, which outside
         # observers cannot attribute to a known company.
         ad_server = None
-    return tuple(unique), ad_server
+    return tuple(partners), ad_server
 
 
 def _latency_scale(rank: int, config: PopulationConfig) -> float:
@@ -433,24 +457,19 @@ def _latency_scale(rank: int, config: PopulationConfig) -> float:
     return 1.0
 
 
-def _build_publisher(rank: int, config: PopulationConfig, registry: PartnerRegistry,
-                     seed: int) -> Publisher:
-    rng = derive_rng(seed, "publisher", rank)
+def _build_hb_publisher(rng: np.random.Generator, rank: int, config: PopulationConfig,
+                        tables: _Tables) -> Publisher:
+    """The HB publisher at ``rank``; ``rng`` stands just past its adoption draw."""
     domain = _site_domain(rank)
-    uses_hb = rng.random() < config.adoption_probability(rank)
-    latency_scale = _latency_scale(rank, config)
-    if not uses_hb:
-        return Publisher(domain=domain, rank=rank, uses_hb=False, latency_scale=latency_scale)
-
-    facet = _choose_from_shares(rng, list(config.facet_shares))
+    facet = _choose_from_shares(rng, tables.facets)
     assert isinstance(facet, HBFacet)
-    partners, ad_server = _choose_partners(rng, config, registry, facet)
+    partners, ad_server = _choose_partners(rng, config, tables, facet)
 
     if facet is HBFacet.SERVER_SIDE:
         # Server-side sites run the aggregator-provided tag (gpt.js for DFP).
         wrapper = WrapperKind.GPT if ad_server is not None and ad_server.can_serve_ads else WrapperKind.CUSTOM
     else:
-        wrapper = _choose_from_shares(rng, list(config.wrapper_shares))
+        wrapper = _choose_from_shares(rng, tables.wrappers)
         assert isinstance(wrapper, WrapperKind)
 
     slots, auctioned = _build_slots(rng, config, facet, domain)
@@ -473,7 +492,7 @@ def _build_publisher(rank: int, config: PopulationConfig, registry: PartnerRegis
         auctioned_slots=auctioned,
         timeout_ms=timeout_ms,
         misconfigured_wrapper=misconfigured,
-        latency_scale=latency_scale,
+        latency_scale=_latency_scale(rank, config),
     )
 
 
@@ -484,12 +503,28 @@ def generate_population(
     """Generate the publisher population for one experiment configuration.
 
     The generation is deterministic in ``config.seed``: the same configuration
-    always yields the identical population.
+    always yields the identical population.  Site ``rank`` draws from
+    ``derive_rng(config.seed, "publisher", rank)``; every such stream is
+    seeded in one vectorized pass, and its first draw, the HB adoption gate,
+    is taken from the same arrays.  Most sites stop there; the HB ones
+    continue on one reused generator activated at the post-gate state.
     """
     config = config or PopulationConfig()
     registry = registry or default_registry(seed=config.seed)
+    ranks = range(1, config.total_sites + 1)
+    state_hi, state_lo, inc_hi, inc_lo = _seed_states(
+        config.seed, _key_entropy([("publisher", rank) for rank in ranks])
+    )
+    hi, lo = _mul128_add(state_hi, state_lo, inc_hi, inc_lo)
+    gate = _output_doubles(hi, lo).tolist()
+    streams = list(zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()))
+    activate = _activator()
+    tables = _Tables(config, registry)
     publishers = [
-        _build_publisher(rank, config, registry, config.seed)
-        for rank in range(1, config.total_sites + 1)
+        _build_hb_publisher(activate(*streams[i]), rank, config, tables)
+        if gate[i] < config.adoption_probability(rank)
+        else Publisher(domain=_site_domain(rank), rank=rank, uses_hb=False,
+                       latency_scale=_latency_scale(rank, config))
+        for i, rank in enumerate(ranks)
     ]
     return PublisherPopulation(publishers, config, registry)

@@ -15,13 +15,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ecosystem.columnar import (
+from repro.utils.rng import (
+    _key_entropy,
     _mul128_add,
     _output_doubles,
     _seed_states,
-    _visit_entropy,
+    derive_rng,
+    fast_uniform,
+    stable_hash,
 )
-from repro.utils.rng import derive_rng, fast_uniform, stable_hash
+
+
+def _visit_entropy(publishers, day):
+    """The entropy words of the columnar simulator's visit streams."""
+    return _key_entropy([("visit", p.domain, day) for p in publishers])
 
 
 def reference_generators(seed, domains, day):

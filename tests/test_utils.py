@@ -1,10 +1,9 @@
 """Unit tests for the cross-cutting helpers in repro.utils."""
 
-import numpy as np
 import pytest
 
 from repro.utils.ids import IdFactory, slugify
-from repro.utils.rng import derive_rng, stable_hash, weighted_choice
+from repro.utils.rng import derive_rng, stable_hash
 from repro.utils.urls import build_url, parse_query, url_host, url_path
 
 
@@ -25,20 +24,6 @@ class TestRng:
     def test_stable_hash_is_stable(self):
         assert stable_hash("a", 1) == stable_hash("a", 1)
         assert stable_hash("a", 1) != stable_hash("a", 2)
-
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = np.random.default_rng(0)
-        picks = {weighted_choice(rng, ["a", "b"], [1.0, 0.0]) for _ in range(20)}
-        assert picks == {"a"}
-
-    def test_weighted_choice_validates_input(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_choice(rng, [], [])
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [0.0])
 
 
 class TestUrls:
