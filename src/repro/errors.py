@@ -86,6 +86,10 @@ class CampaignStateError(ServiceError):
     """A campaign transition was requested from a state that forbids it."""
 
 
+class RequestTooLargeError(ServiceError):
+    """A request body is longer than the service accepts."""
+
+
 class CampaignCancelled(CrawlError):
     """Internal control-flow signal: a campaign's crawl was cancelled.
 

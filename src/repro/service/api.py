@@ -35,8 +35,6 @@ status; stack traces never cross the wire.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import json
 import threading
 import time
@@ -53,12 +51,13 @@ from repro.errors import (
     EmptyDatasetError,
     MetricContextError,
     ReproError,
+    RequestTooLargeError,
     ServiceError,
     UnknownCampaignError,
     UnknownMetricError,
 )
 from repro.service.campaigns import CampaignManager, campaign_config_from_dict
-from repro.service.store import DetectionQuery
+from repro.service.store import DetectionQuery, compact_json
 
 __all__ = ["ReproServiceServer", "running_server", "DEFAULT_EVENT_INTERVAL"]
 
@@ -75,6 +74,13 @@ DEFAULT_KEEPALIVE_INTERVAL = 15.0
 #: cannot pin a handler thread forever.  Clients pass ``?timeout=`` to lower it.
 MAX_EVENT_SECONDS = 3600.0
 
+#: Largest request body a POST may carry; a longer ``Content-Length`` is
+#: answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
+
+#: Content type of every JSON response.
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+
 #: Artifact name that serves the campaign's raw JSON-Lines sink bytes —
 #: byte-identical to the file a direct ``repro run --save`` writes.
 RAW_SINK_ARTIFACT = "detections.jsonl"
@@ -86,6 +92,7 @@ _ERROR_STATUS: tuple[tuple[type[Exception], int], ...] = (
     (CampaignStateError, 409),
     (EmptyDatasetError, 409),
     (MetricContextError, 400),
+    (RequestTooLargeError, 413),
     (ServiceError, 400),
     (ConfigurationError, 400),
     (ReproError, 400),
@@ -97,50 +104,6 @@ def _error_status(exc: Exception) -> int:
         if isinstance(exc, exc_type):
             return status
     return 500
-
-
-#: Exact types ``json`` encodes as they are (subclasses such as enums excluded).
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _jsonable(value: Any) -> Any:
-    """Recursively coerce a metric payload into JSON-encodable data.
-
-    Metric ``data`` mappings are free to use enum keys (facets), tuples,
-    dataclasses (an ``Ecdf``) and numpy scalars/arrays; JSON allows none of
-    those, so they are flattened here — enum → value, dataclass → an object
-    of its fields, numpy → ``item()``/``tolist()``, any other object →
-    ``str``.
-    """
-    if isinstance(value, enum.Enum):
-        return _jsonable(value.value)
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, Mapping):
-        return {_json_key(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        if all(type(v) in _JSON_SCALARS for v in value):
-            # Long runs of plain numbers (an ECDF's values) skip the per-item call.
-            return list(value)
-        return [_jsonable(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    item = getattr(value, "item", None)
-    if callable(item):
-        try:
-            return _jsonable(item())
-        except (TypeError, ValueError):
-            pass
-    tolist = getattr(value, "tolist", None)
-    if callable(tolist):
-        return _jsonable(tolist())
-    return str(value)
-
-
-def _json_key(key: Any) -> str:
-    if isinstance(key, enum.Enum):
-        key = key.value
-    return key if isinstance(key, str) else str(key)
 
 
 def _tail_alerts(path: Path, offset: int) -> tuple[list[dict], int]:
@@ -221,13 +184,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, status: int, payload: Any) -> None:
-        # Compact separators and no indent keep ``json.dumps`` on the C encoder.
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_bytes(status, compact_json(payload) + b"\n", JSON_CONTENT_TYPE)
 
     def _send_error_json(self, status: int, exc: Exception) -> None:
         message = str(exc) if status < 500 else "internal server error"
@@ -237,11 +194,35 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _body_length(self) -> int:
+        """The request's ``Content-Length``, checked before any body byte is read.
+
+        A length that is not a plain decimal integer is a 400 and one above
+        :data:`MAX_BODY_BYTES` a 413.  Either way the body stays unread, so
+        the connection closes after the error response.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise ServiceError(f"Content-Length must be a non-negative integer, got {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise RequestTooLargeError(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+        return length
+
+    def _read_json_body(self, *, empty: Any = None) -> Any:
+        """The request body as JSON; ``empty`` (when given) stands in for no body."""
+        length = self._body_length()
+        if not length and empty is not None:
+            return empty
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError("request body is empty; expected a JSON object")
@@ -348,8 +329,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         tick emits land in the campaign's alert log and stream over
         ``/events`` as ``alert`` events.
         """
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self._read_json_body() if length else {}
+        body = self._read_json_body(empty={})
         if not isinstance(body, Mapping):
             raise ServiceError("a tick body must be a JSON object")
         unknown = set(body) - {"metrics", "thresholds", "retention_days"}
@@ -391,7 +371,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         flat = {key: values[-1] for key, values in params.items()}
         query = DetectionQuery.from_params(flat)
         campaign.store.refresh()
-        self._send_json(200, campaign.store.query(query))
+        page = campaign.store.query(query)
+        # ``items`` is the envelope's last key: splice the records' memoised
+        # encodings into the compact envelope, the same bytes ``_send_json``
+        # would write for the decoded page.
+        items = page.pop("items")
+        head = compact_json(page)
+        body = b"".join((head[:-1], b',"items":[', b",".join(items), b"]}\n"))
+        self._send_bytes(200, body, JSON_CONTENT_TYPE)
 
     def _get_artifact(self, campaign_id: str, name: str, params: dict[str, list[str]]) -> None:
         campaign = self.server.manager.get(campaign_id)
@@ -405,26 +392,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             )
             return self._send_bytes(200, body, content_type)
         fmt = params.get("format", ["json"])[-1]
-        if fmt not in ("json", "text"):
-            raise ServiceError(f"unknown artifact format {fmt!r}; expected json or text")
         campaign.store.refresh()
-        result = campaign.store.compute_artifact(name)
-        if fmt == "text":
-            return self._send_bytes(
-                200, result.text.encode("utf-8") + b"\n", "text/plain; charset=utf-8"
-            )
-        self._send_json(
-            200,
-            {
-                "campaign": campaign.id,
-                "name": result.name,
-                "title": result.title,
-                "ref": result.ref,
-                "params": _jsonable(result.params),
-                "data": _jsonable(result.data),
-                "text": result.text,
-            },
-        )
+        body = campaign.store.artifact(name, fmt)
+        content_type = "text/plain; charset=utf-8" if fmt == "text" else JSON_CONTENT_TYPE
+        self._send_bytes(200, body, content_type)
 
     # -- server-sent events --------------------------------------------------------
     def _get_events(self, campaign_id: str, params: dict[str, list[str]]) -> None:

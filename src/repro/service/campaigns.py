@@ -31,9 +31,10 @@ import json
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.crawler.colstore import storage_for
 from repro.errors import (
@@ -272,7 +273,8 @@ class CampaignManager:
     """Runs submitted campaigns on background threads, bounded in parallel.
 
     ``max_parallel`` campaigns crawl at once; the rest wait in ``queued``
-    (submission order).  The manager is the only writer of campaign state;
+    and are admitted strictly in the order they were queued (submitted,
+    resumed or ticked).  The manager is the only writer of campaign state;
     all transitions happen under its lock.
     """
 
@@ -282,8 +284,11 @@ class CampaignManager:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_parallel = max_parallel
-        self._slots = threading.Semaphore(max_parallel)
         self._lock = threading.Lock()
+        #: Signalled whenever the queue head, a free slot or a cancel changes.
+        self._admission = threading.Condition(self._lock)
+        self._queue: deque[Campaign] = deque()
+        self._running = 0
         self._campaigns: dict[str, Campaign] = {}
         self._order: list[str] = []
         self._seq = itertools.count(1)
@@ -326,7 +331,7 @@ class CampaignManager:
             + "\n",
             encoding="utf-8",
         )
-        self._start(campaign, resume=False)
+        self._start(campaign, lambda: self._crawl(campaign, resume=False))
         return campaign
 
     def cancel(self, campaign_id: str) -> Campaign:
@@ -338,6 +343,7 @@ class CampaignManager:
                     f"campaign {campaign_id} is already {campaign.state}; nothing to cancel"
                 )
             campaign._cancel.set()
+            self._admission.notify_all()
         return campaign
 
     def resume(self, campaign_id: str) -> Campaign:
@@ -361,7 +367,8 @@ class CampaignManager:
             campaign.error = None
             campaign.finished_at = None
             campaign._cancel = threading.Event()
-        self._start(campaign, resume=campaign.checkpoint_path.exists())
+        resume = campaign.checkpoint_path.exists()
+        self._start(campaign, lambda: self._crawl(campaign, resume=resume))
         return campaign
 
     def tick(
@@ -421,43 +428,17 @@ class CampaignManager:
             campaign.error = None
             campaign.finished_at = None
             campaign._cancel = threading.Event()
-        thread = threading.Thread(
-            target=self._run_tick,
-            args=(campaign, daemon),
-            name=f"campaign-{campaign.id}-tick",
-            daemon=True,
-        )
-        campaign._thread = thread
-        thread.start()
-        return campaign, day
 
-    def _run_tick(self, campaign: Campaign, daemon) -> None:
-        while not self._slots.acquire(timeout=0.05):
-            if campaign._cancel.is_set():
-                self._finish(campaign, "cancelled")
-                return
-        try:
-            with self._lock:
-                if campaign._cancel.is_set():
-                    self._finish(campaign, "cancelled", locked=True)
-                    return
-                campaign.state = "running"
-                campaign.started_at = time.time()
-                campaign.runs += 1
+        def work() -> tuple[str, None, None]:
             try:
                 daemon.tick()
-            except CampaignCancelled:
-                self._finish(campaign, "cancelled")
-            except ReproError as exc:
-                self._finish(campaign, "failed", error=str(exc))
-            except Exception as exc:  # noqa: BLE001 - a tick must never kill the server
-                self._finish(campaign, "failed", error=f"{type(exc).__name__}: {exc}")
-            else:
-                self._finish(campaign, "done")
-        finally:
-            # A service tick is one-shot: release the pool the tick leaves.
-            daemon.close()
-            self._slots.release()
+            finally:
+                # A service tick is one-shot: release the pool the tick leaves.
+                daemon.close()
+            return "done", None, None
+
+        self._start(campaign, work)
+        return campaign, day
 
     def shutdown(self, *, timeout: float = 30.0) -> None:
         """Stop accepting campaigns, cancel everything in flight, and wait.
@@ -472,6 +453,7 @@ class CampaignManager:
             for campaign in active:
                 if not campaign.terminal:
                     campaign._cancel.set()
+            self._admission.notify_all()
         deadline = time.monotonic() + timeout
         for campaign in active:
             thread = campaign._thread
@@ -479,70 +461,90 @@ class CampaignManager:
                 thread.join(max(0.0, deadline - time.monotonic()))
 
     # -- the run thread ----------------------------------------------------------
-    def _start(self, campaign: Campaign, *, resume: bool) -> None:
+    def _start(
+        self,
+        campaign: Campaign,
+        work: Callable[[], tuple[str, str | None, Mapping[str, int] | None]],
+    ) -> None:
+        """Queue ``campaign`` now and run ``work`` on its thread once admitted.
+
+        ``work`` returns the finished ``(state, error, supervision)``.
+        """
+        with self._lock:
+            self._queue.append(campaign)
         thread = threading.Thread(
             target=self._run,
-            args=(campaign, resume),
+            args=(campaign, work),
             name=f"campaign-{campaign.id}",
             daemon=True,
         )
         campaign._thread = thread
         thread.start()
 
-    def _run(self, campaign: Campaign, resume: bool) -> None:
-        # Wait for a crawl slot, staying responsive to cancellation while
-        # queued: a cancelled queued campaign never starts crawling.
-        while not self._slots.acquire(timeout=0.05):
+    def _admit(self, campaign: Campaign) -> bool:
+        """Wait until ``campaign`` heads the queue and a slot is free.
+
+        Returns False (the campaign finished as ``cancelled``) when it is
+        cancelled while queued: a cancelled queued campaign never starts.
+        """
+        with self._admission:
+            while not campaign._cancel.is_set() and (
+                self._queue[0] is not campaign or self._running >= self.max_parallel
+            ):
+                self._admission.wait()
+            self._queue.remove(campaign)
+            self._admission.notify_all()
             if campaign._cancel.is_set():
-                self._finish(campaign, "cancelled")
-                return
+                self._finish(campaign, "cancelled", locked=True)
+                return False
+            self._running += 1
+            campaign.state = "running"
+            campaign.started_at = time.time()
+            campaign.runs += 1
+            return True
+
+    def _run(self, campaign: Campaign, work) -> None:
+        if not self._admit(campaign):
+            return
         try:
-            with self._lock:
-                if campaign._cancel.is_set():
-                    self._finish(campaign, "cancelled", locked=True)
-                    return
-                campaign.state = "running"
-                campaign.started_at = time.time()
-                campaign.runs += 1
-            config = replace(
-                campaign.config,
-                checkpoint_path=str(campaign.checkpoint_path),
-                resume=resume,
-                fault_log=str(campaign.fault_log_path),
-            )
-            storage = _Cancellable(
-                storage_for(campaign.sink_path, format=campaign.config.store_format),
-                campaign._cancel,
-            )
-            try:
-                artifacts = ExperimentRunner(config).run(use_cache=False, storage=storage)
-            except CampaignCancelled:
-                self._finish(campaign, "cancelled")
-            except ReproError as exc:
-                self._finish(campaign, "failed", error=str(exc))
-            except Exception as exc:  # noqa: BLE001 - a campaign must never kill the server
-                self._finish(campaign, "failed", error=f"{type(exc).__name__}: {exc}")
-            else:
-                longitudinal = artifacts.longitudinal
-                supervision = _supervision_counts(longitudinal)
-                if longitudinal.degraded:
-                    # Degraded completion: shards exhausted their retries and
-                    # were quarantined.  The quarantine lives in the
-                    # checkpoint, so `resume()` re-crawls exactly the missing
-                    # shards — surface it as a resumable failure.
-                    self._finish(
-                        campaign,
-                        "failed",
-                        error=(
-                            f"{supervision['quarantined']} shard(s) quarantined "
-                            f"after exhausting retries; resume to re-crawl them"
-                        ),
-                        supervision=supervision,
-                    )
-                else:
-                    self._finish(campaign, "done", supervision=supervision)
+            state, error, supervision = work()
+        except CampaignCancelled:
+            self._finish(campaign, "cancelled")
+        except ReproError as exc:
+            self._finish(campaign, "failed", error=str(exc))
+        except Exception as exc:  # noqa: BLE001 - a campaign must never kill the server
+            self._finish(campaign, "failed", error=f"{type(exc).__name__}: {exc}")
+        else:
+            self._finish(campaign, state, error=error, supervision=supervision)
         finally:
-            self._slots.release()
+            with self._admission:
+                self._running -= 1
+                self._admission.notify_all()
+
+    def _crawl(self, campaign: Campaign, *, resume: bool) -> tuple[str, str | None, dict[str, int]]:
+        """Run the campaign's crawl to its end; the finished state to record."""
+        config = replace(
+            campaign.config,
+            checkpoint_path=str(campaign.checkpoint_path),
+            resume=resume,
+            fault_log=str(campaign.fault_log_path),
+        )
+        storage = _Cancellable(
+            storage_for(campaign.sink_path, format=campaign.config.store_format),
+            campaign._cancel,
+        )
+        longitudinal = ExperimentRunner(config).run(use_cache=False, storage=storage).longitudinal
+        supervision = _supervision_counts(longitudinal)
+        if longitudinal.degraded:
+            # Degraded completion: shards exhausted their retries and were
+            # quarantined.  The quarantine lives in the checkpoint, so
+            # `resume()` re-crawls exactly the missing shards — surface it as
+            # a resumable failure.
+            return "failed", (
+                f"{supervision['quarantined']} shard(s) quarantined "
+                f"after exhausting retries; resume to re-crawl them"
+            ), supervision
+        return "done", None, supervision
 
     def _finish(
         self,

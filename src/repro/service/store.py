@@ -15,7 +15,14 @@ one posting list of record indices per demand partner, and the domains.
 :class:`DetectionQuery` (parsed from URL query parameters by the route
 layer) is answered by ANDing one boolean mask per active filter; the
 matching indices keep dataset order, and only the records of the requested
-page are looked up and serialised.
+page are looked up.
+
+Reads are served from memoised encodings.  Each record's compact JSON is
+encoded the first time a page returns it and kept beside its columns, so a
+query hands back ready-made item fragments.  Each rendered artifact body
+(a metric's JSON or its CLI text) is kept for the store's current
+*generation*, a counter that every :meth:`DetectionStore.refresh` bumps when
+it absorbs records or restarts; a finished campaign renders each body once.
 
 All store operations run under one re-entrant lock, so detection queries,
 metric snapshots and tail refreshes from concurrent service threads never
@@ -24,6 +31,9 @@ observe an index mid-update.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import json
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,14 +43,14 @@ import numpy as np
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
-from repro.analysis.registry import compute_metric, get_metric
+from repro.analysis.registry import get_metric
 from repro.crawler.colstore import storage_for
 from repro.crawler.storage import detection_to_dict
 from repro.detector.records import SiteDetection
 from repro.errors import ServiceError, StorageError
 from repro.models import HBFacet
 
-__all__ = ["DetectionQuery", "DetectionStore", "MAX_PAGE_SIZE"]
+__all__ = ["DetectionQuery", "DetectionStore", "MAX_PAGE_SIZE", "compact_json"]
 
 #: Hard cap on one detections page; larger ``limit`` values are rejected so a
 #: single request cannot serialise a million-detection campaign in one body.
@@ -52,6 +62,58 @@ DEFAULT_RANK_BIN_SIZE = 100
 
 #: Facet code of the column view; records without a facet get -1.
 _FACET_CODES = {facet: code for code, facet in enumerate(HBFacet)}
+
+#: Exact types ``json`` encodes as they are (subclasses such as enums excluded).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def compact_json(value: Any) -> bytes:
+    """``value`` as compact JSON bytes: every JSON response body, and each
+    record's memoised item, is this encoding, so spliced pages stay exact.
+
+    Compact separators and no indent keep ``json.dumps`` on its C encoder.
+    """
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def _jsonable(value: Any) -> Any:
+    """Recursively coerce a metric payload into JSON-encodable data.
+
+    Metric ``data`` mappings are free to use enum keys (facets), tuples,
+    dataclasses (an ``Ecdf``) and numpy scalars/arrays; JSON allows none of
+    those, so they are flattened here — enum → value, dataclass → an object
+    of its fields, numpy → ``item()``/``tolist()``, any other object →
+    ``str``.
+    """
+    if isinstance(value, enum.Enum):
+        return _jsonable(value.value)
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, Mapping):
+        return {_json_key(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        if all(type(v) in _JSON_SCALARS for v in value):
+            # Long runs of plain numbers (an ECDF's values) skip the per-item call.
+            return list(value)
+        return [_jsonable(v) for v in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    item = getattr(value, "item", None)
+    if callable(item):
+        try:
+            return _jsonable(item())
+        except (TypeError, ValueError):
+            pass
+    tolist = getattr(value, "tolist", None)
+    if callable(tolist):
+        return _jsonable(tolist())
+    return str(value)
+
+
+def _json_key(key: Any) -> str:
+    if isinstance(key, enum.Enum):
+        key = key.value
+    return key if isinstance(key, str) else str(key)
 
 
 def _parse_int(raw: str, name: str, *, minimum: int | None = None) -> int:
@@ -153,6 +215,8 @@ class _Columns:
 
     The numpy columns double their capacity when full, so an
     :meth:`extend` costs O(Δ) amortised, like ``CrawlDataset.extend``.
+    ``encoded`` holds each record's compact JSON once a page has returned
+    it (``None`` until then).
     """
 
     def __init__(self) -> None:
@@ -163,6 +227,7 @@ class _Columns:
         self.facet = np.zeros(0, dtype=np.int8)
         self.partners: dict[str, list[int]] = {}
         self.domains: list[str] = []
+        self.encoded: list[bytes | None] = []
 
     def extend(self, records: Sequence[SiteDetection]) -> None:
         start = self.size
@@ -181,6 +246,7 @@ class _Columns:
             for partner in d.partners:
                 self.partners.setdefault(partner, []).append(index)
         self.domains.extend(d.domain for d in records)
+        self.encoded.extend([None] * len(records))
         self.size = end
 
     def select(self, query: DetectionQuery) -> np.ndarray:
@@ -216,11 +282,11 @@ class _Columns:
 class DetectionStore:
     """Thread-safe live view over one campaign's detection sink.
 
-    The store owns the campaign-side reader state: the JSON-Lines byte
-    offset, the incrementally-indexed dataset, and the lock serialising
-    refreshes against queries.  It is deliberately ignorant of HTTP — the
-    route layer parses parameters into :class:`DetectionQuery` objects and
-    serialises the dicts this class returns.
+    The store owns the campaign-side reader state: the sink byte offset,
+    the incrementally-indexed dataset, the memoised encodings, and the lock
+    serialising refreshes against queries.  It is deliberately ignorant of
+    HTTP — the route layer parses parameters into :class:`DetectionQuery`
+    objects and frames the encoded pages and bodies this class returns.
     """
 
     def __init__(self, source, *, label: str | None = None) -> None:
@@ -235,6 +301,10 @@ class DetectionStore:
         #: How many times the sink shrank or changed under the store, each
         #: restarting it from byte zero.
         self.restarts = 0
+        #: Bumped whenever a refresh absorbs records or restarts; rendered
+        #: artifact bodies are kept for the current generation only.
+        self.generation = 0
+        self._rendered: dict[tuple[str, str], bytes] = {}
         self._lock = threading.RLock()
 
     # -- tailing ---------------------------------------------------------------
@@ -275,8 +345,10 @@ class DetectionStore:
                     new, self._offset = self.storage.read_new(0)
                 except StorageError:
                     return 0
-            self._dataset.extend(new)
-            self._columns.extend(new)
+            if new:
+                self._dataset.extend(new)
+                self._columns.extend(new)
+                self._next_generation()
             return len(new)
 
     def _reset(self) -> None:
@@ -284,6 +356,11 @@ class DetectionStore:
         self._columns = _Columns()
         self._offset = 0
         self.restarts += 1
+        self._next_generation()
+
+    def _next_generation(self) -> None:
+        self.generation += 1
+        self._rendered = {}
 
     def drained(self) -> bool:
         """Whether every byte currently in the sink has been indexed."""
@@ -297,21 +374,31 @@ class DetectionStore:
         The column view yields the indices of every matching record in
         dataset order (only a ``site`` filter tests records one by one, and
         only those the other filters kept); only the
-        ``offset:offset+limit`` slice of them is looked up in the dataset
-        and serialised.  All of it runs inside the lock — a concurrent
-        refresh cannot grow the columns mid-pagination.
+        ``offset:offset+limit`` slice of them is looked up.  ``items`` is
+        the last key and holds each returned record's compact JSON bytes,
+        exactly ``json.dumps(detection_to_dict(d), separators=(",", ":"))``,
+        encoded on the record's first serve and reused after.  All of it
+        runs inside the lock — a concurrent refresh cannot grow the columns
+        mid-pagination.
         """
         with self._lock:
-            indices = self._columns.select(query)
+            columns = self._columns
+            indices = columns.select(query)
             page = indices[query.offset : query.offset + query.limit].tolist()
-            detections = self._dataset.detections
+            encoded, detections = columns.encoded, self._dataset.detections
+            items = []
+            for i in page:
+                item = encoded[i]
+                if item is None:
+                    item = encoded[i] = compact_json(detection_to_dict(detections[i]))
+                items.append(item)
             return {
                 "total": len(indices),
                 "offset": query.offset,
                 "limit": query.limit,
                 "count": len(page),
                 "filters": query.describe(),
-                "items": [detection_to_dict(detections[i]) for i in page],
+                "items": items,
             }
 
     # -- metrics ---------------------------------------------------------------
@@ -326,16 +413,48 @@ class DetectionStore:
         with self._lock:
             return metric.compute(AnalysisContext.offline(self._dataset), **overrides)
 
+    def artifact(self, name: str, fmt: str = "json") -> bytes:
+        """One registered metric's rendered body, newline-terminated.
+
+        ``"text"`` is the exact ``repro analyze`` rendering; ``"json"`` is
+        the compact JSON object of the result (``campaign`` is the store's
+        label).  Each ``(name, fmt)`` body is computed and encoded once per
+        :attr:`generation` and served from memory until a refresh absorbs
+        records or restarts.
+        """
+        if fmt not in ("json", "text"):
+            raise ServiceError(f"unknown artifact format {fmt!r}; expected json or text")
+        with self._lock:
+            body = self._rendered.get((name, fmt))
+            if body is None:
+                result = self.compute_artifact(name)
+                if fmt == "text":
+                    body = result.text.encode("utf-8")
+                else:
+                    body = compact_json(
+                        {
+                            "campaign": self._label,
+                            "name": result.name,
+                            "title": result.title,
+                            "ref": result.ref,
+                            "params": _jsonable(result.params),
+                            "data": _jsonable(result.data),
+                            "text": result.text,
+                        }
+                    )
+                body = self._rendered[(name, fmt)] = body + b"\n"
+            return body
+
     def snapshot(self, names: Sequence[str]) -> dict[str, str]:
-        """Render several metrics at one consistent dataset state.
+        """Render several metrics' text at one consistent dataset state.
 
         The lock spans all of them, so a snapshot taken while a crawl
         streams in is internally consistent — the same guarantee one
-        ``analyze --watch`` refresh gives.
+        ``analyze --watch`` refresh gives.  The texts come from the same
+        per-generation bodies ``artifact(name, "text")`` serves.
         """
         with self._lock:
-            context = AnalysisContext.offline(self._dataset)
-            return {name: compute_metric(name, context).text for name in names}
+            return {name: self.artifact(name, "text")[:-1].decode("utf-8") for name in names}
 
     def summary(self) -> dict[str, Any] | None:
         """The Table-1 style dataset summary (``None`` while still empty)."""

@@ -8,11 +8,15 @@ offline metric identically to a local ``repro run``.
 """
 
 import dataclasses
+import http.client
 import json
+import os
 import sys
 import threading
 import time
+import types
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -25,15 +29,21 @@ from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.service import DetectionQuery, ServiceClient, ServiceClientError, running_server
+from repro.service.api import MAX_BODY_BYTES
 from repro.service.campaigns import CampaignManager, campaign_config_from_dict
-from repro.service.store import DetectionStore
-from repro.errors import ServiceError
+from repro.service.store import DetectionStore, _jsonable
+from repro.errors import ReproError, ServiceError
 from repro.models import HBFacet
 
 CAMPAIGN_BODY = {"sites": 400, "days": 1, "seed": 7, "workers": 2, "backend": "process"}
 CAMPAIGN_CONFIG = ExperimentConfig(
     total_sites=400, recrawl_days=1, seed=7, workers=2, crawl_backend="process"
 )
+
+
+def compact(value):
+    """The bytes the service sends for ``value``: compact JSON."""
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
 
 
 def offline_metric_names():
@@ -213,6 +223,50 @@ class TestSubmissionValidation:
             campaign_config_from_dict({"historical_years": "2019"})
 
 
+class TestRequestBodies:
+    """``Content-Length`` is checked before a byte of a POST body is read."""
+
+    @staticmethod
+    def post(server, path, length, body=b""):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Length", length)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "+5", "1.5", "0x10", "1 2"])
+    @pytest.mark.parametrize("route", ["campaigns", "ticks"])
+    def test_malformed_or_negative_length_is_400(self, server, campaign, route, length):
+        # "-1" used to reach ``rfile.read(-1)`` and block until the client
+        # hung up; the 30 s client timeout would fail this test.
+        path = "/campaigns" if route == "campaigns" else f"/campaigns/{campaign['id']}/ticks"
+        status, body = self.post(server, path, length)
+        assert status == 400, body
+        assert body["error"]["type"] == "ServiceError"
+        assert "Content-Length" in body["error"]["message"]
+
+    @pytest.mark.parametrize("route", ["campaigns", "ticks"])
+    def test_oversized_length_is_413_without_reading(self, server, campaign, route):
+        path = "/campaigns" if route == "campaigns" else f"/campaigns/{campaign['id']}/ticks"
+        # No body byte is ever sent: a handler that tried to read it would
+        # block until the client's 30 s timeout.
+        for length in (MAX_BODY_BYTES + 1, 10**12):
+            status, body = self.post(server, path, str(length))
+            assert status == 413, body
+            assert body["error"]["type"] == "RequestTooLargeError"
+
+    def test_body_at_the_limit_is_read(self, server):
+        padded = b'{"bogus_field": 1}'.ljust(MAX_BODY_BYTES)
+        status, body = self.post(server, "/campaigns", str(len(padded)), padded)
+        assert status == 400, body
+        assert "bogus_field" in body["error"]["message"]
+
+
 class TestRoundTrip:
     def test_served_detections_byte_identical_to_direct_run(self, client, campaign, reference):
         ref_bytes, _ = reference
@@ -308,9 +362,13 @@ class TestStoreColumns:
             expected = brute_force(query, detections)
             page = store.query(query)
             assert page["total"] == len(expected), filters
-            assert page["items"] == [
-                detection_to_dict(d) for d in expected[query.offset : query.offset + query.limit]
+            served = expected[query.offset : query.offset + query.limit]
+            # Each item is the record's compact JSON encoding, which decodes
+            # to exactly its dict form.
+            assert [json.loads(item) for item in page["items"]] == [
+                detection_to_dict(d) for d in served
             ], filters
+            assert page["items"] == [compact(detection_to_dict(d)) for d in served], filters
 
     @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
     def test_refresh_extends_and_reset_rebuilds(self, reference, tmp_path, store_format):
@@ -345,6 +403,190 @@ class TestStoreColumns:
         store.refresh()
         assert store.count == 50
         self.assert_matches_oracle(store, records[:50])
+
+
+class TestServedBytes:
+    """Every served body equals the compact JSON of its dict form while the
+    campaign's sink grows, restarts and is read concurrently.
+
+    The sink is grown by atomically publishing byte snapshots taken after
+    each flush of a real sink, so a read sees exactly one of the prefixes
+    ``CUTS`` names and the oracle is known for each of them.
+    """
+
+    CUTS = [0, 37, 38, 200, 411]
+
+    @staticmethod
+    def fetch(url):
+        try:
+            with urllib.request.urlopen(url, timeout=60) as response:
+                return response.read()
+        except urllib.error.HTTPError as err:
+            with err:
+                return err.read()
+
+    @staticmethod
+    def expected_page(params, detections):
+        query = DetectionQuery.from_params(params)
+        matched = brute_force(query, detections)
+        page = matched[query.offset : query.offset + query.limit]
+        envelope = {
+            "total": len(matched),
+            "offset": query.offset,
+            "limit": query.limit,
+            "count": len(page),
+            "filters": query.describe(),
+            "items": [detection_to_dict(d) for d in page],
+        }
+        return compact(envelope) + b"\n"
+
+    @staticmethod
+    def expected_artifact(cid, name, fmt, detections):
+        context = AnalysisContext.offline(CrawlDataset.from_detections(detections, label=cid))
+        try:
+            result = compute_metric(name, context)
+        except ReproError as exc:
+            return compact({"error": {"type": type(exc).__name__, "message": str(exc)}}) + b"\n"
+        if fmt == "text":
+            return result.text.encode("utf-8") + b"\n"
+        payload = {
+            "campaign": cid,
+            "name": result.name,
+            "title": result.title,
+            "ref": result.ref,
+            "params": _jsonable(result.params),
+            "data": _jsonable(result.data),
+            "text": result.text,
+        }
+        return compact(payload) + b"\n"
+
+    @pytest.fixture(params=["jsonl", "columnar"])
+    def rig(self, request, client, server, reference, tmp_path):
+        """A finished campaign whose sink the test rewrites, the sink's byte
+        snapshots after each flush of ``records`` at ``CUTS`` (plus the
+        end), and the oracle of every checked URL over a record list."""
+        store_format = request.param
+        submitted = client.submit({"sites": 40, "days": 1, "seed": 4, "store_format": store_format})
+        done = client.wait(submitted["id"], timeout=300)
+        assert done["state"] == "done", done
+        campaign = server.manager.get(submitted["id"])
+        records = list(reference[1].detections)
+        cuts = self.CUTS + [len(records)]
+        build = tmp_path / f"build{campaign.sink_path.suffix}"
+        snapshots = {0: b""}
+        with storage_for(build, format=store_format).open_sink(flush_every=10**6) as sink:
+            for start, end in zip(cuts, cuts[1:]):
+                sink.write_many(records[start:end])
+                sink.flush()
+                snapshots[end] = build.read_bytes()
+
+        def publish(data):
+            staged = campaign.sink_path.with_name("staged")
+            staged.write_bytes(data)
+            os.replace(staged, campaign.sink_path)
+
+        base = f"{server.base_url}/campaigns/{campaign.id}"
+        queries = [resolve_filters(f, records)
+                   for f in QUERY_FILTERS + [{}, {"offset": 7, "limit": 5}, {"limit": 500}]]
+
+        def expected(detections):
+            # Artifacts first: a test reading in this order meets a
+            # restarted store on an artifact read.
+            bodies = {}
+            for name in offline_metric_names():
+                for fmt in ("json", "text"):
+                    bodies[f"{base}/artifacts/{name}?format={fmt}"] = self.expected_artifact(
+                        campaign.id, name, fmt, detections
+                    )
+            for params in queries:
+                bodies[f"{base}/detections?{urllib.parse.urlencode(params)}"] = (
+                    self.expected_page(params, detections)
+                )
+            return bodies
+
+        # Start from an empty sink: the store restarts once and is empty.
+        publish(b"")
+        campaign.store.refresh()
+        assert campaign.store.count == 0
+        return types.SimpleNamespace(
+            campaign=campaign, records=records, snapshots=snapshots,
+            publish=publish, expected=expected, base=base,
+        )
+
+    def test_growing_sink_serves_the_oracle_bytes(self, rig):
+        previous = None
+        for end, data in rig.snapshots.items():
+            rig.publish(data)
+            expected = rig.expected(rig.records[:end])
+            for url, body in expected.items():
+                # The second read of a generation is served from the memos.
+                assert self.fetch(url) == body == self.fetch(url), (end, url)
+            assert rig.campaign.store.count == end
+            # The sink grew, so a body fetched before is wrong after.
+            table1 = expected[f"{rig.base}/artifacts/table1?format=json"]
+            assert table1 != previous
+            previous = table1
+
+    def test_restarted_sink_serves_no_stale_record_or_body(self, rig):
+        store, records = rig.campaign.store, rig.records
+        rig.publish(rig.snapshots[len(records)])
+        before = rig.expected(records)
+        for url, body in before.items():
+            assert self.fetch(url) == body, url
+        generation = store.generation
+        # A shorter sink holding other records: every memoised encoding and
+        # body of the longer one is wrong for it.
+        others = records[200:260]
+        storage_for(rig.campaign.sink_path, format=rig.campaign.config.store_format).save(others)
+        empty, after = rig.expected([]), rig.expected(others)
+        # The read that finds the sink shrunk restarts the store and serves
+        # it empty; the next one reads the new records.
+        for url in after:
+            assert self.fetch(url) in (empty[url], after[url]), url
+        assert store.restarts >= 1 and store.generation > generation
+        store.refresh()
+        assert store.drained() and store.count == len(others)
+        for url, body in after.items():
+            assert self.fetch(url) == body, url
+        table1 = f"{rig.base}/artifacts/table1?format=text"
+        assert after[table1] != before[table1]
+
+    def test_concurrent_readers_during_refresh_see_one_prefix(self, rig):
+        urls = [f"{rig.base}/detections?limit=500"]
+        urls += [f"{rig.base}/artifacts/{name}?format={fmt}"
+                 for name in ("table1", "fig12") for fmt in ("json", "text")]
+        oracles = [rig.expected(rig.records[:end]) for end in rig.snapshots]
+        seen, errors = [], []
+        stop = threading.Event()
+
+        def reader(first):
+            try:
+                index = first
+                while not stop.is_set():
+                    url = urls[index % len(urls)]
+                    seen.append((url, self.fetch(url)))
+                    index += 1
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        try:
+            for data in rig.snapshots.values():
+                rig.publish(data)
+                time.sleep(0.05)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and seen
+        for url, body in seen:
+            assert any(body == oracle[url] for oracle in oracles), url
+        # Once the sink stops growing, every read serves the full campaign.
+        for url in urls:
+            assert self.fetch(url) == oracles[-1][url], url
 
 
 class TestEvents:
@@ -432,6 +674,25 @@ class TestCampaignManager:
         finally:
             manager.shutdown(timeout=60)
 
+    def test_queued_campaigns_start_in_submission_order(self, tmp_path):
+        manager = CampaignManager(tmp_path, max_parallel=1)
+        try:
+            blocker = manager.submit(ExperimentConfig(total_sites=400, recrawl_days=2, seed=3))
+            queued = [manager.submit(ExperimentConfig(total_sites=40, seed=seed))
+                      for seed in (4, 5, 6, 7)]
+            manager.cancel(blocker.id)
+            for campaign in queued:
+                manager.wait(campaign.id, timeout=120)
+            assert [c.state for c in queued] == ["done"] * len(queued)
+            assert [c.runs for c in queued] == [1] * len(queued)
+            # One slot: each campaign starts only after the one queued
+            # before it has finished.
+            for earlier, later in zip(queued, queued[1:]):
+                assert earlier.finished_at <= later.started_at
+            assert blocker.state == "cancelled" and blocker.finished_at <= queued[0].started_at
+        finally:
+            manager.shutdown(timeout=60)
+
     def test_cancelled_before_checkpoint_resumes_fresh(self, tmp_path):
         manager = CampaignManager(tmp_path, max_parallel=1)
         try:
@@ -489,7 +750,7 @@ class TestCampaignManager:
                             assert page["total"] >= totals[which]
                             totals[which] = page["total"]
                             if query.hb:
-                                assert all(item["hb_detected"] for item in page["items"])
+                                assert all(json.loads(item)["hb_detected"] for item in page["items"])
                         campaign.to_dict()
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
