@@ -9,7 +9,7 @@ requested artefacts, which is the quickest way to see the pipeline working::
     hbrepro run --sites 2000 --save crawl.jsonl --checkpoint crawl.ckpt --resume
     hbrepro run --sites 2000 --save crawl.hbc --store-format columnar
     hbrepro analyze crawl.jsonl --artifact table1 fig12
-    hbrepro analyze crawl.jsonl --watch --interval 2
+    hbrepro analyze crawl.jsonl.hbc --watch --interval 2
     hbrepro convert crawl.hbc crawl.jsonl
     hbrepro historical --sites 400
     hbrepro serve --port 8710 --data-dir campaigns
@@ -20,23 +20,22 @@ requested artefacts, which is the quickest way to see the pipeline working::
 Artefact names resolve through the central metric registry
 (:mod:`repro.analysis.registry`); ``analyze`` recomputes any dataset-only
 metric from a saved crawl without re-simulating the Web.  ``analyze
---watch`` tails a growing sink (a crawl still running with ``--save``) and
-re-renders the artefacts whenever new detections land; each refresh feeds
-only the new records into the dataset's incrementally maintained indices
-(index upkeep is O(new detections); rendering the chosen artefacts still
-scans their data).
+--watch`` tails the ``.hbc`` working store of a crawl still running with
+``--save`` and re-renders the artefacts whenever new detections land; each
+refresh feeds only the new records into the dataset's incrementally
+maintained indices.
 
 Saved crawls come in two on-disk formats (``--store-format``): ``jsonl``,
 the human-greppable reference, and ``columnar``, the typed binary layout of
 :mod:`repro.crawler.colstore` that ``analyze`` mmaps instead of re-parsing.
-``analyze``, ``--watch`` and ``convert`` sniff the format from the file
-itself, so every read-side command works unchanged on either.
+Every crawl streams into an ``.hbc`` working store (``x.hbc`` itself, or
+``x.jsonl.hbc`` for ``--save x.jsonl``, exported whole whenever the run
+ends).  ``analyze`` and ``convert`` sniff the format from the file itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,7 +44,7 @@ from typing import Sequence
 from repro.analysis.context import AnalysisContext, CONTEXT_FIELDS
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import available_metrics, compute_metric, iter_metrics
-from repro.crawler.colstore import COLUMNAR_SUFFIXES, storage_for
+from repro.crawler.colstore import COLUMNAR_SUFFIXES, campaign_store, export, sniff_format, storage_for
 from repro.crawler.engine import BACKEND_NAMES
 from repro.crawler.storage import STORE_FORMATS, DetectionSink
 from repro.errors import ReproError, StorageError
@@ -124,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--save", metavar="PATH", default=None,
-        help="stream detections to this file as the crawl progresses",
+        help="save detections to PATH; a JSONL crawl streams into PATH.hbc "
+        "and exports PATH whenever the run ends",
     )
     run.add_argument(
         "--store-format", choices=list(STORE_FORMATS), default="jsonl",
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--watch", action="store_true",
-        help="tail the file and re-render the artefacts as new detections land",
+        help="tail a .hbc store and re-render the artefacts as new detections land",
     )
     analyze.add_argument(
         "--interval", type=_positive_float, default=2.0, metavar="SECONDS",
@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon.add_argument(
         "--store-format", choices=list(STORE_FORMATS), default="columnar",
-        help="sink format for the long-lived campaign (default %(default)s; "
-        "`hbrepro convert` translates to the JSONL reference bytes)",
+        help="format of the campaign file the daemon hands out (default "
+        "%(default)s; jsonl is exported after every tick)",
     )
     daemon.add_argument(
         "--shard-retries", type=_nonnegative_int, default=2, metavar="N",
@@ -400,23 +400,19 @@ def _print_artifacts(names: Sequence[str], context: AnalysisContext) -> None:
 
 
 def _watch(
-    storage,  # CrawlStorage or ColumnarStorage: anything with read_new()
+    storage,
     names: Sequence[str],
     *,
     interval: float,
     rounds: int | None = None,
 ) -> int:
-    """Tail ``storage`` and re-render ``names`` whenever detections arrive.
+    """Tail the ``.hbc`` ``storage`` and re-render ``names`` as detections arrive.
 
-    The tailing is :class:`~repro.service.store.DetectionStore`'s, the same
-    loop the service runs: each poll starts with the cheap ``size()``
-    staleness probe, so an idle watch — the recrawl daemon's common state
-    between crawl days — costs one ``stat`` per poll and never opens the
-    file, and new records are folded into one dataset in O(delta).  If the
-    file shrinks or changes under the watch (the crawl was restarted with a
-    fresh sink), the store restarts from an empty dataset and the watch says
-    so; a malformed file at offset 0 raises.  Runs until interrupted (or for
-    ``rounds`` polls when given, which is how tests and smoke runs bound it).
+    The tailing is :class:`~repro.service.store.DetectionStore`'s, the loop
+    the service runs: an idle poll costs one ``stat``, and new records are
+    folded into one dataset in O(delta).  If the file shrinks or changes
+    under the watch, the store restarts and the watch says so.  Runs until
+    interrupted, or for ``rounds`` polls when given.
     """
     from repro.service.store import DetectionStore
 
@@ -446,9 +442,7 @@ def _convert(args: argparse.Namespace) -> int:
     """Translate a saved crawl between store formats (either direction)."""
     src, dst = Path(args.src), Path(args.dst)
     try:
-        if src.resolve() == dst.resolve():
-            raise StorageError("convert needs distinct source and destination paths")
-        src_storage = storage_for(src)
+        src_format = sniff_format(src)
         if args.to is not None:
             target = args.to
         elif dst.suffix.lower() in COLUMNAR_SUFFIXES:
@@ -456,29 +450,14 @@ def _convert(args: argparse.Namespace) -> int:
         elif dst.suffix.lower() in {".jsonl", ".ndjson", ".json"}:
             target = "jsonl"
         else:
-            target = "jsonl" if src_storage.format == "columnar" else "columnar"
+            target = "jsonl" if src_format == "columnar" else "columnar"
         if dst.exists() and not args.force:
             raise StorageError(f"{dst} already exists; pass --force to overwrite it")
-        # Write to a sibling temp file and rename into place (the
-        # checkpoint's tmp+fsync+rename pattern): a crash mid-convert — or
-        # mid --force overwrite — can never leave a torn file where a valid
-        # one stood.
-        tmp = dst.with_name(dst.name + ".convert-tmp")
-        if tmp.resolve() == src.resolve():
-            raise StorageError("convert needs distinct source and destination paths")
-        try:
-            count = storage_for(tmp, format=target).save(src_storage.iter_load())
-            with tmp.open("rb") as handle:
-                os.fsync(handle.fileno())
-            os.replace(tmp, dst)
-        except OSError as exc:
-            raise StorageError(f"could not write {dst}: {exc}") from exc
-        finally:
-            tmp.unlink(missing_ok=True)
+        count = export(src, dst, target)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"Converted {count} detections: {src} ({src_storage.format}) -> {dst} ({target})")
+    print(f"Converted {count} detections: {src} ({src_format}) -> {dst} ({target})")
     return 0
 
 
@@ -681,7 +660,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             fault_spec=args.inject_faults,
             fault_log=args.fault_log,
         )
-        storage = storage_for(args.save, format=args.store_format) if args.save else None
+        storage = campaign_store(args.save, args.store_format) if args.save else None
         artifacts = ExperimentRunner(config).run(storage=storage)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -693,7 +672,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         signal.signal(signal.SIGTERM, previous)
     if storage is not None:
         print(f"Streamed {len(artifacts.longitudinal.all_detections)} detections "
-              f"to {storage.path}\n")
+              f"to {args.save}\n")
     _print_supervision(artifacts.longitudinal)
     try:
         _print_artifacts(args.figures, AnalysisContext.from_artifacts(artifacts))

@@ -11,7 +11,8 @@ How it works
 ------------
 The engine already emits detections in canonical shard order and flushes the
 sink at every shard boundary, so at each boundary the sink file is a prefix
-of the final canonical byte stream.  A :class:`CrawlCheckpoint` snapshots
+of the final canonical record stream.  The sink is always a campaign's
+``.hbc`` working store (:func:`repro.crawler.colstore.campaign_store`).  A :class:`CrawlCheckpoint` snapshots
 exactly that state — the campaign fingerprint, the per-phase shard plan hash,
 the completed-shard set, per-phase crawl counters, and the sink byte offset —
 and is written *atomically* (temp file + fsync + rename) so a crash can never
@@ -20,7 +21,8 @@ leave a half-written checkpoint.
 On resume, :meth:`CrawlCheckpointer.resume` refuses to continue unless the
 checkpoint's fingerprint matches the current configuration (same seed,
 population, timeouts, campaign shape), truncates the sink's half-flushed tail
-back to the recorded offset via :meth:`CrawlStorage.recover_to`, and re-parses
+back to the recorded chunk boundary via
+:meth:`~repro.crawler.colstore.ColumnarStorage.recover_to`, and re-decodes
 the kept prefix.  The engine then re-plans deterministically, verifies the
 recorded plan hash and the recovered detections against the plan, skips the
 completed shards, and merges old and new detections in canonical order.
@@ -56,11 +58,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.crawler.crawler import CrawlResult
-from repro.crawler.storage import CrawlStorage
 from repro.detector.records import SiteDetection
 from repro.errors import CheckpointError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
+    from repro.crawler.colstore import ColumnarStorage
     from repro.crawler.engine import CrawlPlan, DetectionSinkLike
 
 __all__ = [
@@ -76,7 +78,8 @@ __all__ = [
 
 #: Bump whenever the on-disk checkpoint format changes incompatibly; loading
 #: a checkpoint written by a different version refuses rather than guessing.
-CHECKPOINT_VERSION = 1
+#: Version 2: ``sink_offset`` counts ``.hbc`` bytes (version 1: JSONL bytes).
+CHECKPOINT_VERSION = 2
 
 #: Fingerprint fields that may legitimately differ between the recorded
 #: campaign and a resuming run.  ``recrawl_days`` is the campaign's day
@@ -214,8 +217,8 @@ class CrawlCheckpoint:
     """
 
     fingerprint: Mapping[str, object]
-    #: Byte offset of the last shard-boundary sink flush; everything before
-    #: it is complete canonical records, everything after is discardable tail.
+    #: Byte offset of the last shard-boundary flush of the ``.hbc`` working
+    #: store; everything after it is discardable tail.
     sink_offset: int
     phases: tuple[PhaseProgress, ...]
     version: int = CHECKPOINT_VERSION
@@ -335,7 +338,7 @@ class CrawlCheckpointer:
         cls,
         path: str | Path,
         fingerprint: Mapping[str, object],
-        storage: CrawlStorage,
+        storage: "ColumnarStorage",
     ) -> "CrawlCheckpointer":
         """Load a checkpoint, validate it, and recover the sink file.
 
@@ -438,12 +441,12 @@ class CrawlCheckpointer:
         plan hash (same worker count) so the completed prefix still falls on
         shard boundaries.
         """
-        offset = getattr(sink, "offset", None)
-        if offset is None:
+        if getattr(sink, "format", None) != "columnar":
             raise ConfigurationError(
-                "checkpointing needs an offset-tracking sink "
-                "(e.g. CrawlStorage.open_sink())"
+                "checkpointing needs an offset-tracking .hbc sink "
+                "(ColumnarStorage.open_sink()); JSONL is only exported whole"
             )
+        offset = sink.offset
         if offset != self._sink_offset:
             raise CheckpointError(
                 f"sink is positioned at byte {offset} but the checkpoint "

@@ -1,13 +1,12 @@
-"""Typed binary columnar detection store.
+"""Typed binary columnar detection store: every campaign's working store.
 
-JSONL (:mod:`repro.crawler.storage`) stays the reference format: it is
-human-greppable and byte-stable.  At the million-site north star, though,
-``json.dumps`` on every detection and an O(file) text re-parse on every
-``analyze`` dominate wall-clock.  This module adds a second backend behind
-the exact same seams — ``ColumnarDetectionSink`` and ``DetectionSink`` both
-extend the one sink contract (``storage._BufferedSink``), ``ColumnarStorage``
-mirrors ``CrawlStorage``, and ``ColumnarDataset`` *is* a ``CrawlDataset`` —
-that stores detections as typed numpy columns:
+JSONL (:mod:`repro.crawler.storage`) stays the canonical byte form, written
+only whole.  A campaign streams, checkpoints, resumes and is tailed through
+an ``.hbc`` file instead (:func:`campaign_store`), and :func:`export` writes
+its JSONL file.  ``ColumnarDetectionSink`` and ``DetectionSink`` extend the
+one sink contract (``storage._BufferedSink``), ``ColumnarStorage`` mirrors
+``CrawlStorage``, and ``ColumnarDataset`` *is* a ``CrawlDataset``.
+Detections are stored as typed numpy columns:
 
 * fixed-width numeric columns (``<i8`` ranks, ``<f8`` latencies, presence
   bytes for nullable fields — no NaN sentinels, so floats round-trip to the
@@ -49,7 +48,8 @@ reader applies one policy to the lister's tail result:
 * ``ColumnarStorage.iter_load``/``load`` and an append-open
   ``ColumnarDetectionSink`` refuse a torn tail;
 * ``ColumnarStorage.recover_to`` requires an exact chunk boundary and
-  truncates to it, like the JSONL tail recovery.
+  truncates to it, dropping whatever a crashed run wrote past its last
+  checkpoint.
 
 Re-closing after an append rewrites a footer identical to the one a clean
 run would have produced.
@@ -71,7 +71,7 @@ from repro.analysis.dataset import CrawlDataset
 from repro.detector.records import ObservedAuction, ObservedBid, SiteDetection
 from repro.errors import EmptyDatasetError, StorageError
 from repro.models import HBFacet
-from repro.crawler.storage import SAVE_CHUNK_RECORDS, STORE_FORMATS, CrawlStorage, _BufferedSink
+from repro.crawler.storage import STORE_FORMATS, CrawlStorage, _BufferedSink
 
 __all__ = [
     "COLUMNAR_MAGIC",
@@ -79,9 +79,15 @@ __all__ = [
     "ColumnarDetectionSink",
     "ColumnarStorage",
     "ColumnarTable",
+    "campaign_store",
+    "export",
     "sniff_format",
     "storage_for",
 ]
+
+#: Records per flush for a bulk ``save``/``append``: few large chunks, which
+#: mmap into near-contiguous columns.
+SAVE_CHUNK_RECORDS = 8192
 
 COLUMNAR_MAGIC = b"HBCOL1\r\n"
 _MAGIC_LEN = len(COLUMNAR_MAGIC)
@@ -566,8 +572,25 @@ class ColumnarDetectionSink(_BufferedSink):
     tail, strips the footer, and a later close rewrites an identical one.
     """
 
+    format = "columnar"
+    _offset: int | None = None
     _dicts: list[dict[str, int]] | None = None
     _chunks: list[tuple[int, tuple[int, ...]]] | None = None
+
+    def __init__(
+        self,
+        path: str | Path,
+        *,
+        append: bool = False,
+        flush_every: int = _BufferedSink.DEFAULT_FLUSH_EVERY,
+        export_to: Path | None = None,
+    ) -> None:
+        super().__init__(path, flush_every=flush_every)
+        self.append = append
+        #: Where a successful close exports the whole file as JSONL.
+        self.export_to = export_to
+        # A fresh sink's own writes are the whole file, exported from memory.
+        self._written: list[SiteDetection] | None = [] if export_to is not None and not append else None
 
     @property
     def offset(self) -> int:
@@ -618,6 +641,8 @@ class ColumnarDetectionSink(_BufferedSink):
             raise StorageError(f"could not write detections to {self.path}: {exc}") from exc
         self._chunks.append((base + len(prefix), counts))  # type: ignore[union-attr]
         self._offset = base + len(prefix) + len(chunk)
+        if self._written is not None:
+            self._written.extend(records)
 
     def _finish(self, handle) -> None:
         """Append the footer index."""
@@ -637,14 +662,23 @@ class ColumnarDetectionSink(_BufferedSink):
         except OSError as exc:
             raise StorageError(f"could not finalise detection sink {self.path}: {exc}") from exc
 
+    def close(self) -> None:
+        if self._closed:
+            return
+        super().close()
+        if self.export_to is not None and self.path.exists():
+            export(self.path, self.export_to, "jsonl", records=self._written)
+
 
 class ColumnarStorage:
-    """``CrawlStorage`` API over the columnar file format."""
+    """``CrawlStorage`` API over the columnar file format; with ``export_to``,
+    the working store of a JSONL campaign (see :func:`campaign_store`)."""
 
     format = "columnar"
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, *, export_to: Path | None = None) -> None:
         self.path = Path(path)
+        self.export_to = export_to
         # Tailing state for read_new: dictionary contents up to _tail_offset.
         self._tail_offset = 0
         self._tail_names: list[list[str]] = _new_names()
@@ -652,7 +686,9 @@ class ColumnarStorage:
     def open_sink(
         self, *, append: bool = False, flush_every: int = ColumnarDetectionSink.DEFAULT_FLUSH_EVERY
     ) -> ColumnarDetectionSink:
-        return ColumnarDetectionSink(self.path, append=append, flush_every=flush_every)
+        return ColumnarDetectionSink(
+            self.path, append=append, flush_every=flush_every, export_to=self.export_to
+        )
 
     def save(self, detections: Iterable[SiteDetection]) -> int:
         self._tail_offset, self._tail_names = 0, _new_names()
@@ -728,9 +764,9 @@ class ColumnarStorage:
     def recover_to(self, offset: int) -> list[SiteDetection]:
         """Validate and truncate the store to a checkpointed chunk boundary.
 
-        Returns the kept detections (mirroring the JSONL contract) and drops
-        everything past ``offset`` — post-checkpoint chunks, a torn tail, or
-        a footer, all of which the resumed sink will rewrite.
+        Returns the kept detections and drops everything past ``offset`` —
+        post-checkpoint chunks, a torn tail, or a footer, all of which the
+        resumed sink will rewrite.
         """
         if offset < 0:
             raise StorageError(f"cannot recover {self.path} to negative offset {offset}")
@@ -986,3 +1022,45 @@ def storage_for(path: str | Path, format: str | None = None) -> CrawlStorage | C
     if fmt == "columnar":
         return ColumnarStorage(path)
     raise StorageError(f"unknown detection store format {fmt!r}; expected one of: {', '.join(STORE_FORMATS)}")
+
+
+def campaign_store(path: str | Path, format: str) -> ColumnarStorage:
+    """The ``.hbc`` working store of a campaign that hands out ``path`` as ``format``.
+
+    A columnar campaign streams into ``path`` itself.  A JSONL campaign
+    streams into ``<path>.hbc``, and every close of its sink (a finished,
+    degraded, cancelled or interrupted run) exports ``path`` whole.
+    """
+    path = Path(path)
+    if format == "jsonl":
+        return ColumnarStorage(path.with_name(path.name + ".hbc"), export_to=path)
+    return storage_for(path, format)  # type: ignore[return-value]
+
+
+def export(
+    src: str | Path, dst: str | Path, format: str, *, records: list[SiteDetection] | None = None
+) -> int:
+    """Write the store at ``src`` to ``dst`` as ``format``; returns the record count.
+
+    The one writer of whole converted files (``hbrepro convert`` and every
+    JSONL campaign).  It writes a sibling temp file, fsyncs it and renames
+    it into place, so a crash never leaves a torn file where a valid one
+    stood.  ``records``, when the caller holds every record of ``src`` in
+    file order (a fresh sink's own writes), are written instead of decoding
+    ``src`` again.
+    """
+    src, dst = Path(src), Path(dst)
+    tmp = dst.with_name(dst.name + ".export-tmp")
+    if src.resolve() in (dst.resolve(), tmp.resolve()):
+        raise StorageError("an export needs distinct source and destination paths")
+    source = records if records is not None else storage_for(src).iter_load()
+    try:
+        count = storage_for(tmp, format=format).save(source)
+        with tmp.open("rb") as handle:
+            os.fsync(handle.fileno())
+        os.replace(tmp, dst)
+    except OSError as exc:
+        raise StorageError(f"could not write {dst}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+    return count

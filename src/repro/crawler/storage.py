@@ -1,18 +1,17 @@
 """On-disk persistence of crawl datasets.
 
 Detections are stored as JSON Lines (one :class:`SiteDetection` per line),
-which keeps the files append-friendly during long crawls, diff-able in code
-review, and loadable without any third-party dependency.
+which keeps the files diff-able in code review and loadable without any
+third-party dependency.  JSON Lines is the canonical byte form, written only
+whole: a campaign streams, checkpoints, resumes and is tailed through its
+``.hbc`` working store (:mod:`repro.crawler.colstore`), and
+:func:`~repro.crawler.colstore.export` writes the JSONL file from it.
 
-The write hot path is :class:`DetectionSink`: it batches detections in
-memory and, only every ``flush_every`` records, at shard boundaries (the
-crawl engine calls :meth:`DetectionSink.flush`) and on close, serialises
-them through the fast path :func:`detection_to_json_line` and flushes the
-OS buffer.  ``flush_every=1`` reproduces the old write-and-fsync-per-record
-behaviour.  The produced bytes are identical for every flush interval.
-:meth:`CrawlStorage.save` and :meth:`CrawlStorage.append` write through the
-same sink.  The buffering, retry and close contract lives in
-:class:`_BufferedSink`, which the columnar sink
+:class:`DetectionSink` batches detections in memory and, every
+``flush_every`` records, on :meth:`DetectionSink.flush` and on close,
+serialises them through :func:`detection_to_json_line`; the bytes are
+identical for every flush interval.  The buffering, retry and close
+contract lives in :class:`_BufferedSink`, which the columnar sink
 (:mod:`repro.crawler.colstore`) extends too.
 """
 
@@ -39,10 +38,6 @@ __all__ = [
 #: Detection store backends: "jsonl" is the human-greppable reference format,
 #: "columnar" (repro.crawler.colstore) the typed binary fast path.
 STORE_FORMATS = ("jsonl", "columnar")
-
-#: Records per flush for bulk ``save``/``append``: few large writes (and, in
-#: the columnar store, few large chunks that mmap into near-contiguous columns).
-SAVE_CHUNK_RECORDS = 8192
 
 
 def detection_to_dict(detection: SiteDetection) -> dict:
@@ -163,11 +158,10 @@ class _BufferedSink:
     #: Default number of records buffered between file writes.
     DEFAULT_FLUSH_EVERY = 64
 
-    def __init__(self, path: str | Path, *, append: bool = False, flush_every: int = DEFAULT_FLUSH_EVERY) -> None:
+    def __init__(self, path: str | Path, *, flush_every: int = DEFAULT_FLUSH_EVERY) -> None:
         if flush_every < 1:
             raise StorageError(f"flush_every must be a positive integer, got {flush_every}")
         self.path = Path(path)
-        self.append = append
         self.flush_every = flush_every
         self.count = 0
         #: Lifetime number of buffer-to-file flushes (for benchmarks).
@@ -175,7 +169,6 @@ class _BufferedSink:
         self._buffer: list[SiteDetection] = []
         self._handle: IO[bytes] | None = None
         self._closed = False
-        self._offset: int | None = None
 
     def _open(self) -> IO[bytes]:
         raise NotImplementedError
@@ -274,85 +267,55 @@ class _BufferedSink:
 
 
 class DetectionSink(_BufferedSink):
-    """Buffered streaming writer of detections to a JSON-Lines file.
+    """Buffered writer of one whole JSON-Lines file.
 
-    Used by the crawl engine to persist detections incrementally as shards
-    complete instead of buffering a whole crawl in memory; writing detections
-    one at a time produces byte-identical files to a single
-    :meth:`CrawlStorage.save` call over the same sequence.  Records are
-    encoded at flush time.  Use as a context manager (or call
+    Writing detections one at a time produces byte-identical files to a
+    single :meth:`CrawlStorage.save` call over the same sequence.  Records
+    are encoded at flush time.  Use as a context manager (or call
     :meth:`close`), e.g.::
 
         with CrawlStorage("crawl.jsonl").open_sink() as sink:
-            engine.crawl(population, sink=sink)
+            sink.write_many(detections)
     """
 
-    @property
-    def offset(self) -> int:
-        """Bytes durably in the file from this sink's point of view.
-
-        Counts only flushed data (buffered records are excluded), starting
-        from the pre-existing file size in append mode and from zero
-        otherwise.  This is the byte position a crawl checkpoint records:
-        everything before it is complete, canonical JSON-Lines records.
-        """
-        if self._offset is None:
-            if self.append:
-                try:
-                    self._offset = self.path.stat().st_size
-                except OSError:
-                    self._offset = 0
-            else:
-                self._offset = 0
-        return self._offset
+    format = "jsonl"
+    #: A JSONL file is always written from its first byte.
+    append = False
+    #: Bytes flushed to the file so far.
+    offset = 0
 
     def _open(self) -> IO[bytes]:
-        return self.path.open("ab" if self.append else "wb")
+        return self.path.open("wb")
 
     def _write_records(self, handle: IO[bytes], records: list[SiteDetection]) -> None:
         payload = "".join([detection_to_json_line(detection) for detection in records]).encode("utf-8")
-        # Snapshot before the write: the lazy property stats the file, and a
-        # post-write stat would count this payload twice in append mode.
-        base = self.offset
         try:
             handle.write(payload)
             handle.flush()
         except OSError as exc:
             raise StorageError(f"could not write {self.path}: {exc}") from exc
-        self._offset = base + len(payload)
+        self.offset += len(payload)
 
 
 class CrawlStorage:
-    """Reads and writes JSON-Lines crawl datasets."""
+    """Writes and reads whole JSON-Lines crawl datasets."""
 
     format = "jsonl"
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
 
-    def open_sink(
-        self,
-        *,
-        append: bool = False,
-        flush_every: int = DetectionSink.DEFAULT_FLUSH_EVERY,
-    ) -> DetectionSink:
-        """Open a streaming sink over this dataset file.
-
-        ``append=False`` starts a fresh file (like :meth:`save`);
-        ``append=True`` extends an existing one (like :meth:`append`, e.g.
-        one sink per crawl day over a shared longitudinal file).
-        ``flush_every`` sets the buffering interval (``1`` = unbuffered).
-        """
-        return DetectionSink(self.path, append=append, flush_every=flush_every)
+    def open_sink(self, *, flush_every: int = DetectionSink.DEFAULT_FLUSH_EVERY) -> DetectionSink:
+        """Open a sink that writes this file from scratch, every ``flush_every`` records."""
+        return DetectionSink(self.path, flush_every=flush_every)
 
     def save(self, detections: Iterable[SiteDetection]) -> int:
-        """Write detections to the file, replacing previous content."""
-        with self.open_sink(flush_every=SAVE_CHUNK_RECORDS) as sink:
-            return sink.write_many(detections)
+        """Write detections to the file, replacing previous content.
 
-    def append(self, detections: Iterable[SiteDetection]) -> int:
-        """Append detections (e.g. one crawl day) to the file."""
-        with self.open_sink(append=True, flush_every=SAVE_CHUNK_RECORDS) as sink:
+        Flushes at the default interval: the bytes are the same for any, and
+        a small buffer keeps the memory of a large export flat.
+        """
+        with self.open_sink() as sink:
             return sink.write_many(detections)
 
     def load(self) -> list[SiteDetection]:
@@ -378,128 +341,3 @@ class CrawlStorage:
                     yield detection_from_dict(data)
         except OSError as exc:
             raise StorageError(f"could not read {self.path}: {exc}") from exc
-
-    def size(self) -> int:
-        """Current byte size of the dataset file (``0`` when it is missing).
-
-        A cheap staleness probe for pollers: a tailing loop (the service's
-        SSE stream, ``analyze --watch``) can compare ``size()`` against its
-        read offset and skip opening + reading the file entirely when nothing
-        new has been flushed.  ``size() > offset`` does not promise a
-        complete record — a flush may land mid-line — only that
-        :meth:`read_new` is worth calling; ``size() < offset`` means the file
-        was truncated or replaced and the next :meth:`read_new` will raise.
-        """
-        try:
-            return self.path.stat().st_size
-        except OSError:
-            return 0
-
-    def read_new(self, offset: int = 0) -> tuple[list[SiteDetection], int]:
-        """Read complete records appended at or after byte ``offset``.
-
-        The tailing primitive behind ``hbrepro analyze --watch``: returns the
-        detections whose lines were fully written (newline-terminated) since
-        ``offset``, together with the new offset to resume from.  A trailing
-        partial line — a sink may flush mid-crawl at any byte — is left for
-        the next call.  A missing file simply yields nothing, so a watcher
-        can start before the crawl's first flush.
-
-        Safe for one reader concurrent with one appending writer (a
-        :class:`DetectionSink` on another thread or process): a flush that
-        lands *during* the read is seen either not at all or as a (possibly
-        partial) suffix of the chunk, and everything after the last newline
-        is deferred to the next call — so a record is never returned torn or
-        twice, and the returned offset always falls on a record boundary.
-        Only truncating/replacing the file under the reader raises.
-        """
-        if offset < 0:
-            raise StorageError("read offset cannot be negative")
-        if not self.path.exists():
-            return [], offset
-        try:
-            if self.path.stat().st_size < offset:
-                # The file was replaced/truncated under the reader (e.g. the
-                # crawl was restarted with a fresh "w"-mode sink).  Resuming
-                # from the stale offset would stall forever or land
-                # mid-record; make the caller decide how to restart.
-                raise StorageError(
-                    f"{self.path} shrank below read offset {offset}: truncated"
-                )
-            with self.path.open("rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-        except OSError as exc:
-            raise StorageError(f"could not read {self.path}: {exc}") from exc
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return [], offset
-        complete = chunk[: end + 1]
-        return self._parse_lines(complete, "tailing"), offset + len(complete)
-
-    def _parse_lines(self, blob: bytes, action: str) -> list[SiteDetection]:
-        """Parse newline-terminated JSON-Lines bytes, loudly on any damage."""
-        detections = []
-        for raw_line in blob.split(b"\n"):
-            line = raw_line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise StorageError(f"invalid JSON while {action} {self.path}: {exc}") from exc
-            detections.append(detection_from_dict(data))
-        return detections
-
-    def recover_to(self, offset: int) -> list[SiteDetection]:
-        """Truncate the file to ``offset`` bytes and return the kept records.
-
-        The crash-recovery primitive behind resumable crawls: a checkpoint
-        records the sink's byte offset at a shard boundary, so everything
-        before ``offset`` is complete canonical records and anything after it
-        is a half-flushed tail from the interrupted run (possibly ending in a
-        partial line), which is dropped.  The kept prefix is parsed *before*
-        the file is touched and every anomaly fails loudly instead of
-        double-counting: a missing file, a file shorter than ``offset`` (it
-        was truncated or replaced since the checkpoint was written), an
-        ``offset`` that does not fall on a record boundary, or malformed
-        records in the prefix all raise :class:`StorageError`.
-        """
-        if offset < 0:
-            raise StorageError("recovery offset cannot be negative")
-        if offset == 0:
-            if self.path.exists():
-                self._truncate(0)
-            return []
-        if not self.path.exists():
-            raise StorageError(
-                f"cannot recover {self.path}: the file is missing but the "
-                f"checkpoint records {offset} bytes"
-            )
-        try:
-            size = self.path.stat().st_size
-            if size < offset:
-                raise StorageError(
-                    f"cannot recover {self.path}: the file holds {size} bytes but "
-                    f"the checkpoint records {offset} — it was truncated or replaced"
-                )
-            with self.path.open("rb") as handle:
-                prefix = handle.read(offset)
-        except OSError as exc:
-            raise StorageError(f"could not read {self.path}: {exc}") from exc
-        if not prefix.endswith(b"\n"):
-            raise StorageError(
-                f"cannot recover {self.path}: byte {offset} is not a record "
-                f"boundary — the file was replaced since the checkpoint"
-            )
-        detections = self._parse_lines(prefix, "recovering")
-        if size > offset:
-            self._truncate(offset)
-        return detections
-
-    def _truncate(self, offset: int) -> None:
-        try:
-            with self.path.open("r+b") as handle:
-                handle.truncate(offset)
-        except OSError as exc:
-            raise StorageError(f"could not truncate {self.path}: {exc}") from exc

@@ -12,7 +12,8 @@ day's snapshot, and emits structured regression alerts.
 Workdir layout (everything the daemon owns lives under one directory)::
 
     workdir/
-      detections.hbc | detections.jsonl   canonical sink (never pruned)
+      detections.hbc | detections.jsonl.hbc   working store (never pruned)
+      detections.jsonl                    a JSONL campaign's export
       crawl.ckpt                          crash-safe campaign checkpoint
       daemon.json                         the daemon's recorded knobs
       metrics/day-00002.json              per-day flattened metric snapshot
@@ -33,12 +34,13 @@ sink, then ``crawl_campaign``), and it leaves its pieces *resident*: the
 population (with the environment and detector inside one
 :class:`~repro.crawler.crawler.Crawler`, whose process pool and per-worker
 site tables stay warm), the live checkpointer and the discovery pass's HB
-sites.  A warm tick first checks with ``stat`` that the sink and
+sites.  A warm tick first checks with ``stat`` that the working store and
 ``crawl.ckpt`` are exactly as this daemon's last tick left them, then grows
-the checkpointer's horizon, reopens the sink in append mode and crawls the
-new day alone; its snapshot and partition come from that day's result and
-its detection count from the checkpoint phases.  No history is read back,
-so a warm tick costs the same on day 3 as on day 30.  The first tick, a
+the checkpointer's horizon, reopens the working store in append mode and
+crawls the new day alone; its snapshot and partition come from that day's
+result and its detection count from the checkpoint phases.  No history is
+read back (except by a JSONL campaign's export, which rewrites the whole
+file), so a warm tick costs the same on day 3 as on day 30.  The first tick, a
 restarted daemon, any ``stat`` mismatch (another writer moved the
 campaign), and the tick after any failed, degraded or raising tick take the
 cold path, which stays the only resume implementation; a failing tick also
@@ -70,9 +72,8 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import compute_metric, get_metric
 from repro.crawler.checkpoint import CrawlCheckpoint, CrawlCheckpointer, PhaseProgress
-from repro.crawler.colstore import storage_for
+from repro.crawler.colstore import ColumnarStorage, campaign_store, storage_for
 from repro.crawler.crawler import Crawler, CrawlResult
-from repro.crawler.storage import CrawlStorage
 from repro.ecosystem.publishers import PublisherPopulation
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -334,9 +335,9 @@ class RecrawlDaemon:
     ``retention_days`` how many trailing days keep their per-day partition
     and snapshot files (the canonical sink and alert log are never pruned).
 
-    ``storage_factory`` injects the sink storage (the campaign service wires
-    its cancellable wrappers through here); the default is plain
-    :func:`~repro.crawler.colstore.storage_for`.
+    ``storage_factory(sink_path, store_format)`` builds the working store
+    (the campaign service wires its cancellable wrappers through here); the
+    default is plain :func:`~repro.crawler.colstore.campaign_store`.
 
     A tick leaves its crawler's worker pool running for the next one (see
     the module docstring); :meth:`close`, or leaving a ``with`` block,
@@ -352,7 +353,7 @@ class RecrawlDaemon:
         rules: Sequence[AlertRule] = (),
         target_days: int | None = None,
         retention_days: int | None = None,
-        storage_factory: Callable[[Path, str], CrawlStorage] | None = None,
+        storage_factory: Callable[[Path, str], ColumnarStorage] | None = None,
     ) -> None:
         if target_days is not None and target_days < 0:
             raise ConfigurationError("target_days cannot be negative")
@@ -383,16 +384,16 @@ class RecrawlDaemon:
         self.rules = tuple(rules)
         self.target_days = target_days
         self.retention_days = retention_days
-        self._storage_factory = storage_factory or (
-            lambda path, fmt: storage_for(path, format=fmt)
-        )
+        self._storage_factory = storage_factory or campaign_store
+        #: The file the campaign hands out, and the store it streams into.
         self.sink_path = self.workdir / _SINK_NAMES[config.store_format]
+        self.working_path = campaign_store(self.sink_path, config.store_format).path
         self.checkpoint_path = self.workdir / "crawl.ckpt"
         self.metrics_dir = self.workdir / "metrics"
         self.partitions_dir = self.workdir / "partitions"
         self.alert_log = self.workdir / "alerts.jsonl"
         self.fault_log_path = self.workdir / "faults.jsonl"
-        if self.sink_path.exists() and not self.checkpoint_path.exists():
+        if self.working_path.exists() and not self.checkpoint_path.exists():
             raise ConfigurationError(
                 f"{self.workdir} holds a detection sink but no checkpoint; "
                 f"refusing to overwrite it — point the daemon at a fresh "
@@ -787,9 +788,9 @@ class RecrawlDaemon:
 
     # -- bookkeeping -------------------------------------------------------------
     def _stamp(self) -> tuple | None:
-        """``stat`` identity of the sink and the checkpoint (``None`` if one is gone)."""
+        """``stat`` identity of the working store and the checkpoint (``None`` if one is gone)."""
         stamp = []
-        for path in (self.sink_path, self.checkpoint_path):
+        for path in (self.working_path, self.checkpoint_path):
             try:
                 st = path.stat()
             except OSError:

@@ -67,11 +67,10 @@ class ExperimentConfig:
     #: this knob existed (its mid-flight phase planned one shard per
     #: worker).
     shard_oversubscribe: int = 4
-    #: On-disk format for streamed detections: ``"jsonl"`` (the reference
-    #: format) or ``"columnar"`` (the typed binary layout of
-    #: :mod:`repro.crawler.colstore`).  The storage passed to
-    #: :meth:`ExperimentRunner.run` must match; ``hbrepro convert``
-    #: translates between the two after the fact.
+    #: Format of the file a campaign hands out: ``"jsonl"`` (the reference
+    #: format, exported whole from the ``.hbc`` working store every campaign
+    #: streams into) or ``"columnar"`` (the working store itself; see
+    #: :func:`repro.crawler.colstore.campaign_store`).
     store_format: str = "jsonl"
     #: Supervision: retry budget per shard before it is quarantined.  Purely
     #: operational — retried shards reproduce identical bytes (simulation is

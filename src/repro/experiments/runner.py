@@ -21,6 +21,7 @@ from typing import Mapping
 
 from repro.analysis.dataset import CrawlDataset
 from repro.crawler.checkpoint import CrawlCheckpointer, population_fingerprint
+from repro.crawler.colstore import ColumnarStorage, campaign_store
 from repro.crawler.crawler import Crawler
 from repro.crawler.storage import CrawlStorage
 from repro.crawler.historical import HistoricalAdoption, HistoricalCrawler
@@ -133,7 +134,8 @@ class ExperimentRunner:
         ``checkpoint_every_shards``: detections are byte-identical across all
         of them, so an interrupted crawl may resume with different
         parallelism (the engine still insists the mid-flight phase re-plans
-        identically).
+        identically).  ``store_format`` only names the exported file's
+        format: every checkpoint records the ``.hbc`` working store.
 
         ``recrawl_days`` is recorded but *extensible* on resume: each crawl
         day is its own immutable phase, so a finished campaign may resume
@@ -143,7 +145,7 @@ class ExperimentRunner:
         refused by :meth:`CrawlCheckpointer.resume`.
         """
         crawl = self.config.crawl_config()
-        fingerprint = {
+        return {
             "total_sites": self.config.total_sites,
             "seed": self.config.seed,
             "recrawl_days": self.config.recrawl_days,
@@ -155,22 +157,16 @@ class ExperimentRunner:
             "extra_dwell_ms": crawl.extra_dwell_ms,
             "restart_every_pages": crawl.restart_every_pages,
         }
-        # The store format changes the sink's byte layout, so a checkpoint
-        # must not resume under the other backend.  Recorded only when
-        # non-default so pre-existing JSONL checkpoints keep resuming.
-        if self.config.store_format != "jsonl":
-            fingerprint["store_format"] = self.config.store_format
-        return fingerprint
 
     def open_campaign(
-        self, storage: CrawlStorage | None = None
+        self, storage: ColumnarStorage | None = None
     ) -> tuple[PublisherPopulation, Crawler, CrawlCheckpointer | None]:
         """Build the population, the crawler and the campaign's checkpointer.
 
         The checkpointer is fresh, resumed from ``config.checkpoint_path``
-        (recovering ``storage``'s sink), or ``None`` without a checkpoint
-        path.  The crawler starts its pool workers on first use; the caller
-        owns it and must close it.
+        (recovering ``storage``, the campaign's ``.hbc`` working store), or
+        ``None`` without a checkpoint path.  The crawler starts its pool
+        workers on first use; the caller owns it and must close it.
         """
         config = self.config
         population = self.build_population()
@@ -202,13 +198,14 @@ class ExperimentRunner:
         crawler: Crawler,
         population: PublisherPopulation,
         *,
-        storage: CrawlStorage | None = None,
+        storage: ColumnarStorage | None = None,
         checkpointer: CrawlCheckpointer | None = None,
     ) -> LongitudinalCrawl:
         """The discovery pass plus ``config.recrawl_days`` daily re-crawls.
 
-        With ``storage``, detections stream to its sink, which a resumed
-        campaign reopens in append mode and a fresh one starts over.
+        With ``storage`` (a working store), detections stream to its sink,
+        which a resumed campaign reopens in append mode and a fresh one
+        starts over.
         """
         config = self.config
         scheduler = LongitudinalScheduler(crawler, recrawl_days=config.recrawl_days)
@@ -224,14 +221,16 @@ class ExperimentRunner:
         self,
         *,
         use_cache: bool = True,
-        storage: CrawlStorage | None = None,
+        storage: CrawlStorage | ColumnarStorage | None = None,
     ) -> ExperimentArtifacts:
         """Run (or reuse) the full crawl campaign for this configuration.
 
         ``storage`` streams every detection to disk incrementally as the
         campaign progresses (discovery pass first, then each crawl day) —
         runs given a storage are never served from the artifact cache, since
-        a cache hit would skip the writes.
+        a cache hit would skip the writes.  A :class:`CrawlStorage` stands
+        for its JSONL file's working store
+        (:func:`~repro.crawler.colstore.campaign_store`).
 
         With ``config.checkpoint_path`` set, progress is checkpointed at
         shard boundaries; with ``config.resume`` the campaign continues from
@@ -244,11 +243,14 @@ class ExperimentRunner:
                 "a checkpointed run needs persistent storage (run --save): "
                 "resume recovers completed work from the sink file"
             )
-        if storage is not None and getattr(storage, "format", "jsonl") != config.store_format:
+        if isinstance(storage, CrawlStorage):
+            storage = campaign_store(storage.path, "jsonl")
+        hands_out = "columnar" if getattr(storage, "export_to", None) is None else "jsonl"
+        if storage is not None and hands_out != config.store_format:
             raise ConfigurationError(
-                f"storage writes {getattr(storage, 'format', 'jsonl')!r} but the "
-                f"configuration asks for store_format={config.store_format!r}; "
-                f"build the storage with repro.crawler.colstore.storage_for"
+                f"storage hands out {hands_out!r} but the configuration asks "
+                f"for store_format={config.store_format!r}; build the storage "
+                f"with repro.crawler.colstore.campaign_store"
             )
         cache_key = _run_cache_key(config)
         # Fault-injected runs are never cached: a chaos run that quarantines

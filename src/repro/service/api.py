@@ -18,8 +18,8 @@ Routes
                                             body with ``metrics``/``thresholds``)
 ``GET /campaigns/{id}/detections``          filtered + paginated detection query
 ``GET /campaigns/{id}/artifacts/{name}``    any registered metric (``?format=text``
-                                            for the exact CLI rendering), or the raw
-                                            sink via name ``detections.jsonl``
+                                            for the exact CLI rendering), or the file
+                                            it hands out (``detections.jsonl``/``.hbc``)
 ``GET /campaigns/{id}/events``              server-sent events: progress + live
                                             metric snapshots while the crawl runs,
                                             ``alert`` events from the campaign's
@@ -81,7 +81,7 @@ MAX_BODY_BYTES = 1 << 20
 #: Content type of every JSON response.
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
-#: Artifact name that serves the campaign's raw JSON-Lines sink bytes —
+#: Artifact name that serves a JSONL campaign's exported detections —
 #: byte-identical to the file a direct ``repro run --save`` writes.
 RAW_SINK_ARTIFACT = "detections.jsonl"
 
@@ -382,8 +382,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _get_artifact(self, campaign_id: str, name: str, params: dict[str, list[str]]) -> None:
         campaign = self.server.manager.get(campaign_id)
-        # The campaign's own sink file name (detections.jsonl, or
-        # detections.hbc for a columnar campaign) serves the raw sink bytes.
+        # The name of the file the campaign hands out serves its bytes.
         if name == campaign.sink_path.name:
             path = campaign.sink_path
             body = path.read_bytes() if path.exists() else b""

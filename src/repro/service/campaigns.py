@@ -12,8 +12,9 @@ and tracks the state machine
     cancelled/failed --> queued           (resume())
 
 Every campaign gets its own working directory under the manager's root with
-the streaming sink (``detections.jsonl``), the shard-boundary checkpoint
-(``crawl.ckpt``) and a ``campaign.json`` record of the submitted
+the ``.hbc`` working store its sink streams into (``detections.hbc``, or
+``detections.jsonl.hbc`` exporting ``detections.jsonl``), the shard-boundary
+checkpoint (``crawl.ckpt``) and a ``campaign.json`` record of the submitted
 configuration.  Cancellation is cooperative and crash-equivalent: a flag is
 raised and the campaign's sink throws :class:`~repro.errors.CampaignCancelled`
 at the next detection write, unwinding the crawl through the same path a
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.crawler.colstore import storage_for
+from repro.crawler.colstore import campaign_store
 from repro.errors import (
     CampaignCancelled,
     CampaignStateError,
@@ -133,8 +134,8 @@ def campaign_config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
 class _Cancellable:
     """Wraps a campaign's storage so its sinks abort once it is cancelled.
 
-    Built around :func:`~repro.crawler.colstore.storage_for`, so it serves
-    either store format.  :meth:`ExperimentRunner.run` opens the sink itself
+    Built around the campaign's working store, so it serves either store
+    format.  :meth:`ExperimentRunner.run` opens the sink itself
     from the storage it is handed, so :meth:`open_sink` wraps the opened sink
     the same way, and the sink's :meth:`write` raises
     :class:`CampaignCancelled` once the event is set.  The crawler writes every detection through the sink,
@@ -200,12 +201,17 @@ class Campaign:
     _thread: threading.Thread | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.store = DetectionStore(self.sink_path, label=self.id)
+        self.store = DetectionStore(self.working_store().path, label=self.id)
 
     @property
     def sink_path(self) -> Path:
+        """The file the campaign hands out (its raw sink artifact)."""
         name = "detections.hbc" if self.config.store_format == "columnar" else "detections.jsonl"
         return self.workdir / name
+
+    def working_store(self):
+        """The ``.hbc`` store the campaign's sink streams into; cancellable."""
+        return _Cancellable(campaign_store(self.sink_path, self.config.store_format), self._cancel)
 
     @property
     def checkpoint_path(self) -> Path:
@@ -415,9 +421,7 @@ class CampaignManager:
                 rules=rules,
                 # The sink factory reads campaign._cancel at call time, so the
                 # fresh cancel event below is the one the tick observes.
-                storage_factory=lambda path, fmt: _Cancellable(
-                    storage_for(path, format=fmt), campaign._cancel
-                ),
+                storage_factory=lambda path, fmt: campaign.working_store(),
             )
             target = daemon.next_target()
             if target is None:  # pragma: no cover - target_days is never set here
@@ -529,11 +533,9 @@ class CampaignManager:
             resume=resume,
             fault_log=str(campaign.fault_log_path),
         )
-        storage = _Cancellable(
-            storage_for(campaign.sink_path, format=campaign.config.store_format),
-            campaign._cancel,
-        )
-        longitudinal = ExperimentRunner(config).run(use_cache=False, storage=storage).longitudinal
+        longitudinal = ExperimentRunner(config).run(
+            use_cache=False, storage=campaign.working_store()
+        ).longitudinal
         supervision = _supervision_counts(longitudinal)
         if longitudinal.degraded:
             # Degraded completion: shards exhausted their retries and were

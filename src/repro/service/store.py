@@ -1,12 +1,13 @@
 """The service's queryable detection store.
 
-One :class:`DetectionStore` wraps a campaign's streaming sink file and keeps
-an incrementally-maintained :class:`~repro.analysis.dataset.CrawlDataset`
-over it: :meth:`refresh` tails the file through
-:meth:`~repro.crawler.storage.CrawlStorage.read_new` (guarded by one cheap
-:meth:`~repro.crawler.storage.CrawlStorage.size` probe) and folds the new
-records into the dataset's O(Δ) indices.  It is the one tail loop: every
-HTTP request thread shares it, and ``hbrepro analyze --watch`` runs on it.
+One :class:`DetectionStore` wraps a campaign's ``.hbc`` working store (the
+file its sink streams into) and keeps an incrementally-maintained
+:class:`~repro.analysis.dataset.CrawlDataset` over it: :meth:`refresh` tails
+the file through :meth:`~repro.crawler.colstore.ColumnarStorage.read_new`
+(guarded by one cheap :meth:`~repro.crawler.colstore.ColumnarStorage.size`
+probe) and folds the new records into the dataset's O(Δ) indices.  It is the
+one tail loop: every HTTP request thread shares it, and ``hbrepro analyze
+--watch`` runs on it.  A JSONL file, written only whole, is refused.
 
 Beside the dataset the store keeps a small column view of the same records:
 numpy arrays of ``hb_detected``, ``crawl_day``, ``rank`` and a facet code,
@@ -291,9 +292,13 @@ class DetectionStore:
 
     def __init__(self, source, *, label: str | None = None) -> None:
         # A path is sniffed by magic bytes (extension for files not yet
-        # created), so a columnar campaign's store tails typed chunks instead
-        # of JSON lines; a storage backend is tailed as given.
+        # created); a storage backend is tailed as given.
         self.storage = storage_for(source) if isinstance(source, (str, Path)) else source
+        if self.storage.format != "columnar":
+            raise StorageError(
+                f"{self.storage.path} is JSONL, written only whole; a live campaign "
+                f"streams into its working store {self.storage.path}.hbc"
+            )
         self._label = label or self.storage.path.stem
         self._dataset = CrawlDataset(label=self._label)
         self._columns = _Columns()
@@ -325,26 +330,24 @@ class DetectionStore:
 
         Returns how many new detections were absorbed.  Cheap when nothing
         changed: the ``size()`` probe skips the file open entirely.  If the
-        file shrank below the read offset — the campaign was resumed and
-        recovery truncated the half-flushed tail — the store restarts from
-        byte zero, exactly like ``analyze --watch`` does.
+        file shrank below the read offset or changed under it (a resume
+        truncated its tail, or the campaign restarted), the store restarts
+        and reads the file from byte zero in the same call.
         """
         with self._lock:
             size = self.storage.size()
-            if size <= self._offset:
-                if size < self._offset:
-                    self._reset()
+            if size == self._offset:
                 return 0
-            try:
-                new, self._offset = self.storage.read_new(self._offset)
-            except StorageError:
-                if self._offset == 0:
-                    raise
-                self._reset()
+            new = None
+            if size > self._offset:
                 try:
-                    new, self._offset = self.storage.read_new(0)
+                    new, self._offset = self.storage.read_new(self._offset)
                 except StorageError:
-                    return 0
+                    if self._offset == 0:
+                        raise
+            if new is None:  # the file shrank or changed under the store
+                self._reset()
+                new, self._offset = self.storage.read_new(0)
             if new:
                 self._dataset.extend(new)
                 self._columns.extend(new)

@@ -268,10 +268,6 @@ class FaultInjectingSink:
     def flush(self) -> None:
         self._inner.flush()
 
-    @property
-    def offset(self) -> int:
-        return self._inner.offset
-
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
@@ -402,26 +398,26 @@ def interrupted_then_resumed(
     crawl_day: int = 0,
     flush_every: int = 3,
     resume_config=None,
-    store_format: str = "jsonl",
 ):
     """Crash a checkpointed crawl after ``fail_after`` shards, then resume it.
 
+    The crawl streams into the working store of ``interrupted.jsonl``.
     Returns ``(result, storage)``: the resumed (complete) crawl result and
-    the storage whose file now holds the recovered-plus-resumed bytes.  When
-    ``fail_after`` exceeds the shard count the first run simply completes and
-    the "resume" is a no-op replay — which must also be byte-identical.
+    the storage of the JSONL file exported after the resume.  When
+    ``fail_after`` exceeds the shard count the first run simply completes
+    and the "resume" is a no-op replay — which must also be byte-identical.
     """
     from repro.crawler.checkpoint import CrawlCheckpointer
-    from repro.crawler.colstore import storage_for
+    from repro.crawler.colstore import campaign_store
     from repro.crawler.crawler import Crawler
     from repro.crawler.engine import backend_from_name
+    from repro.crawler.storage import CrawlStorage
 
     fingerprint = {
         "seed": config.seed,
         "sites": [publisher.domain for publisher in sites],
     }
-    suffix = "hbc" if store_format == "columnar" else "jsonl"
-    storage = storage_for(tmp_path / f"interrupted.{suffix}", format=store_format)
+    storage = campaign_store(tmp_path / "interrupted.jsonl", "jsonl")
     checkpoint_path = tmp_path / "checkpoint.json"
 
     faulty = FaultyBackend(
@@ -444,19 +440,18 @@ def interrupted_then_resumed(
             result = crawler.crawl(
                 sites, crawl_day=crawl_day, sink=sink, checkpoint=resumed
             )
-    return result, storage
+    return result, CrawlStorage(storage.export_to)
 
 
 def uninterrupted_baseline(
     environment, detector, config, sites, *, tmp_path, crawl_day: int = 0,
-    flush_every: int = 3, store_format: str = "jsonl",
+    flush_every: int = 3,
 ):
-    """One-shot reference crawl: the bytes and result resume must reproduce."""
-    from repro.crawler.colstore import storage_for
+    """One-shot crawl into a direct JSONL sink: the oracle a resume must match."""
     from repro.crawler.crawler import Crawler
+    from repro.crawler.storage import CrawlStorage
 
-    suffix = "hbc" if store_format == "columnar" else "jsonl"
-    storage = storage_for(tmp_path / f"baseline.{suffix}", format=store_format)
+    storage = CrawlStorage(tmp_path / "baseline.jsonl")
     with Crawler(environment, detector, config) as crawler:
         with storage.open_sink(flush_every=flush_every) as sink:
             result = crawler.crawl(sites, crawl_day=crawl_day, sink=sink)

@@ -3,7 +3,9 @@
 The acceptance criterion under test: interrupting a checkpointed crawl at any
 shard boundary and resuming it produces byte-identical sink files, identical
 detections and identical registered metrics versus an uninterrupted run, for
-every execution backend.
+every execution backend.  A checkpointed crawl streams into an ``.hbc``
+working store; the JSONL exported from it must equal the bytes of an
+uninterrupted direct JSONL sink.
 """
 
 import dataclasses
@@ -22,10 +24,12 @@ from repro.crawler.checkpoint import (
     plan_fingerprint,
     population_fingerprint,
 )
+from repro.crawler.colstore import ColumnarStorage, campaign_store
 from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.engine import CrawlPlan
 from repro.crawler.scheduler import LongitudinalScheduler
 from repro.crawler.storage import CrawlStorage, detection_to_dict
+from repro.detector.records import SiteDetection
 from repro.errors import CheckpointError, ConfigurationError, ReproError, StorageError
 from repro.testing import (
     FaultyBackend,
@@ -86,6 +90,19 @@ class TestCheckpointFormat:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(CheckpointError, match="version"):
             CrawlCheckpoint.load(path)
+
+    def test_a_version_1_checkpoint_is_refused_by_version(self, tmp_path):
+        """Version 1 recorded JSONL sink offsets: resuming one must fail on
+        the version, before any sink is looked at."""
+        path = tmp_path / "cp.json"
+        data = self.checkpoint().to_dict()
+        data["version"] = 1
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert CHECKPOINT_VERSION == 2
+        with pytest.raises(CheckpointError, match="version 1 is not supported"):
+            CrawlCheckpointer.resume(
+                path, data["fingerprint"], ColumnarStorage(tmp_path / "missing.hbc")
+            )
 
     def test_non_prefix_completed_shards_rejected(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -206,7 +223,7 @@ class TestCrashAndResume:
         the backend must not pay pool start-up for zero remaining shards."""
         config = CrawlConfig(seed=5, workers=2, backend="process")
         fingerprint = {"seed": 5}
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
+        storage = ColumnarStorage(tmp_path / "crawl.hbc")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", fingerprint)
         with Crawler(environment, detector, config) as engine:
             with storage.open_sink() as sink:
@@ -315,7 +332,7 @@ class TestCheckpointGuards:
         return {"seed": seed, "sites": [p.domain for p in sites]}
 
     def crash(self, environment, detector, config, sites, tmp_path, fail_after=1):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
+        storage = ColumnarStorage(tmp_path / "crawl.hbc")
         recorder = CrawlCheckpointer.fresh(
             tmp_path / "cp.json", self.fingerprint(sites, seed=config.seed)
         )
@@ -354,14 +371,25 @@ class TestCheckpointGuards:
             with pytest.raises(ConfigurationError, match="offset-tracking"):
                 engine.crawl(sites, sink=BareSink(), checkpoint=recorder)
 
+    def test_a_jsonl_sink_is_rejected(
+        self, environment, detector, small_population, tmp_path
+    ):
+        """JSONL is only exported whole: a checkpoint records .hbc offsets."""
+        sites = list(small_population)[:6]
+        recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", self.fingerprint(sites))
+        with Crawler(environment, detector, CrawlConfig(seed=5)) as engine:
+            with CrawlStorage(tmp_path / "crawl.jsonl").open_sink() as sink:
+                with pytest.raises(ConfigurationError, match=r"\.hbc sink"):
+                    engine.crawl(sites, sink=sink, checkpoint=recorder)
+
     def test_fresh_campaign_with_a_misaligned_sink_is_rejected(
         self, environment, detector, small_population, tmp_path
     ):
         """A fresh checkpoint over an append sink on a non-empty file would
         record offsets that do not describe the pre-existing content."""
         sites = list(small_population)[:6]
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.path.write_text('{"pre": "existing"}\n', encoding="utf-8")
+        storage = ColumnarStorage(tmp_path / "crawl.hbc")
+        storage.save([SiteDetection(domain="pre.example", rank=1, hb_detected=False)])
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", self.fingerprint(sites))
         with Crawler(environment, detector, CrawlConfig(seed=5)) as engine:
             with storage.open_sink(append=True) as sink:
@@ -386,7 +414,7 @@ class TestCheckpointGuards:
         config = CrawlConfig(seed=5, workers=2, backend="serial")
         storage = self.crash(environment, detector, config, sites, tmp_path)
         storage.path.unlink()
-        with pytest.raises(ReproError, match="missing"):
+        with pytest.raises(ReproError, match="does not exist"):
             CrawlCheckpointer.resume(
                 tmp_path / "cp.json", self.fingerprint(sites), storage
             )
@@ -401,7 +429,7 @@ class TestCheckpointGuards:
         storage = self.crash(environment, detector, config, sites, tmp_path)
         size = storage.path.stat().st_size
         storage.path.write_bytes(b"x" * size)  # same size, alien content
-        with pytest.raises(StorageError, match="boundary|invalid JSON"):
+        with pytest.raises(StorageError, match="not a columnar detection store"):
             CrawlCheckpointer.resume(
                 tmp_path / "cp.json", self.fingerprint(sites), storage
             )
@@ -414,7 +442,7 @@ class TestCheckpointGuards:
         sites = list(small_population)[:8]
         other = list(small_population)[8:16]
         config = CrawlConfig(seed=5, workers=2, backend="serial")
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
+        storage = ColumnarStorage(tmp_path / "crawl.hbc")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", self.fingerprint(sites))
         with Crawler(environment, detector, config) as engine:
             with storage.open_sink(flush_every=2) as sink:
@@ -464,7 +492,7 @@ class TestCampaignResume:
 
         # Kill during the day-1 re-crawl: discovery contributes 2 shards, so
         # dying after 3 results lands one shard into the second phase.
-        storage = CrawlStorage(tmp_path / "resumable.jsonl")
+        storage = campaign_store(tmp_path / "resumable.jsonl", "jsonl")
         recorder = CrawlCheckpointer.fresh(tmp_path / "cp.json", fingerprint)
         faulty = FaultyBackend(backend_from_name("process", workers=2), 3)
         crawler = Crawler(environment, detector, config, backend=faulty)
@@ -484,7 +512,7 @@ class TestCampaignResume:
                     checkpoint=resumed_recorder,
                 )
 
-        assert storage.path.read_bytes() == clean.path.read_bytes()
+        assert storage.export_to.read_bytes() == clean.path.read_bytes()
         assert serialise(resumed.all_detections) == serialise(expected.all_detections)
         assert resumed.discovery.hb_domains == expected.discovery.hb_domains
         assert resumed.pages_visited == expected.pages_visited

@@ -99,23 +99,38 @@ class TestWatchCli:
 
         assert main(["analyze", str(out), "--artifact", "table1", "adoption"]) == 0
         plain = capsys.readouterr().out
-        assert main(["analyze", str(out), "--watch", "--interval", "0.01",
+        # The run streamed into its working store, which is what --watch tails.
+        working = tmp_path / "crawl.jsonl.hbc"
+        assert main(["analyze", str(working), "--watch", "--interval", "0.01",
                      "--watch-rounds", "2", "--artifact", "table1", "adoption"]) == 0
         watched = capsys.readouterr().out
         # One render (round 2 sees no new data), preceded by a progress header.
-        assert watched.count("=== crawl.jsonl: 400 detections (+400) ===") == 1
+        assert watched.count("=== crawl.jsonl.hbc: 400 detections (+400) ===") == 1
         assert watched.endswith(plain)
+
+    def test_watch_refuses_a_jsonl_file(self, capsys, tmp_path):
+        """JSONL is written only whole; the error names the store to tail."""
+        out = tmp_path / "crawl.jsonl"
+        assert main(["run", "--sites", "400", "--days", "0", "--seed", "7",
+                     "--save", str(out), "--figures", "table1"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out), "--watch", "--interval", "0.01",
+                     "--watch-rounds", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(tmp_path / "crawl.jsonl.hbc") in captured.err
 
     def test_watch_tails_a_growing_file(self, capsys, tmp_path):
         """New detections appended between polls trigger a fresh render."""
         import threading
         import time as time_mod
 
-        from repro.crawler.storage import CrawlStorage
+        from repro.crawler.colstore import ColumnarStorage
         from tests.test_crawler_storage import sample_detection
 
-        path = tmp_path / "crawl.jsonl"
-        storage = CrawlStorage(path)
+        path = tmp_path / "crawl.hbc"
+        storage = ColumnarStorage(path)
         storage.save([sample_detection("first.example")])
 
         def late_append():
@@ -131,10 +146,13 @@ class TestWatchCli:
             writer.join()
         out = capsys.readouterr().out
         assert "1 detections (+1)" in out
-        assert "2 detections (+1)" in out
+        # Reopening a closed .hbc store to append strips its footer, so the
+        # watch restarts and reads the grown file again.
+        assert "file changed, restarting watch" in out
+        assert "2 detections (+2)" in out or "2 detections (+1)" in out
 
     def test_watch_on_missing_file_waits_quietly(self, capsys, tmp_path):
-        assert main(["analyze", str(tmp_path / "nope.jsonl"), "--watch",
+        assert main(["analyze", str(tmp_path / "nope.jsonl.hbc"), "--watch",
                      "--interval", "0.01", "--watch-rounds", "2"]) == 0
         assert capsys.readouterr().out == ""
 
@@ -143,11 +161,11 @@ class TestWatchCli:
         import threading
         import time as time_mod
 
-        from repro.crawler.storage import CrawlStorage
+        from repro.crawler.colstore import ColumnarStorage
         from tests.test_crawler_storage import sample_detection
 
-        path = tmp_path / "crawl.jsonl"
-        storage = CrawlStorage(path)
+        path = tmp_path / "crawl.hbc"
+        storage = ColumnarStorage(path)
         storage.save([sample_detection(f"old{i}.example") for i in range(3)])
 
         def restart_crawl():
@@ -222,16 +240,60 @@ class TestCheckpointCli:
                      "--checkpoint", str(checkpoint), "--resume"]) == 1
         assert "refusing to resume" in capsys.readouterr().err
 
+    def test_resume_of_a_version_1_checkpoint_fails_on_the_version(self, capsys, tmp_path):
+        """A checkpoint from before the .hbc working store recorded JSONL
+        offsets; resuming it is refused by version, not by a missing file."""
+        import json
+
+        out = tmp_path / "crawl.jsonl"
+        checkpoint = tmp_path / "cp.json"
+        assert main(self.RUN + ["--save", str(out), "--checkpoint", str(checkpoint)]) == 0
+        capsys.readouterr()
+        (tmp_path / "crawl.jsonl.hbc").unlink()
+        data = json.loads(checkpoint.read_text(encoding="utf-8"))
+        data["version"] = 1
+        data["sink_offset"] = out.stat().st_size
+        checkpoint.write_text(json.dumps(data), encoding="utf-8")
+        assert main(self.RUN + ["--save", str(out), "--checkpoint", str(checkpoint),
+                                "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint format version 1 is not supported")
+
     def test_resume_without_a_checkpoint_file_fails_cleanly(self, capsys, tmp_path):
         assert main(self.RUN + ["--save", str(tmp_path / "out.jsonl"),
                     "--checkpoint", str(tmp_path / "nope.json"), "--resume"]) == 1
         assert "no checkpoint to resume" in capsys.readouterr().err
 
 
+#: sha256 of ``run --save x.jsonl`` for the test-scale campaign (400 sites,
+#: one re-crawl day), recorded before campaigns streamed into ``.hbc``.
+RUN_SAVE_SHA256 = {
+    1: "a9be4eab208dd08570d52f13a04feaf00bd32b52eb159bd54de135a196682946",
+    2: "d9144e2f0ca3daf432d8ace99388ebedcc9a89a809919d07fe26499b8c619506",
+}
+
+
+class TestRunSaveBytes:
+    @pytest.mark.parametrize("seed", sorted(RUN_SAVE_SHA256))
+    @pytest.mark.parametrize("parallel", [[], ["--workers", "2", "--backend", "process"]],
+                             ids=["serial", "process-2"])
+    def test_exported_jsonl_keeps_its_recorded_bytes(self, capsys, tmp_path, seed, parallel):
+        import hashlib
+
+        out = tmp_path / "x.jsonl"
+        assert main(["run", "--sites", "400", "--days", "1", "--seed", str(seed),
+                     *parallel, "--save", str(out), "--figures", "table1"]) == 0
+        assert f"to {out}\n" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SAVE_SHA256[seed]
+        assert (tmp_path / "x.jsonl.hbc").exists()  # the working store it came from
+
+
 class TestWatchProbe:
     """The size() staleness probe: an idle watch never opens the file."""
 
     class _CountingStorage:
+        format = "columnar"
+
         def __init__(self, inner):
             self._inner = inner
             self.path = inner.path
@@ -247,10 +309,10 @@ class TestWatchProbe:
             return self._inner.read_new(offset)
 
     def _seeded_storage(self, tmp_path, n=3):
-        from repro.crawler.storage import CrawlStorage
+        from repro.crawler.colstore import ColumnarStorage
         from tests.test_crawler_storage import sample_detection
 
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
+        storage = ColumnarStorage(tmp_path / "crawl.hbc")
         storage.save([sample_detection(domain=f"site{i}.example") for i in range(1, n + 1)])
         return storage
 
@@ -266,7 +328,9 @@ class TestWatchProbe:
     def test_watch_on_empty_file_never_opens_it(self, tmp_path):
         from repro.cli import _watch
 
-        counting = self._CountingStorage(self._seeded_storage(tmp_path, n=0))
+        storage = self._seeded_storage(tmp_path, n=0)
+        storage.path.write_bytes(b"")  # a sink opened but not yet flushed
+        counting = self._CountingStorage(storage)
         assert _watch(counting, [], interval=0, rounds=4) == 0
         assert counting.read_new_calls == 0
         assert counting.size_calls == 4
@@ -308,17 +372,17 @@ class TestConvertCli:
         assert main(["convert", str(packed), str(back)]) == 0
         assert back.read_bytes() == src.read_bytes()
         assert "Converted" in capsys.readouterr().out
-        assert not list(tmp_path.glob("*.convert-tmp"))
+        assert not list(tmp_path.glob("*.export-tmp"))
 
     def test_failed_convert_leaves_destination_untouched(self, capsys, tmp_path, monkeypatch):
-        import repro.cli as cli_mod
+        import repro.crawler.colstore as colstore_mod
 
         src = self._crawl(tmp_path)
-        dst = tmp_path / "crawl.hbc"
+        dst = tmp_path / "converted.hbc"
         assert main(["convert", str(src), str(dst)]) == 0
         good = dst.read_bytes()
 
-        real = cli_mod.storage_for
+        real = colstore_mod.storage_for
 
         class _ExplodingStorage:
             def __init__(self, inner):
@@ -331,15 +395,15 @@ class TestConvertCli:
 
         def faulty(path, format=None, **kwargs):
             storage = real(path, format=format, **kwargs) if format else real(path)
-            if path.name.endswith(".convert-tmp"):
+            if path.name.endswith(".export-tmp"):
                 return _ExplodingStorage(storage)
             return storage
 
-        monkeypatch.setattr(cli_mod, "storage_for", faulty)
+        monkeypatch.setattr(colstore_mod, "storage_for", faulty)
         assert main(["convert", str(src), str(dst), "--force"]) == 1
         assert "error:" in capsys.readouterr().err
         assert dst.read_bytes() == good  # the old file survived intact
-        assert not list(tmp_path.glob("*.convert-tmp"))
+        assert not list(tmp_path.glob("*.export-tmp"))
 
     def test_existing_destination_needs_force(self, capsys, tmp_path):
         src = self._crawl(tmp_path)

@@ -1,12 +1,11 @@
 """Columnar detection store: format, round-trips, parity, crash recovery.
 
-The contract under test is the one the JSONL reference storage defines:
-``ColumnarDetectionSink`` / ``ColumnarStorage`` must behave observably like
-``DetectionSink`` / ``CrawlStorage`` (same offsets-at-boundaries, tailing,
-recovery and resume semantics), and every read-side artefact must be
-indistinguishable across the two backends.  JSONL stays canonical for bytes:
-converting a columnar campaign to JSONL must reproduce the exact bytes a
-direct JSONL run would have written.
+``.hbc`` is every campaign's working store: its sink's offsets fall on
+chunk boundaries, and its tailing, recovery and resume contracts are tested
+here.  Every read-side artefact must be indistinguishable across the two
+formats.  JSONL stays canonical for bytes and is written only whole:
+exporting a columnar campaign to JSONL must reproduce the exact bytes a
+direct JSONL sink would have written.
 """
 
 from __future__ import annotations
@@ -27,10 +26,12 @@ from repro.crawler.colstore import (
     ColumnarDetectionSink,
     ColumnarStorage,
     ColumnarTable,
+    campaign_store,
+    export,
     sniff_format,
     storage_for,
 )
-from repro.crawler.crawler import CrawlConfig
+from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.storage import STORE_FORMATS, CrawlStorage
 from repro.errors import ConfigurationError, EmptyDatasetError, ReproError, StorageError
 from repro.experiments.config import ExperimentConfig
@@ -44,8 +45,9 @@ def campaign(tmp_path_factory):
     """One test-scale campaign streamed through both storage backends.
 
     ``jsonl`` and ``columnar`` hold byte-for-byte what a real ``run --save``
-    writes with each ``--store-format``; ``detections`` is the shared record
-    list both files encode.
+    hands out with each ``--store-format`` (the JSONL file exported from its
+    own working store); ``detections`` is the shared record list both files
+    encode.
     """
     tmp = tmp_path_factory.mktemp("colstore-campaign")
     config = ExperimentConfig.test_scale()
@@ -296,6 +298,16 @@ class TestColumnarSink:
             sink.write_many(records[:20])
         assert path.read_bytes() == one_shot.read_bytes()
 
+    def test_one_sink_per_day_equals_one_append_per_day(self, records, tmp_path):
+        """The longitudinal pattern: a fresh append-mode sink per crawl day."""
+        sinks, appends = tmp_path / "sinks.hbc", tmp_path / "appends.hbc"
+        for day_chunk in (records[:30], records[30:70]):
+            with ColumnarStorage(sinks).open_sink(append=True) as sink:
+                sink.write_many(day_chunk)
+        ColumnarStorage(appends).append(records[:30])
+        ColumnarStorage(appends).append(records[30:70])
+        assert ColumnarStorage(sinks).load() == ColumnarStorage(appends).load() == records[:70]
+
     def test_exit_does_not_mask_the_body_exception(self, records, tmp_path):
         with pytest.raises(ValueError, match="boom"):
             with ColumnarDetectionSink(tmp_path / "sink.hbc") as sink:
@@ -315,7 +327,7 @@ class TestColumnarSink:
 
 
 # ---------------------------------------------------------------------------
-# read_new tailing contract (mirrors TestReadNew)
+# read_new tailing contract
 
 
 class TestColumnarReadNew:
@@ -401,6 +413,16 @@ class TestColumnarReadNew:
         with pytest.raises(StorageError):
             ColumnarStorage(path).read_new(0)
 
+    def test_replaced_file_with_garbage_past_offset_fails_loudly(self, records, tmp_path):
+        """A larger replacement file puts arbitrary bytes at the old offset;
+        a fresh reader must raise instead of yielding junk."""
+        path = tmp_path / "tail.hbc"
+        ColumnarStorage(path).save(records[:8])
+        _, offset = ColumnarStorage(path).read_new(0)
+        path.write_bytes(b"z" * (offset + 40))
+        with pytest.raises(StorageError, match="not a columnar detection store"):
+            ColumnarStorage(path).read_new(offset)
+
     def test_concurrent_writer_and_tailing_reader(self, records, tmp_path):
         """One thread streams through the sink while another tails the file;
         the reader must assemble exactly the written sequence."""
@@ -438,7 +460,7 @@ class TestColumnarReadNew:
 
 
 # ---------------------------------------------------------------------------
-# recover_to contract (mirrors TestRecoverTo)
+# recover_to contract
 
 
 class TestColumnarRecoverTo:
@@ -495,6 +517,140 @@ class TestColumnarRecoverTo:
             sink.write_many(records[4:8])
         assert storage.load() == records[:8]
 
+    def test_negative_offset_rejected(self, tmp_path):
+        with pytest.raises(StorageError, match="negative"):
+            ColumnarStorage(tmp_path / "rec.hbc").recover_to(-1)
+
+    def test_replaced_file_with_malformed_prefix_fails_loudly(self, records, tmp_path):
+        path, storage, boundary = self._file_with_boundary(records, tmp_path)
+        path.write_bytes(path.read_bytes()[:8] + b"y" * (boundary + 60))
+        with pytest.raises(StorageError, match="corrupt columnar store"):
+            storage.recover_to(boundary)
+
+    def test_failed_recovery_leaves_the_file_untouched(self, records, tmp_path):
+        """Damage must surface before any truncation destroys evidence."""
+        path, storage, boundary = self._file_with_boundary(records, tmp_path)
+        alien = path.read_bytes()[:8] + b"y" * (boundary + 60)
+        path.write_bytes(alien)
+        with pytest.raises(StorageError):
+            storage.recover_to(boundary)
+        assert path.read_bytes() == alien
+
+    def test_read_new_continues_cleanly_after_recovery(self, records, tmp_path):
+        """recover_to + append is exactly what resume does; a watcher tailing
+        from the recovered offset must see only the new records."""
+        path, storage, boundary = self._file_with_boundary(records, tmp_path)
+        assert storage.recover_to(boundary) == records[:4]
+        with storage.open_sink(append=True, flush_every=4) as sink:
+            sink.write_many(records[4:8])
+        tailed, end = ColumnarStorage(path).read_new(boundary)
+        assert tailed == records[4:8]
+        assert end == path.stat().st_size
+
+
+class TestColumnarSizeProbe:
+    def test_missing_file_is_zero(self, tmp_path):
+        assert ColumnarStorage(tmp_path / "missing.hbc").size() == 0
+
+    def test_tracks_the_file_exactly(self, records, tmp_path):
+        path = tmp_path / "crawl.hbc"
+        storage = ColumnarStorage(path)
+        storage.save(records[:3])
+        assert storage.size() == path.stat().st_size
+        storage.append(records[3:5])
+        assert storage.size() == path.stat().st_size
+
+    def test_size_gates_read_new(self, records, tmp_path):
+        """The cheap polling pattern: only call read_new when size() grew."""
+        storage = ColumnarStorage(tmp_path / "crawl.hbc")
+        storage.save(records[:3])
+        new, offset = storage.read_new(0)
+        assert len(new) == 3
+        assert storage.size() == offset  # drained: a poller can skip the read
+        storage.append(records[3:5])
+        assert storage.size() > offset  # stale: worth reading again
+
+
+# ---------------------------------------------------------------------------
+# The working store and the one exporter
+
+
+class TestCampaignStore:
+    def test_a_columnar_campaign_streams_into_the_file_it_hands_out(self, tmp_path):
+        store = campaign_store(tmp_path / "crawl.hbc", "columnar")
+        assert store.path == tmp_path / "crawl.hbc"
+        assert store.export_to is None
+
+    def test_a_jsonl_campaign_streams_into_a_sibling_working_store(self, tmp_path):
+        store = campaign_store(tmp_path / "crawl.jsonl", "jsonl")
+        assert store.path == tmp_path / "crawl.jsonl.hbc"
+        assert store.export_to == tmp_path / "crawl.jsonl"
+
+    def test_unknown_format_raises(self, tmp_path):
+        with pytest.raises(StorageError, match="parquet"):
+            campaign_store(tmp_path / "crawl.pq", "parquet")
+
+    def test_every_sink_close_exports_the_whole_file(self, campaign, records, tmp_path):
+        store = campaign_store(tmp_path / "crawl.jsonl", "jsonl")
+        with store.open_sink(flush_every=7) as sink:
+            sink.write_many(records[:40])
+            sink.flush()
+            assert not store.export_to.exists()  # written only whole, on close
+        assert CrawlStorage(store.export_to).load() == records[:40]
+        with store.open_sink(append=True, flush_every=7) as sink:
+            sink.write_many(records[40:])
+        assert store.export_to.read_bytes() == campaign.jsonl.path.read_bytes()
+
+    def test_an_interrupted_run_exports_what_it_crawled(self, records, tmp_path):
+        store = campaign_store(tmp_path / "crawl.jsonl", "jsonl")
+        with pytest.raises(KeyboardInterrupt):
+            with store.open_sink(flush_every=4) as sink:
+                sink.write_many(records[:10])
+                raise KeyboardInterrupt
+        assert CrawlStorage(store.export_to).load() == records[:10]
+
+    def test_a_failed_close_does_not_export(self, records, tmp_path):
+        store = campaign_store(tmp_path / "crawl.jsonl", "jsonl")
+        class FullDisk:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def write(self, data):
+                raise OSError("disk full")
+
+            def close(self):
+                self.inner.close()
+
+        sink = store.open_sink(flush_every=100)
+        sink.write_many(records[:3])
+        sink._handle = FullDisk(sink._ensure_open())
+        with pytest.raises(StorageError, match="disk full"):
+            sink.close()
+        assert not store.export_to.exists()
+
+
+class TestExport:
+    def test_export_reproduces_the_direct_jsonl_bytes(self, campaign, tmp_path):
+        dst = tmp_path / "out.jsonl"
+        assert export(campaign.columnar.path, dst, "jsonl") == len(campaign.detections)
+        assert dst.read_bytes() == campaign.jsonl.path.read_bytes()
+        assert not list(tmp_path.glob("*.export-tmp"))
+
+    def test_export_replaces_the_destination_atomically(self, campaign, records, tmp_path):
+        dst = tmp_path / "out.jsonl"
+        CrawlStorage(dst).save(records[:2])
+        export(campaign.columnar.path, dst, "jsonl")
+        assert dst.read_bytes() == campaign.jsonl.path.read_bytes()
+
+    def test_export_refuses_its_own_source(self, campaign):
+        with pytest.raises(StorageError, match="distinct"):
+            export(campaign.jsonl.path, campaign.jsonl.path, "columnar")
+
+    def test_missing_source_raises_and_leaves_no_file(self, tmp_path):
+        with pytest.raises(StorageError, match="not found"):
+            export(tmp_path / "absent.hbc", tmp_path / "out.jsonl", "jsonl")
+        assert list(tmp_path.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # Flipped bits: every reader fails typed, and the readers agree
@@ -542,38 +698,27 @@ class TestColumnarCrashResume:
     @pytest.mark.parametrize("backend_name,workers", [
         ("serial", 4), ("process", 2), ("process", 4),
     ])
-    def test_resumed_columnar_equals_one_shot_byte_for_byte(
+    def test_resumed_working_store_equals_one_shot_byte_for_byte(
         self, environment, detector, crash_sites, tmp_path, backend_name, workers
     ):
+        """The resumed ``.hbc`` working store equals an uninterrupted one,
+        and the JSONL exported from it equals a direct JSONL crawl's."""
         config = CrawlConfig(seed=5, workers=workers, backend=backend_name)
-        expected, baseline = uninterrupted_baseline(
-            environment, detector, config, crash_sites,
-            tmp_path=tmp_path, store_format="columnar",
+        expected, jsonl_baseline = uninterrupted_baseline(
+            environment, detector, config, crash_sites, tmp_path=tmp_path
         )
-        result, storage = interrupted_then_resumed(
+        baseline = ColumnarStorage(tmp_path / "baseline.hbc")
+        with Crawler(environment, detector, config) as crawler, \
+                baseline.open_sink(flush_every=3) as sink:
+            crawler.crawl(crash_sites, sink=sink)
+        result, exported = interrupted_then_resumed(
             environment, detector, config, crash_sites,
-            tmp_path=tmp_path, fail_after=2, store_format="columnar",
+            tmp_path=tmp_path, fail_after=2,
         )
-        assert storage.path.read_bytes() == baseline.path.read_bytes()
+        working = campaign_store(exported.path, "jsonl")
+        assert working.path.read_bytes() == baseline.path.read_bytes()
+        assert exported.path.read_bytes() == jsonl_baseline.path.read_bytes()
         assert result.detections == expected.detections
-
-    def test_resumed_columnar_converts_to_the_jsonl_baseline(
-        self, environment, detector, crash_sites, tmp_path
-    ):
-        """End to end: crash + resume on the columnar sink, then convert —
-        the JSONL bytes must equal a direct JSONL crawl's."""
-        config = CrawlConfig(seed=5, workers=3, backend="process")
-        _, jsonl_baseline = uninterrupted_baseline(
-            environment, detector, config, crash_sites,
-            tmp_path=tmp_path / "jsonl",
-        )
-        _, columnar = interrupted_then_resumed(
-            environment, detector, config, crash_sites,
-            tmp_path=tmp_path / "col", fail_after=2, store_format="columnar",
-        )
-        converted = CrawlStorage(tmp_path / "converted.jsonl")
-        converted.save(columnar.iter_load())
-        assert converted.path.read_bytes() == jsonl_baseline.path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +735,16 @@ class TestStoreFormatConfig:
         with pytest.raises(ConfigurationError, match="store_format"):
             ExperimentConfig(store_format="parquet")
 
-    def test_fingerprint_records_only_non_default_formats(self, small_population):
+    def test_fingerprint_ignores_the_store_format(self, small_population):
+        """Checkpoints always record the .hbc working store, so the exported
+        format is free to differ between the run and its resume."""
         plain = ExperimentRunner(ExperimentConfig.test_scale())
-        fingerprint = plain.campaign_fingerprint(small_population)
-        assert "store_format" not in fingerprint  # old jsonl checkpoints keep resuming
         columnar = ExperimentRunner(
             replace(ExperimentConfig.test_scale(), store_format="columnar")
         )
-        assert columnar.campaign_fingerprint(small_population)["store_format"] == "columnar"
+        fingerprint = plain.campaign_fingerprint(small_population)
+        assert "store_format" not in fingerprint
+        assert columnar.campaign_fingerprint(small_population) == fingerprint
 
     def test_runner_rejects_a_mismatched_storage(self, tmp_path):
         config = replace(ExperimentConfig.test_scale(), store_format="columnar")

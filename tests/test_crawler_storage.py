@@ -72,12 +72,6 @@ class TestCrawlStorage:
         loaded = storage.load()
         assert loaded == detections
 
-    def test_append_adds_records(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save([sample_detection()])
-        storage.append([sample_detection("late.example", day=1)])
-        assert len(storage.load()) == 2
-
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "crawl.jsonl"
         storage = CrawlStorage(path)
@@ -169,25 +163,6 @@ class TestDetectionSink:
             sink.write(sample_detection())
         assert len(storage.load()) == 1
 
-    def test_append_sink_extends_previous_content(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save(self.detections()[:2])
-        with storage.open_sink(append=True) as sink:
-            sink.write_many(self.detections()[2:4])
-        assert storage.load() == self.detections()[:4]
-
-    def test_one_sink_per_day_equals_one_append_per_day(self, tmp_path):
-        """The longitudinal pattern: a fresh append-mode sink per crawl day."""
-        detections = self.detections()
-        sink_path = tmp_path / "sinks.jsonl"
-        for day_chunk in (detections[:3], detections[3:]):
-            with CrawlStorage(sink_path).open_sink(append=True) as sink:
-                sink.write_many(day_chunk)
-        append_path = tmp_path / "appends.jsonl"
-        CrawlStorage(append_path).append(detections[:3])
-        CrawlStorage(append_path).append(detections[3:])
-        assert sink_path.read_bytes() == append_path.read_bytes()
-
     def test_entering_sink_creates_parent_directories(self, tmp_path):
         nested = tmp_path / "deep" / "run" / "crawl.jsonl"
         with CrawlStorage(nested).open_sink() as sink:
@@ -278,164 +253,6 @@ class TestBufferedSink:
         assert any_storage.load() == detections
 
 
-class TestReadNew:
-    def detections(self, n=5):
-        return [sample_detection(f"site{i}.example", day=i) for i in range(n)]
-
-    def test_tail_reads_resume_from_the_returned_offset(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        detections = self.detections()
-        storage.save(detections[:2])
-        first, offset = storage.read_new(0)
-        assert first == detections[:2]
-        storage.append(detections[2:])
-        second, offset2 = storage.read_new(offset)
-        assert second == detections[2:]
-        assert offset2 == storage.path.stat().st_size
-        third, offset3 = storage.read_new(offset2)
-        assert third == [] and offset3 == offset2
-
-    def test_partial_trailing_line_is_left_for_the_next_read(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save(self.detections(2))
-        full = storage.path.read_bytes()
-        cut = len(full) - 7  # chop the tail of the last record
-        storage.path.write_bytes(full[:cut])
-        got, offset = storage.read_new(0)
-        assert len(got) == 1  # only the complete first line
-        storage.path.write_bytes(full)  # the writer finishes the record
-        rest, offset2 = storage.read_new(offset)
-        assert rest == self.detections(2)[1:]
-        assert offset2 == len(full)
-
-    def test_missing_file_yields_nothing(self, tmp_path):
-        got, offset = CrawlStorage(tmp_path / "missing.jsonl").read_new(0)
-        assert got == [] and offset == 0
-
-    def test_truncated_file_raises_instead_of_stalling(self, tmp_path):
-        """A restarted crawl truncates the file; a stale offset must surface."""
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save(self.detections(4))
-        _, offset = storage.read_new(0)
-        storage.save(self.detections(1))  # fresh "w"-mode sink shrinks the file
-        with pytest.raises(StorageError, match="truncated"):
-            storage.read_new(offset)
-        assert storage.read_new(0)[0] == self.detections(1)  # restart works
-
-    def test_negative_offset_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            CrawlStorage(tmp_path / "x.jsonl").read_new(-1)
-
-    def test_replaced_file_with_garbage_past_offset_fails_loudly(self, tmp_path):
-        """A same-or-larger replacement file puts arbitrary bytes at the old
-        offset; tailing must raise instead of silently yielding junk."""
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save(self.detections(2))
-        _, offset = storage.read_new(0)
-        storage.path.write_bytes(b"z" * (offset + 40) + b"\n")
-        with pytest.raises(StorageError, match="invalid JSON"):
-            storage.read_new(offset)
-
-
-class TestRecoverTo:
-    """Sink-tail recovery: the crash-resume primitive must never double-count."""
-
-    def detections(self, n=5):
-        return [sample_detection(f"site{i}.example", day=i) for i in range(n)]
-
-    def saved(self, tmp_path, n=5):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save(self.detections(n))
-        return storage
-
-    def line_offset(self, storage, k):
-        """Byte offset of the end of the k-th line."""
-        blob = storage.path.read_bytes()
-        offset = 0
-        for _ in range(k):
-            offset = blob.index(b"\n", offset) + 1
-        return offset
-
-    def test_recovers_prefix_and_truncates_the_tail(self, tmp_path):
-        storage = self.saved(tmp_path)
-        offset = self.line_offset(storage, 3)
-        recovered = storage.recover_to(offset)
-        assert recovered == self.detections()[:3]
-        assert storage.path.stat().st_size == offset
-        assert storage.load() == self.detections()[:3]
-
-    def test_partial_trailing_line_is_dropped(self, tmp_path):
-        """A crash can flush a torn record past the checkpointed offset."""
-        storage = self.saved(tmp_path, 3)
-        offset = self.line_offset(storage, 2)
-        blob = storage.path.read_bytes()
-        storage.path.write_bytes(blob[: offset + 17])  # torn third record
-        assert storage.recover_to(offset) == self.detections(3)[:2]
-        assert storage.path.stat().st_size == offset
-
-    def test_offset_zero_empties_the_file(self, tmp_path):
-        storage = self.saved(tmp_path, 2)
-        assert storage.recover_to(0) == []
-        assert storage.path.stat().st_size == 0
-
-    def test_offset_zero_on_a_missing_file_is_a_fresh_start(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "missing.jsonl")
-        assert storage.recover_to(0) == []
-        assert not storage.path.exists()
-
-    def test_missing_file_with_recorded_bytes_fails_loudly(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "missing.jsonl")
-        with pytest.raises(StorageError, match="missing"):
-            storage.recover_to(100)
-
-    def test_file_truncated_below_offset_fails_loudly(self, tmp_path):
-        storage = self.saved(tmp_path, 2)
-        size = storage.path.stat().st_size
-        storage.path.write_bytes(storage.path.read_bytes()[: size // 2])
-        with pytest.raises(StorageError, match="truncated or replaced"):
-            storage.recover_to(size)
-
-    def test_replaced_file_offset_off_boundary_fails_loudly(self, tmp_path):
-        storage = self.saved(tmp_path)
-        offset = self.line_offset(storage, 2)
-        storage.path.write_bytes(b"x" * (offset + 50))  # alien, no newline at offset
-        with pytest.raises(StorageError, match="record boundary"):
-            storage.recover_to(offset)
-
-    def test_replaced_file_with_malformed_prefix_fails_loudly(self, tmp_path):
-        storage = self.saved(tmp_path)
-        offset = self.line_offset(storage, 2)
-        storage.path.write_bytes(b"x" * (offset - 1) + b"\n" + b"y" * 60)
-        with pytest.raises(StorageError, match="invalid JSON"):
-            storage.recover_to(offset)
-
-    def test_failed_recovery_leaves_the_file_untouched(self, tmp_path):
-        """Parse errors must surface before any truncation destroys evidence."""
-        storage = self.saved(tmp_path)
-        offset = self.line_offset(storage, 2)
-        alien = b"x" * (offset - 1) + b"\n" + b"y" * 60
-        storage.path.write_bytes(alien)
-        with pytest.raises(StorageError):
-            storage.recover_to(offset)
-        assert storage.path.read_bytes() == alien
-
-    def test_negative_offset_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            CrawlStorage(tmp_path / "x.jsonl").recover_to(-1)
-
-    def test_read_new_continues_cleanly_after_recovery(self, tmp_path):
-        """recover_to + append is exactly what resume does; a watcher tailing
-        from the recovered offset must see only the new records."""
-        storage = self.saved(tmp_path, 4)
-        offset = self.line_offset(storage, 2)
-        kept = storage.recover_to(offset)
-        assert [d.domain for d in kept] == ["site0.example", "site1.example"]
-        storage.append(self.detections(4)[2:])
-        tailed, end = storage.read_new(offset)
-        assert tailed == self.detections(4)[2:]
-        assert end == storage.path.stat().st_size
-
-
 class TestSinkOffset:
     def detections(self, n=6):
         return [sample_detection(f"site{i}.example", day=i) for i in range(n)]
@@ -452,24 +269,6 @@ class TestSinkOffset:
             buffered_at = sink.offset
             sink.flush()
             assert sink.offset == path.stat().st_size > buffered_at
-
-    def test_append_sink_starts_at_the_existing_size(self, tmp_path):
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save(self.detections(2))
-        base = storage.path.stat().st_size
-        with storage.open_sink(append=True, flush_every=1) as sink:
-            assert sink.offset == base
-            sink.write(self.detections(3)[2])
-            assert sink.offset == storage.path.stat().st_size > base
-
-    def test_append_sink_offset_first_read_after_a_flush(self, tmp_path):
-        """The lazy offset must not double-count a payload already written
-        when it is first consulted only after the first flush."""
-        storage = CrawlStorage(tmp_path / "crawl.jsonl")
-        storage.save(self.detections(2))
-        with storage.open_sink(append=True, flush_every=1) as sink:
-            sink.write(self.detections(3)[2])  # flushes before offset is read
-            assert sink.offset == storage.path.stat().st_size
 
     def test_fresh_sink_offset_ignores_stale_content(self, tmp_path):
         storage = CrawlStorage(tmp_path / "crawl.jsonl")
@@ -559,73 +358,22 @@ class TestSinkCloseSafety:
                 pass
 
 
-class TestSizeProbe:
-    def test_missing_file_is_zero(self, tmp_path):
-        assert CrawlStorage(tmp_path / "missing.jsonl").size() == 0
+class TestWholeFileOnly:
+    """JSONL is written only whole: tailing, recovery and append live on ``.hbc``."""
 
-    def test_tracks_the_file_exactly(self, tmp_path):
-        path = tmp_path / "crawl.jsonl"
-        storage = CrawlStorage(path)
-        assert storage.size() == 0
-        storage.save([sample_detection()])
-        assert storage.size() == path.stat().st_size
-        storage.append([sample_detection("late.example", day=1)])
-        assert storage.size() == path.stat().st_size
+    @pytest.mark.parametrize("name", ["read_new", "recover_to", "size", "append"])
+    def test_live_store_api_is_columnar_only(self, name):
+        from repro.crawler.colstore import ColumnarStorage
 
-    def test_size_gates_read_new(self, tmp_path):
-        """The cheap polling pattern: only call read_new when size() grew."""
-        path = tmp_path / "crawl.jsonl"
-        storage = CrawlStorage(path)
-        storage.save([sample_detection()])
-        new, offset = storage.read_new(0)
-        assert len(new) == 1
-        assert storage.size() == offset  # drained: a poller can skip the read
-        storage.append([sample_detection("more.example", day=1)])
-        assert storage.size() > offset   # stale: worth reading again
+        assert not hasattr(CrawlStorage, name)
+        assert hasattr(ColumnarStorage, name)
 
-
-class TestConcurrentTailing:
-    """read_new under a live writer: torn nothing, duplicated nothing."""
-
-    def test_mid_flush_partial_line_is_deferred(self, tmp_path):
-        path = tmp_path / "crawl.jsonl"
-        storage = CrawlStorage(path)
-        full = json.dumps(detection_to_dict(sample_detection())) + "\n"
-        partial = json.dumps(detection_to_dict(sample_detection("cut.example")))
-        # simulate a flush that landed mid-record: one whole line + a prefix
-        path.write_text(full + partial[: len(partial) // 2], encoding="utf-8")
-        new, offset = storage.read_new(0)
-        assert [d.domain for d in new] == ["pub.example"]
-        assert offset == len(full.encode("utf-8"))  # a record boundary
-        # the writer finishes the line; the next read picks up exactly it
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(partial[len(partial) // 2 :] + "\n")
-        new, _ = storage.read_new(offset)
-        assert [d.domain for d in new] == ["cut.example"]
-
-    def test_threaded_writer_and_reader_never_tear_or_duplicate(self, tmp_path):
-        import threading
-
-        path = tmp_path / "crawl.jsonl"
-        storage = CrawlStorage(path)
-        written = [sample_detection(f"site{i:03d}.example", day=i % 3) for i in range(200)]
-        done = threading.Event()
-
-        def writer():
-            with storage.open_sink(flush_every=1) as sink:
-                for d in written:
-                    sink.write(d)
-            done.set()
-
-        seen = []
-        offset = 0
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            while not (done.is_set() and storage.size() == offset):
-                if storage.size() > offset:
-                    new, offset = storage.read_new(offset)
-                    seen.extend(new)
-        finally:
-            thread.join(timeout=30)
-        assert seen == written
+    def test_jsonl_sink_always_starts_a_fresh_file(self, tmp_path):
+        storage = CrawlStorage(tmp_path / "crawl.jsonl")
+        storage.save([sample_detection("old.example")])
+        with storage.open_sink() as sink:
+            assert sink.append is False
+            sink.write(sample_detection())
+        assert storage.load() == [sample_detection()]
+        with pytest.raises(TypeError):
+            storage.open_sink(append=True)

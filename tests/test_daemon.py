@@ -14,7 +14,8 @@ import json
 import pytest
 
 from repro.crawler.checkpoint import CrawlCheckpointer
-from repro.crawler.colstore import ColumnarStorage, storage_for
+from repro.crawler.colstore import ColumnarStorage
+from repro.crawler.storage import CrawlStorage
 from repro.crawler.engine import ProcessPoolBackend, SharedPayload
 from repro.daemon import (
     FIRST_COMPARABLE_DAY,
@@ -44,11 +45,15 @@ def _config(store_format="columnar", **overrides):
 
 
 def _oneshot_bytes(tmp_path, config, days, name="oneshot"):
-    suffix = "hbc" if config.store_format == "columnar" else "jsonl"
-    storage = storage_for(tmp_path / f"{name}.{suffix}", format=config.store_format)
-    ExperimentRunner(dataclasses.replace(config, recrawl_days=days)).run(
-        use_cache=False, storage=storage
-    )
+    """An uninterrupted run's bytes: the ``.hbc`` store it streams, or for
+    JSONL the canonical oracle, a direct JSONL sink over its detections."""
+    runner = ExperimentRunner(dataclasses.replace(config, recrawl_days=days))
+    if config.store_format == "jsonl":
+        storage = CrawlStorage(tmp_path / f"{name}.jsonl")
+        storage.save(runner.run(use_cache=False).longitudinal.all_detections)
+    else:
+        storage = ColumnarStorage(tmp_path / f"{name}.hbc")
+        runner.run(use_cache=False, storage=storage)
     return storage.path.read_bytes()
 
 
@@ -435,8 +440,9 @@ class TestResidentDaemon:
         with RecrawlDaemon(tmp_path / "work", config) as daemon:
             daemon.tick()
             daemon.tick()
-            size = daemon.sink_path.stat().st_size
-            with daemon.sink_path.open("r+b") as handle:
+            # The working store is what resume recovers and warm ticks extend.
+            size = daemon.working_path.stat().st_size
+            with daemon.working_path.open("r+b") as handle:
                 handle.truncate(size // 2)
             with pytest.raises(ReproError):
                 daemon.tick()

@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.context import AnalysisContext
 from repro.analysis.registry import available_metrics, compute_metric
 from repro.crawler.colstore import storage_for
+from repro.crawler.storage import CrawlStorage
 from repro.errors import CheckpointError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
@@ -71,6 +72,11 @@ class TestHorizonExtension:
 
         assert grown.path.read_bytes() == oneshot.path.read_bytes()
         assert artifacts.dataset.summary() == expected.dataset.summary()
+        if store_format == "jsonl":
+            # The exported file against the canonical oracle: a direct sink.
+            direct = CrawlStorage(tmp_path / "direct.jsonl")
+            direct.save(expected.longitudinal.all_detections)
+            assert grown.path.read_bytes() == direct.path.read_bytes()
 
     def test_day_by_day_growth_equals_one_shot(self, tmp_path):
         """Three single-day extensions (the daemon's tick pattern) == one run."""

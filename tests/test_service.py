@@ -24,7 +24,7 @@ import pytest
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import compute_metric, get_metric, metric_names
-from repro.crawler.colstore import storage_for
+from repro.crawler.colstore import ColumnarStorage, campaign_store, export
 from repro.crawler.storage import CrawlStorage, detection_to_dict
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
@@ -32,7 +32,7 @@ from repro.service import DetectionQuery, ServiceClient, ServiceClientError, run
 from repro.service.api import MAX_BODY_BYTES
 from repro.service.campaigns import CampaignManager, campaign_config_from_dict
 from repro.service.store import DetectionStore, _jsonable
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError, ServiceError, StorageError
 from repro.models import HBFacet
 
 CAMPAIGN_BODY = {"sites": 400, "days": 1, "seed": 7, "workers": 2, "backend": "process"}
@@ -137,11 +137,17 @@ def campaigns(client, campaign):
 
 
 @pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    """The same campaign run directly, streamed to a local sink file."""
-    path = tmp_path_factory.mktemp("reference") / "crawl.jsonl"
-    artifacts = ExperimentRunner(CAMPAIGN_CONFIG).run(use_cache=False, storage=CrawlStorage(path))
-    return path.read_bytes(), artifacts.dataset
+def reference_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reference") / "crawl.jsonl"
+
+
+@pytest.fixture(scope="module")
+def reference(reference_path):
+    """The same campaign run directly, exported to a local JSONL file."""
+    artifacts = ExperimentRunner(CAMPAIGN_CONFIG).run(
+        use_cache=False, storage=CrawlStorage(reference_path)
+    )
+    return reference_path.read_bytes(), artifacts.dataset
 
 
 class TestSubmissionValidation:
@@ -283,12 +289,14 @@ class TestRoundTrip:
             # the text format is exactly what ``repro analyze`` prints
             assert client.artifact_text(campaign["id"], name) == expected.text + "\n", name
 
-    def test_campaign_record_counters(self, client, campaign, reference):
-        ref_bytes, ref_dataset = reference
+    def test_campaign_record_counters(self, client, campaign, reference, reference_path):
+        _, ref_dataset = reference
         info = client.campaign(campaign["id"])
         assert info["state"] == "done" and info["error"] is None
         assert info["runs"] == 1
-        assert info["detections"]["sink_bytes"] == len(ref_bytes)
+        # The sink is the .hbc working store the JSONL file is exported from.
+        working = reference_path.with_name(reference_path.name + ".hbc")
+        assert info["detections"]["sink_bytes"] == working.stat().st_size
         assert info["detections"]["indexed"] == len(ref_dataset)
         assert info["resumable"]  # the finished checkpoint file remains
 
@@ -383,8 +391,8 @@ class TestStoreColumns:
         )
         cuts = [0, 37, 38, 200, 411, len(records)]
         path = tmp_path / ("crawl.hbc" if store_format == "columnar" else "crawl.jsonl")
-        storage = storage_for(path, format=store_format)
-        store = DetectionStore(path)
+        storage = campaign_store(path, store_format)
+        store = DetectionStore(storage.path)
         with storage.open_sink(flush_every=10**6) as sink:
             for start, end in zip(cuts, cuts[1:]):
                 sink.write_many(records[start:end])
@@ -394,15 +402,24 @@ class TestStoreColumns:
         store.refresh()
         assert store.drained() and store.count == len(records)
 
-        # A truncating rewrite: the next refresh drops every column, the one
-        # after it reads the new content from byte zero.
-        storage_for(path, format=store_format).save(records[:50])
-        assert store.refresh() == 0
-        assert store.count == 0
-        self.assert_matches_oracle(store, [])
-        store.refresh()
+        # A truncating rewrite: the refresh that notices it drops every
+        # column and reads the new content from byte zero in the same call.
+        restarts = store.restarts
+        storage.save(records[:50])
+        assert store.refresh() == 50
+        assert store.restarts == restarts + 1
         assert store.count == 50
         self.assert_matches_oracle(store, records[:50])
+        assert store.refresh() == 0 and store.drained()
+
+        # A deleted store reads as empty until it is written again.
+        storage.path.unlink()
+        assert store.refresh() == 0
+        assert store.count == 0 and store.restarts == restarts + 2
+
+    def test_a_jsonl_path_is_refused_with_its_working_store_named(self, tmp_path):
+        with pytest.raises(StorageError, match=r"crawl\.jsonl\.hbc"):
+            DetectionStore(tmp_path / "crawl.jsonl")
 
 
 class TestServedBytes:
@@ -472,18 +489,20 @@ class TestServedBytes:
         campaign = server.manager.get(submitted["id"])
         records = list(reference[1].detections)
         cuts = self.CUTS + [len(records)]
-        build = tmp_path / f"build{campaign.sink_path.suffix}"
+        build = tmp_path / "build.hbc"
         snapshots = {0: b""}
-        with storage_for(build, format=store_format).open_sink(flush_every=10**6) as sink:
+        with ColumnarStorage(build).open_sink(flush_every=10**6) as sink:
             for start, end in zip(cuts, cuts[1:]):
                 sink.write_many(records[start:end])
                 sink.flush()
                 snapshots[end] = build.read_bytes()
 
+        working = campaign.store.storage.path  # what the store tails
+
         def publish(data):
-            staged = campaign.sink_path.with_name("staged")
+            staged = working.with_name("staged")
             staged.write_bytes(data)
-            os.replace(staged, campaign.sink_path)
+            os.replace(staged, working)
 
         base = f"{server.base_url}/campaigns/{campaign.id}"
         queries = [resolve_filters(f, records)
@@ -537,12 +556,12 @@ class TestServedBytes:
         # A shorter sink holding other records: every memoised encoding and
         # body of the longer one is wrong for it.
         others = records[200:260]
-        storage_for(rig.campaign.sink_path, format=rig.campaign.config.store_format).save(others)
-        empty, after = rig.expected([]), rig.expected(others)
+        ColumnarStorage(rig.campaign.store.storage.path).save(others)
+        after = rig.expected(others)
         # The read that finds the sink shrunk restarts the store and serves
-        # it empty; the next one reads the new records.
+        # the new records at once.
         for url in after:
-            assert self.fetch(url) in (empty[url], after[url]), url
+            assert self.fetch(url) == after[url], url
         assert store.restarts >= 1 and store.generation > generation
         store.refresh()
         assert store.drained() and store.count == len(others)
@@ -639,13 +658,29 @@ class TestCancellation:
         done = client.wait(cid, timeout=300)
         assert done["state"] == "done" and done["runs"] == 2
 
+        # The oracle: a direct JSONL sink over an uninterrupted run, or the
+        # .hbc store such a run streams.
         path = tmp_path / f"uninterrupted-{sink_name}"
-        config = campaign_config_from_dict(body)
-        storage = storage_for(path, format=store_format)
-        ExperimentRunner(config).run(use_cache=False, storage=storage)
+        runner = ExperimentRunner(campaign_config_from_dict(body))
+        if store_format == "jsonl":
+            CrawlStorage(path).save(runner.run(use_cache=False).longitudinal.all_detections)
+        else:
+            runner.run(use_cache=False, storage=ColumnarStorage(path))
         full = path.read_bytes()
-        assert len(partial) < len(full)
         assert client.download(cid, sink_name) == full
+        # What the cancelled run handed out is a non-empty proper prefix of
+        # the records.  A columnar file ends in its footer, so it is
+        # compared as exported JSONL.
+        def as_jsonl(data, name):
+            if store_format == "jsonl":
+                return data
+            src = tmp_path / f"{name}.hbc"
+            src.write_bytes(data)
+            export(src, tmp_path / f"{name}.jsonl", "jsonl")
+            return (tmp_path / f"{name}.jsonl").read_bytes()
+
+        head, whole = as_jsonl(partial, "partial"), as_jsonl(full, "full")
+        assert 0 < len(head) < len(whole) and whole.startswith(head)
 
     def test_cancel_terminal_campaign_is_409(self, client, campaign):
         with pytest.raises(ServiceClientError) as err:

@@ -19,7 +19,7 @@ import pytest
 import repro.daemon as daemon_mod
 
 from repro.crawler.checkpoint import CrawlCheckpoint, CrawlCheckpointer, PhaseProgress
-from repro.crawler.colstore import storage_for
+from repro.crawler.colstore import campaign_store, storage_for
 from repro.crawler.crawler import CrawlConfig, Crawler, CrawlResult, ShardFailure, retry_delay
 from repro.errors import ConfigurationError, StorageError
 from repro.experiments.config import ExperimentConfig
@@ -52,12 +52,18 @@ def engine_run(
     flush_every=3,
     checkpointed=False,
 ):
-    """One engine-level crawl; returns ``(result, storage, checkpoint_path)``."""
+    """One engine-level crawl; returns ``(result, storage, checkpoint_path)``.
+
+    A checkpointed crawl streams into the working store of the file it hands
+    out (:func:`campaign_store`), which is the storage returned; otherwise
+    the crawl writes the file directly.
+    """
     suffix = "hbc" if store_format == "columnar" else "jsonl"
     storage = storage_for(tmp_path / f"{name}.{suffix}", format=store_format)
     checkpoint = None
     checkpoint_path = tmp_path / f"{name}.ckpt"
     if checkpointed:
+        storage = campaign_store(storage.path, store_format)
         fingerprint = {"seed": config.seed, "sites": [p.domain for p in sites]}
         checkpoint = CrawlCheckpointer.fresh(checkpoint_path, fingerprint)
     with Crawler(environment, detector, config, fault_plan=plan) as crawler:
@@ -482,7 +488,7 @@ class TestQuarantine:
             with storage.open_sink(append=True, flush_every=3) as sink:
                 final = engine.crawl(sites, crawl_day=0, sink=sink, checkpoint=resumed)
         assert not final.degraded
-        assert storage.path.read_bytes() == base_storage.path.read_bytes()
+        assert storage.export_to.read_bytes() == base_storage.path.read_bytes()
         assert CrawlCheckpoint.load(checkpoint_path).phases[-1].quarantined == ()
 
     @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
@@ -543,8 +549,7 @@ class TestQuarantine:
         # Every write from the 7th onward fails, far beyond the write-level
         # retry budget: the crawl must abort with StorageError.
         plan = parse_fault_plan("sink@count=6x500")
-        suffix_path = tmp_path / "exhausted.jsonl"
-        storage = storage_for(suffix_path, format="jsonl")
+        storage = campaign_store(tmp_path / "exhausted.jsonl", "jsonl")
         fingerprint = {"seed": config.seed, "sites": [p.domain for p in sites]}
         checkpoint_path = tmp_path / "exhausted.ckpt"
         recorder = CrawlCheckpointer.fresh(checkpoint_path, fingerprint)
@@ -564,7 +569,7 @@ class TestQuarantine:
             with storage.open_sink(append=True, flush_every=3) as sink:
                 final = engine.crawl(sites, crawl_day=0, sink=sink, checkpoint=resumed)
         assert not final.degraded
-        assert storage.path.read_bytes() == base_storage.path.read_bytes()
+        assert storage.export_to.read_bytes() == base_storage.path.read_bytes()
 
     def test_phase_progress_quarantine_is_backward_compatible(self):
         phase = PhaseProgress(
