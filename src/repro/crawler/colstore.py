@@ -219,77 +219,112 @@ def _payload_size(counts: tuple[int, ...]) -> int:
     return _layout(counts)[1]
 
 
+class _Interner(dict):
+    """One file-global string table: ``table[s]`` is ``s``'s id.
+
+    A string missing from the table gets the next id and is recorded in
+    ``added`` (first-occurrence order), which each chunk encode starts
+    empty, so a failed write can roll the chunk's new strings back.  Hits
+    are plain dict lookups.
+    """
+
+    __slots__ = ("added",)
+
+    def __init__(self, names: list[str]) -> None:
+        super().__init__(zip(names, range(len(names))))
+        self.added: list[str] = []
+
+    def __missing__(self, key: str) -> int:
+        idx = self[key] = len(self)
+        self.added.append(key)
+        return idx
+
+
 def _encode_chunk(
-    records: list[SiteDetection], dicts: list[dict[str, int]]
+    records: list[SiteDetection], dicts: list[_Interner]
 ) -> tuple[bytes, tuple[int, ...], list[list[str]]]:
     """Encode one flush's worth of detections as a complete chunk.
 
-    ``dicts`` are the file-global string tables; new strings are appended to
-    them (in first-occurrence order) and also returned so a failed write can
-    roll them back.
+    ``dicts`` are the file-global string tables; new strings get the next
+    ids (in first-occurrence order) and are also returned so a failed write
+    can roll them back.
     """
+    for table in dicts:
+        table.added = []
     domain_d, library_d, partner_d, bidder_d, slot_d, size_d, channel_d, source_d = dicts
-    added: list[list[str]] = [[] for _ in range(_N_DICTS)]
-
-    def intern(table: dict[str, int], news: list[str], key: str) -> int:
-        idx = table.get(key)
-        if idx is None:
-            idx = len(table)
-            table[key] = idx
-            news.append(key)
-        return idx
 
     data: dict[str, list] = {name: [] for name, _, _ in COLUMNS}
-    d = data  # local alias for the hot loop
+    # One bound append per column, in COLUMNS order.
+    (
+        d_domain, d_rank, d_hb, d_facet, d_library, d_total_latency, d_has_total_latency,
+        d_crawl_day, d_page_load, d_has_page_load, d_partners_end, d_latencies_end,
+        d_channels_end, d_auctions_end, p_partner, l_partner, l_latency, c_channel,
+        a_slot, a_size, a_start, a_end, a_facet, a_bids_end,
+        b_partner, b_bidder, b_slot, b_cpm, b_has_cpm, b_size, b_latency, b_has_latency,
+        b_late, b_won, b_source,
+    ) = [column.append for column in data.values()]
+    n_partners = n_latencies = n_channels = n_auctions = n_bids = 0
+    facet_index = _FACET_INDEX
     for det in records:
-        d["d_domain"].append(intern(domain_d, added[0], det.domain))
-        d["d_rank"].append(det.rank)
-        d["d_hb"].append(1 if det.hb_detected else 0)
+        d_domain(domain_d[det.domain])
+        d_rank(det.rank)
+        d_hb(1 if det.hb_detected else 0)
         facet = det.facet
-        d["d_facet"].append(_FACET_INDEX[facet] if facet is not None else -1)
+        d_facet(-1 if facet is None else facet_index[facet])
         library = det.library
-        d["d_library"].append(intern(library_d, added[1], library) if library is not None else -1)
+        d_library(-1 if library is None else library_d[library])
         total = det.total_latency_ms
-        d["d_total_latency"].append(0.0 if total is None else total)
-        d["d_has_total_latency"].append(0 if total is None else 1)
-        d["d_crawl_day"].append(det.crawl_day)
+        d_total_latency(0.0 if total is None else total)
+        d_has_total_latency(0 if total is None else 1)
+        d_crawl_day(det.crawl_day)
         page_load = det.page_load_ms
-        d["d_page_load"].append(0.0 if page_load is None else page_load)
-        d["d_has_page_load"].append(0 if page_load is None else 1)
-        for partner in det.partners:
-            d["p_partner"].append(intern(partner_d, added[2], partner))
-        d["d_partners_end"].append(len(d["p_partner"]))
-        for partner, latency in det.partner_latencies_ms.items():
-            d["l_partner"].append(intern(partner_d, added[2], partner))
-            d["l_latency"].append(latency)
-        d["d_latencies_end"].append(len(d["l_partner"]))
-        for channel in det.detection_channels:
-            d["c_channel"].append(intern(channel_d, added[6], channel))
-        d["d_channels_end"].append(len(d["c_channel"]))
-        for auction in det.auctions:
-            d["a_slot"].append(intern(slot_d, added[4], auction.slot_code))
+        d_page_load(0.0 if page_load is None else page_load)
+        d_has_page_load(0 if page_load is None else 1)
+        partners = det.partners
+        for partner in partners:
+            p_partner(partner_d[partner])
+        n_partners += len(partners)
+        d_partners_end(n_partners)
+        latencies = det.partner_latencies_ms
+        for partner, latency in latencies.items():
+            l_partner(partner_d[partner])
+            l_latency(latency)
+        n_latencies += len(latencies)
+        d_latencies_end(n_latencies)
+        channels = det.detection_channels
+        for channel in channels:
+            c_channel(channel_d[channel])
+        n_channels += len(channels)
+        d_channels_end(n_channels)
+        auctions = det.auctions
+        for auction in auctions:
+            a_slot(slot_d[auction.slot_code])
             size = auction.size
-            d["a_size"].append(intern(size_d, added[5], size) if size is not None else -1)
-            d["a_start"].append(auction.start_ms)
-            d["a_end"].append(auction.end_ms)
-            d["a_facet"].append(_FACET_INDEX[auction.facet])
-            for bid in auction.bids:
-                d["b_partner"].append(intern(partner_d, added[2], bid.partner))
-                d["b_bidder"].append(intern(bidder_d, added[3], bid.bidder_code))
-                d["b_slot"].append(intern(slot_d, added[4], bid.slot_code))
+            a_size(-1 if size is None else size_d[size])
+            a_start(auction.start_ms)
+            a_end(auction.end_ms)
+            a_facet(facet_index[auction.facet])
+            bids = auction.bids
+            for bid in bids:
+                b_partner(partner_d[bid.partner])
+                b_bidder(bidder_d[bid.bidder_code])
+                b_slot(slot_d[bid.slot_code])
                 cpm = bid.cpm
-                d["b_cpm"].append(0.0 if cpm is None else cpm)
-                d["b_has_cpm"].append(0 if cpm is None else 1)
+                b_cpm(0.0 if cpm is None else cpm)
+                b_has_cpm(0 if cpm is None else 1)
                 size = bid.size
-                d["b_size"].append(intern(size_d, added[5], size) if size is not None else -1)
+                b_size(-1 if size is None else size_d[size])
                 latency = bid.latency_ms
-                d["b_latency"].append(0.0 if latency is None else latency)
-                d["b_has_latency"].append(0 if latency is None else 1)
-                d["b_late"].append(1 if bid.late else 0)
-                d["b_won"].append(1 if bid.won else 0)
-                d["b_source"].append(intern(source_d, added[7], bid.source))
-            d["a_bids_end"].append(len(d["b_partner"]))
-        d["d_auctions_end"].append(len(d["a_slot"]))
+                b_latency(0.0 if latency is None else latency)
+                b_has_latency(0 if latency is None else 1)
+                b_late(1 if bid.late else 0)
+                b_won(1 if bid.won else 0)
+                b_source(source_d[bid.source])
+            n_bids += len(bids)
+            a_bids_end(n_bids)
+        n_auctions += len(auctions)
+        d_auctions_end(n_auctions)
+    added = [table.added for table in dicts]
 
     dict_regions: list[tuple[list[int], bytes]] = []
     dict_counts: list[int] = []
@@ -304,15 +339,7 @@ def _encode_chunk(
         dict_regions.append((ends, joined))
         dict_counts.extend((len(news), len(joined)))
 
-    counts = (
-        len(records),
-        len(d["a_slot"]),
-        len(d["b_partner"]),
-        len(d["p_partner"]),
-        len(d["l_partner"]),
-        len(d["c_channel"]),
-        *dict_counts,
-    )
+    counts = (len(records), n_auctions, n_bids, n_partners, n_latencies, n_channels, *dict_counts)
     layout, size = _layout(counts)
     payload = bytearray(size)
     for dname, (ends, joined) in zip(DICT_NAMES, dict_regions):
@@ -402,68 +429,76 @@ def _materialize_chunk(
     """Rebuild exact ``SiteDetection`` records from one chunk's columns."""
     domain_n, library_n, partner_n, bidder_n, slot_n, size_n, channel_n, source_n = names
     # .tolist() converts numpy scalars to exact Python natives in one pass.
-    c = {name: cols[name].tolist() for name, _, _ in COLUMNS}
+    (
+        d_domain, d_rank, d_hb, d_facet, d_library, d_total_latency, d_has_total_latency,
+        d_crawl_day, d_page_load, d_has_page_load, d_partners_end, d_latencies_end,
+        d_channels_end, d_auctions_end, p_partner, l_partner, l_latency, c_channel,
+        a_slot, a_size, a_start, a_end, a_facet, a_bids_end,
+        b_partner, b_bidder, b_slot, b_cpm, b_has_cpm, b_size, b_latency, b_has_latency,
+        b_late, b_won, b_source,
+    ) = [cols[name].tolist() for name, _, _ in COLUMNS]
+    facets = _FACETS
     out: list[SiteDetection] = []
-    p_start = l_start = ch_start = a_start = b_start = 0
+    p_start = l_start = ch_start = a_start_i = b_start = 0
+    # Positional constructor calls, in each record's field order.
     for i in range(counts[0]):
-        p_end = c["d_partners_end"][i]
-        partners = tuple(partner_n[pid] for pid in c["p_partner"][p_start:p_end])
+        p_end = d_partners_end[i]
+        partners = tuple([partner_n[pid] for pid in p_partner[p_start:p_end]])
         p_start = p_end
-        l_end = c["d_latencies_end"][i]
+        l_end = d_latencies_end[i]
         latencies = {
             partner_n[pid]: latency
-            for pid, latency in zip(c["l_partner"][l_start:l_end], c["l_latency"][l_start:l_end])
+            for pid, latency in zip(l_partner[l_start:l_end], l_latency[l_start:l_end])
         }
         l_start = l_end
-        ch_end = c["d_channels_end"][i]
-        channels = tuple(channel_n[cid] for cid in c["c_channel"][ch_start:ch_end])
+        ch_end = d_channels_end[i]
+        channels = tuple([channel_n[cid] for cid in c_channel[ch_start:ch_end]])
         ch_start = ch_end
-        a_end = c["d_auctions_end"][i]
+        a_end_i = d_auctions_end[i]
         auctions = []
-        for j in range(a_start, a_end):
-            b_end = c["a_bids_end"][j]
-            bids = []
-            for k in range(b_start, b_end):
-                bids.append(
-                    ObservedBid(
-                        partner=partner_n[c["b_partner"][k]],
-                        bidder_code=bidder_n[c["b_bidder"][k]],
-                        slot_code=slot_n[c["b_slot"][k]],
-                        cpm=c["b_cpm"][k] if c["b_has_cpm"][k] else None,
-                        size=size_n[c["b_size"][k]] if c["b_size"][k] >= 0 else None,
-                        latency_ms=c["b_latency"][k] if c["b_has_latency"][k] else None,
-                        late=bool(c["b_late"][k]),
-                        won=bool(c["b_won"][k]),
-                        source=source_n[c["b_source"][k]],
-                    )
+        for j in range(a_start_i, a_end_i):
+            b_end = a_bids_end[j]
+            bids = tuple([
+                ObservedBid(
+                    partner_n[b_partner[k]],
+                    bidder_n[b_bidder[k]],
+                    slot_n[b_slot[k]],
+                    b_cpm[k] if b_has_cpm[k] else None,
+                    size_n[b_size[k]] if b_size[k] >= 0 else None,
+                    b_latency[k] if b_has_latency[k] else None,
+                    bool(b_late[k]),
+                    bool(b_won[k]),
+                    source_n[b_source[k]],
                 )
+                for k in range(b_start, b_end)
+            ])
             b_start = b_end
             auctions.append(
                 ObservedAuction(
-                    slot_code=slot_n[c["a_slot"][j]],
-                    size=size_n[c["a_size"][j]] if c["a_size"][j] >= 0 else None,
-                    start_ms=c["a_start"][j],
-                    end_ms=c["a_end"][j],
-                    facet=_FACETS[c["a_facet"][j]],
-                    bids=tuple(bids),
+                    slot_n[a_slot[j]],
+                    size_n[a_size[j]] if a_size[j] >= 0 else None,
+                    bids,
+                    a_start[j],
+                    a_end[j],
+                    facets[a_facet[j]],
                 )
             )
-        a_start = a_end
-        facet_code = c["d_facet"][i]
+        a_start_i = a_end_i
+        facet_code = d_facet[i]
         out.append(
             SiteDetection(
-                domain=domain_n[c["d_domain"][i]],
-                rank=c["d_rank"][i],
-                hb_detected=bool(c["d_hb"][i]),
-                facet=_FACETS[facet_code] if facet_code >= 0 else None,
-                library=library_n[c["d_library"][i]] if c["d_library"][i] >= 0 else None,
-                partners=partners,
-                auctions=tuple(auctions),
-                partner_latencies_ms=latencies,
-                total_latency_ms=c["d_total_latency"][i] if c["d_has_total_latency"][i] else None,
-                detection_channels=channels,
-                crawl_day=c["d_crawl_day"][i],
-                page_load_ms=c["d_page_load"][i] if c["d_has_page_load"][i] else None,
+                domain_n[d_domain[i]],
+                d_rank[i],
+                bool(d_hb[i]),
+                facets[facet_code] if facet_code >= 0 else None,
+                library_n[d_library[i]] if d_library[i] >= 0 else None,
+                partners,
+                tuple(auctions),
+                latencies,
+                d_total_latency[i] if d_has_total_latency[i] else None,
+                channels,
+                d_crawl_day[i],
+                d_page_load[i] if d_has_page_load[i] else None,
             )
         )
     return out
@@ -574,7 +609,7 @@ class ColumnarDetectionSink(_BufferedSink):
 
     format = "columnar"
     _offset: int | None = None
-    _dicts: list[dict[str, int]] | None = None
+    _dicts: list[_Interner] | None = None
     _chunks: list[tuple[int, tuple[int, ...]]] | None = None
 
     def __init__(
@@ -612,7 +647,7 @@ class ColumnarDetectionSink(_BufferedSink):
                     )
                 _decode(handle, listing.chunks, names, records=False)
             chunks, data_end = listing.chunks, listing.data_end
-        self._dicts = [{name: idx for idx, name in enumerate(bucket)} for bucket in names]
+        self._dicts = [_Interner(bucket) for bucket in names]
         self._chunks = chunks
         self._offset = data_end
 

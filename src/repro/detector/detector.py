@@ -190,18 +190,20 @@ class HBDetector:
                 self.known_partners.name_for_bidder_code(dom_bid.bidder_code)
                 or dom_bid.bidder_code
             )
+            # Positional constructor calls here and below: this loop builds
+            # every bid of every HB page (field order as in ObservedBid).
             add_bid(
                 dom_bid.slot_code,
                 ObservedBid(
-                    partner=partner,
-                    bidder_code=dom_bid.bidder_code,
-                    slot_code=dom_bid.slot_code,
-                    cpm=dom_bid.cpm,
-                    size=dom_bid.size,
-                    latency_ms=dom_bid.time_to_respond_ms,
-                    late=False,
-                    won=(dom_bid.bidder_code, dom_bid.slot_code) in winners_from_dom,
-                    source="client",
+                    partner,
+                    dom_bid.bidder_code,
+                    dom_bid.slot_code,
+                    dom_bid.cpm,
+                    dom_bid.size,
+                    dom_bid.time_to_respond_ms,
+                    False,
+                    (dom_bid.bidder_code, dom_bid.slot_code) in winners_from_dom,
+                    "client",
                 ),
             )
 
@@ -228,15 +230,15 @@ class HBDetector:
                 add_bid(
                     slot_code,
                     ObservedBid(
-                        partner=exchange.partner,
-                        bidder_code=hb_params.bidder_for_slot(slot_code) or bidder_code,
-                        slot_code=slot_code,
-                        cpm=cpm,
-                        size=hb_params.size_for_slot(slot_code),
-                        latency_ms=exchange.latency_ms,
-                        late=late,
-                        won=False,
-                        source="client",
+                        exchange.partner,
+                        hb_params.bidder_for_slot(slot_code) or bidder_code,
+                        slot_code,
+                        cpm,
+                        hb_params.size_for_slot(slot_code),
+                        exchange.latency_ms,
+                        late,
+                        False,
+                        "client",
                     ),
                 )
 
@@ -255,15 +257,15 @@ class HBDetector:
             add_bid(
                 slot_code,
                 ObservedBid(
-                    partner=winner_name,
-                    bidder_code=bidder_code,
-                    slot_code=slot_code,
-                    cpm=hb_params.price_for_slot(slot_code),
-                    size=hb_params.size_for_slot(slot_code),
-                    latency_ms=None,
-                    late=False,
-                    won=True,
-                    source="server",
+                    winner_name,
+                    bidder_code,
+                    slot_code,
+                    hb_params.price_for_slot(slot_code),
+                    hb_params.size_for_slot(slot_code),
+                    None,
+                    False,
+                    True,
+                    "server",
                 ),
             )
 
@@ -279,19 +281,13 @@ class HBDetector:
         for slot_code in dom.rendered_slots:
             bids_by_slot.setdefault(slot_code, {})
 
-        auctions = []
-        for slot_code, slot_bids in bids_by_slot.items():
-            auctions.append(
-                ObservedAuction(
-                    slot_code=slot_code,
-                    size=sizes_by_slot.get(slot_code),
-                    bids=tuple(slot_bids.values()),
-                    start_ms=start,
-                    end_ms=max(end, start),
-                    facet=facet,
-                )
+        end = max(end, start)
+        return tuple([
+            ObservedAuction(
+                slot_code, sizes_by_slot.get(slot_code), tuple(slot_bids.values()), start, end, facet
             )
-        return tuple(auctions)
+            for slot_code, slot_bids in bids_by_slot.items()
+        ])
 
     @staticmethod
     def _auction_start(dom: DomObservations, web: WebRequestObservations) -> float:

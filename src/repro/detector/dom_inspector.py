@@ -40,7 +40,7 @@ _RENDER_EVENTS: frozenset[str] = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class _ObservedDomBid:
     """A bid reported by a ``bidResponse`` or ``bidWon`` event."""
 
@@ -51,6 +51,27 @@ class _ObservedDomBid:
     time_to_respond_ms: float | None
     won: bool
     timestamp_ms: float
+
+    def __init__(
+        self,
+        bidder_code: str,
+        slot_code: str,
+        cpm: float | None,
+        size: str | None,
+        time_to_respond_ms: float | None,
+        won: bool,
+        timestamp_ms: float,
+    ) -> None:
+        # Hand-written for the same reason as the detection records
+        # (repro.detector.records): one bound setter, no generated wrapper.
+        set_ = object.__setattr__.__get__(self)
+        set_("bidder_code", bidder_code)
+        set_("slot_code", slot_code)
+        set_("cpm", cpm)
+        set_("size", size)
+        set_("time_to_respond_ms", time_to_respond_ms)
+        set_("won", won)
+        set_("timestamp_ms", timestamp_ms)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from repro.models import WebRequest
 __all__ = ["HBParameterSet", "extract_hb_parameters", "has_hb_parameters"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HBParameterSet:
     """The HB key-values found in one request, grouped per ad-slot.
 
@@ -30,6 +30,15 @@ class HBParameterSet:
 
     global_values: Mapping[str, str]
     per_slot: Mapping[str, Mapping[str, str]]
+
+    def __init__(
+        self, global_values: Mapping[str, str], per_slot: Mapping[str, Mapping[str, str]]
+    ) -> None:
+        # Hand-written for the same reason as the detection records
+        # (repro.detector.records): one bound setter, no generated wrapper.
+        set_ = object.__setattr__.__get__(self)
+        set_("global_values", global_values)
+        set_("per_slot", per_slot)
 
     @property
     def is_empty(self) -> bool:

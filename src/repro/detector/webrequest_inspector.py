@@ -21,7 +21,7 @@ from repro.utils.urls import url_host
 __all__ = ["WebRequestObservations", "PartnerExchange", "WebRequestInspector"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PartnerExchange:
     """One request/response pair attributed to a known HB partner."""
 
@@ -32,6 +32,27 @@ class PartnerExchange:
     request_params: Mapping[str, str]
     response_params: Mapping[str, str]
     response_hb_params: HBParameterSet
+
+    def __init__(
+        self,
+        partner: str,
+        host: str,
+        request_at_ms: float | None,
+        response_at_ms: float | None,
+        request_params: Mapping[str, str],
+        response_params: Mapping[str, str],
+        response_hb_params: HBParameterSet,
+    ) -> None:
+        # Hand-written for the same reason as the detection records
+        # (repro.detector.records): one bound setter, no generated wrapper.
+        set_ = object.__setattr__.__get__(self)
+        set_("partner", partner)
+        set_("host", host)
+        set_("request_at_ms", request_at_ms)
+        set_("response_at_ms", response_at_ms)
+        set_("request_params", request_params)
+        set_("response_params", response_params)
+        set_("response_hb_params", response_hb_params)
 
     @property
     def latency_ms(self) -> float | None:

@@ -84,7 +84,7 @@ __all__ = ["simulate_shard_columnar"]
 
 
 #: Responses without hb_* keys all extract to the same (never mutated) set.
-_EMPTY_HB = HBParameterSet(global_values={}, per_slot={})
+_EMPTY_HB = HBParameterSet({}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def _simulate_hb_page(
                     "hb_source": "s2s",
                 }
                 params.update(hb_globals)
-                hbset = HBParameterSet(global_values=hb_globals, per_slot={})
+                hbset = HBParameterSet(hb_globals, {})
             events.append(
                 (response_time, 1, sim.server_host, sim.server_partner, params,
                  sim.server_url, False, False, hbset)
@@ -303,7 +303,7 @@ def _simulate_hb_page(
                 response_params[f"hb_size_{slot_code}"] = labels[slot_index]
                 reply_slots[slot_code] = {"hb_cpm": cpm_text, "hb_size": labels[slot_index]}
             hbset = (
-                HBParameterSet(global_values={}, per_slot=reply_slots)
+                HBParameterSet({}, reply_slots)
                 if reply_slots else _EMPTY_HB
             )
             events.append(
@@ -319,13 +319,8 @@ def _simulate_hb_page(
                 on_time[slot_index][code] = cpm
                 if lifecycle:
                     dom_bids.append(_ObservedDomBid(
-                        bidder_code=code,
-                        slot_code=codes[slot_index],
-                        cpm=float(round(cpm, 5)),
-                        size=labels[slot_index],
-                        time_to_respond_ms=time_to_respond,
-                        won=False,
-                        timestamp_ms=start,
+                        code, codes[slot_index], float(round(cpm, 5)), labels[slot_index],
+                        time_to_respond, False, start,
                     ))
 
         push_params: dict[str, str] = {"auction_id": AUCTION_ID, "slots": str(slots_n)}
@@ -351,7 +346,7 @@ def _simulate_hb_page(
             }
         events.append(
             (call, 0, sim.push_host, sim.push_partner, push_params, sim.push_url,
-             any_filled, False, HBParameterSet(global_values={}, per_slot=push_slots))
+             any_filled, False, HBParameterSet({}, push_slots))
         )
         base_response = call + sample_latency(gen, sim.ad_server_latency)
         events.append(
@@ -393,13 +388,8 @@ def _simulate_hb_page(
                 winner_code, cpm = winners[slot_index]
                 if winner_code is not None and gen.random() < 0.985:
                     dom_bids.append(_ObservedDomBid(
-                        bidder_code=winner_code,
-                        slot_code=codes[slot_index],
-                        cpm=float(round(cpm, 5)),
-                        size=labels[slot_index],
-                        time_to_respond_ms=None,
-                        won=True,
-                        timestamp_ms=t,
+                        winner_code, codes[slot_index], float(round(cpm, 5)), labels[slot_index],
+                        None, True, t,
                     ))
                     dom.rendered_slots[codes[slot_index]] = winner_code
                     # The win notification is an outgoing request to an
@@ -448,7 +438,7 @@ def _simulate_hb_page(
                         "hb_source": "hybrid",
                     }
                     params.update(hb_globals)
-                    hbset = HBParameterSet(global_values=hb_globals, per_slot={})
+                    hbset = HBParameterSet(hb_globals, {})
                 events.append(
                     (ad_response, 1, sim.render_host, sim.render_partner, params,
                      sim.render_url, False, False, hbset)
@@ -468,13 +458,8 @@ def _simulate_hb_page(
                 winner_code, cpm = client_map.get(codes[slot_index], (None, 0.0))
                 if winner_code is not None and gen.random() < 0.985:
                     dom_bids.append(_ObservedDomBid(
-                        bidder_code=winner_code,
-                        slot_code=codes[slot_index],
-                        cpm=float(round(cpm, 5)),
-                        size=labels[slot_index],
-                        time_to_respond_ms=None,
-                        won=True,
-                        timestamp_ms=t,
+                        winner_code, codes[slot_index], float(round(cpm, 5)), labels[slot_index],
+                        None, True, t,
                     ))
                     dom.rendered_slots[codes[slot_index]] = winner_code
                 elif winner_code is not None:
@@ -546,23 +531,11 @@ def _simulate_hb_page(
             outgoing = pending.pop(host, None)
             if outgoing is not None:
                 web.exchanges.append(PartnerExchange(
-                    partner=outgoing[0],
-                    host=host,
-                    request_at_ms=outgoing[1],
-                    response_at_ms=ts,
-                    request_params=dict(outgoing[2]),
-                    response_params=dict(params),
-                    response_hb_params=hb_params,
+                    outgoing[0], host, outgoing[1], ts, dict(outgoing[2]), dict(params), hb_params,
                 ))
             else:
                 web.exchanges.append(PartnerExchange(
-                    partner=partner,
-                    host=host,
-                    request_at_ms=None,
-                    response_at_ms=ts,
-                    request_params={},
-                    response_params=dict(params),
-                    response_hb_params=hb_params,
+                    partner, host, None, ts, {}, dict(params), hb_params,
                 ))
 
     detection = detector.detect_from_observations(
@@ -678,18 +651,17 @@ def simulate_shard_columnar(
         if sim.uses_hb:
             gen = activate(state_hi_l[i], state_lo_l[i], inc_hi_l[i], inc_lo_l[i])
             detection, load_event = _simulate_hb_page(sim, gen, detector, crawl_day)
-        elif plain_l[i]:
-            load_event = load_plain_l[i]
-            detection = SiteDetection(
-                domain=sim.domain, rank=sim.rank, hb_detected=False,
-                crawl_day=crawl_day, page_load_ms=load_event,
-            )
         else:
-            gen = activate(hi1_l[i], lo1_l[i], inc_hi_l[i], inc_lo_l[i])
-            load_event = _simulate_waterfall_page(sim, gen)
+            if plain_l[i]:
+                load_event = load_plain_l[i]
+            else:
+                gen = activate(hi1_l[i], lo1_l[i], inc_hi_l[i], inc_lo_l[i])
+                load_event = _simulate_waterfall_page(sim, gen)
+            # Positional, in SiteDetection's field order: no facet, library,
+            # partners, auctions, latencies or channels on a non-HB page.
             detection = SiteDetection(
-                domain=sim.domain, rank=sim.rank, hb_detected=False,
-                crawl_day=crawl_day, page_load_ms=load_event,
+                sim.domain, sim.rank, False, None, None, (), (), {}, None, (),
+                crawl_day, load_event,
             )
         if load_event > timeout_ms:
             result.timed_out_domains.append(sim.domain)

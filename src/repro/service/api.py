@@ -176,6 +176,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     """Route layer: URL/body parsing in, JSON out, nothing else."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, a keep-alive
+    # client waits a delayed-ACK round for the body of every response.
+    disable_nagle_algorithm = True
     server: ReproServiceServer  # narrowed for type checkers
 
     # -- plumbing ---------------------------------------------------------------

@@ -347,6 +347,27 @@ class TestDetectionQueries:
             body = response.read().decode("utf-8")
         assert body == json.dumps(json.loads(body), separators=(",", ":")) + "\n"
 
+    def test_one_keep_alive_connection_serves_many_requests(self, server, client, campaign):
+        host, port = server.server_address[:2]
+        cid = campaign["id"]
+        table1 = client.artifact(cid, "table1")
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for i in range(20):
+                if i % 4 == 3:
+                    path, expected = f"/campaigns/{cid}/artifacts/table1", table1
+                else:
+                    path = f"/campaigns/{cid}/detections?limit=5&offset={5 * i}"
+                    expected = client.detections(cid, limit=5, offset=5 * i)
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200, body
+                assert not response.will_close
+                assert json.loads(body) == expected
+        finally:
+            connection.close()
+
     def test_fig12_serves_the_ecdf_as_data(self, client, campaign, reference):
         _, ref_dataset = reference
 

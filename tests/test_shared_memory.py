@@ -90,8 +90,8 @@ def start_pool_holder(tmp_path: Path) -> tuple[subprocess.Popen, dict]:
         assert line, errors.read_text()
         state = json.loads(line)
     except BaseException:
-        holder.kill()
-        holder.wait()
+        with holder:  # closes the stdout pipe and reaps the holder
+            holder.kill()
         raise
     assert len(state["workers"]) == 2
     return holder, state
@@ -239,8 +239,8 @@ class TestOrphanedWorkers:
 
     def test_workers_and_blocks_go_when_the_parent_is_sigkilled(self, tmp_path):
         holder, state = start_pool_holder(tmp_path)
-        holder.kill()
-        holder.wait()
+        with holder:
+            holder.kill()
         try:
             # Poll the files, not block_exists: attaching would register the
             # block with this process's resource tracker.
@@ -261,6 +261,6 @@ class TestOrphanedWorkers:
             wait_until(lambda: not running(worker))
             assert not running(worker)
         finally:
-            holder.kill()
-            holder.wait()
+            with holder:
+                holder.kill()
             self.kill_leftovers(state)

@@ -1,15 +1,16 @@
 """Slots audit for the hot per-page models, with pickle round-trips.
 
-PR 3 slotted the detector-side records; this sweep covers the remaining hot
-per-page models in ``browser/``, ``hb/`` and ``ecosystem/`` (``hb/events.py``
-holds only enums and free functions — nothing to slot).  Each class must
-reject arbitrary attributes (proof the instance carries no ``__dict__``) and
-survive a pickle round-trip unchanged, because the process backend ships
-some of them across worker boundaries.
+Covers the detector-side records and the hot per-page models in
+``browser/``, ``hb/`` and ``ecosystem/`` (``hb/events.py`` holds only enums
+and free functions — nothing to slot).  Each class must reject arbitrary
+attributes (proof the instance carries no ``__dict__``) and survive a pickle
+round-trip unchanged, because the process backend ships some of them across
+worker boundaries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -21,6 +22,9 @@ from repro.browser.dom import DomEventBus
 from repro.browser.engine import BrowserEngine, PageLoadResult
 from repro.browser.page import Page, build_page
 from repro.browser.webrequest import WebRequestLog
+from repro.detector.dom_inspector import _ObservedDomBid
+from repro.detector.parameters import HBParameterSet
+from repro.detector.webrequest_inspector import PartnerExchange
 from repro.ecosystem.bidding import PricingModel
 from repro.ecosystem.profiles import SiteProfileTable, latency_sampler
 from repro.hb.auction import BidOutcome, HeaderBiddingOutcome, SlotAuctionOutcome
@@ -55,6 +59,32 @@ class TestBrowserModels:
         assert_slotted(DomEventBus(clock))
         assert_slotted(WebRequestLog(clock))
         assert_slotted(BrowserContext.clean_slate(rng))
+
+
+class TestDetectorModels:
+    def test_detection_tree_is_slotted_and_pickles_equal(self, engine, detector, hb_publisher):
+        detection = detector.inspect_page(engine.load(hb_publisher))
+        assert detection.hb_detected and detection.auctions
+        for record in (detection, *detection.auctions, *detection.all_bids):
+            assert_slotted(record)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(detection, protocol=protocol)) == detection
+
+    def test_per_page_records_are_slotted_and_construct_either_way(self):
+        hb = HBParameterSet({"hb_bidder": "appnexus"}, {"s1": {"hb_pb": "0.50"}})
+        records = (
+            hb,
+            _ObservedDomBid("appnexus", "s1", 0.5, "300x250", 120.0, False, 10.0),
+            PartnerExchange("AppNexus", "ib.adnxs.com", 10.0, 130.0, {}, {"bidder": "appnexus"}, hb),
+        )
+        for record in records:
+            assert_slotted(record)
+            cls = type(record)
+            values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)}
+            assert cls(**values) == record
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(cls)[0].name, None)
+            assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestAuctionModels:
