@@ -181,7 +181,7 @@ def check_baseline(report: dict, baseline: dict | None, max_regression: float) -
     ``write.columnar_over_jsonl`` is workload-size independent (both sinks
     stream the same records), so a ``--smoke`` CI run compares it against
     the committed full-size report.  ``open.cold_speedup`` grows with the
-    dataset — at smoke scale the columnar fixed costs (mmap, footer parse,
+    dataset — at smoke scale the columnar fixed costs (mmap, header walk,
     numpy reductions) dominate a file that parses in a millisecond anyway —
     so it is only gated when the run's workload matches the baseline's.
     A full-size run additionally enforces the PR's absolute acceptance

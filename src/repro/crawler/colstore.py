@@ -18,27 +18,27 @@ Detections are stored as typed numpy columns:
 * offset-indexed variable-length lists (partners, latencies, channels,
   auctions, bids) as chunk-local cumulative end counters.
 
-The file is a sequence of self-describing chunks — one per sink flush, and
-the engine flushes at every shard boundary, so chunk boundaries land exactly
-on the offsets the checkpointer records — followed by an optional footer
-index written on close.  ``ColumnarTable`` mmaps the file and serves whole
-columns as zero-copy numpy views; ``ColumnarDataset`` computes ``summary()``
-(and therefore ``table1``) vectorised over those views without materialising
-a single ``SiteDetection``, so cold-open on a saved campaign is milliseconds.
+The file is its magic and a sequence of self-describing chunks, and nothing
+else — one chunk per sink flush, and the engine flushes at every shard
+boundary, so chunk boundaries land exactly on the offsets the checkpointer
+records.  The file is append-only: a closed store is a byte prefix of any
+store appended to it, so a sink's offset, a checkpoint's ``sink_offset`` and
+every tailing reader's offset are the same chunk boundary.  ``ColumnarTable``
+mmaps the file and serves whole columns as zero-copy numpy views;
+``ColumnarDataset`` computes ``summary()`` (and therefore ``table1``)
+vectorised over those views without materialising a single
+``SiteDetection``, so cold-open on a saved campaign is milliseconds.
 
 Layout (all integers little-endian, every region padded to 8 bytes)::
 
-    file    := magic(8) chunk* footer?
+    file    := magic(8) chunk*
     chunk   := "HBCK" counts(22 x u64) pad(4) dict-deltas columns
-    footer  := "HBFO" n_chunks(u4) entry(offset u64 + counts)*
-               footer_start(u64) "HBCOLEND"
 
 Every reader reaches chunks through two functions.  :func:`_list_chunks`
-lists a file's complete chunks: from the footer index when the trailer is
-valid and consistent, otherwise by one walk of chunk headers between a
-start and a stop offset, reporting the tail as ``clean``, ``footer`` or
-``partial``.  :func:`_decode` turns chunk payloads into dictionary state
-and ``SiteDetection`` records, raising :class:`StorageError` with the chunk
+lists a file's complete chunks by one walk of chunk headers between a start
+and a stop offset, reporting whether a torn chunk follows them.
+:func:`_decode` turns chunk payloads into dictionary state and
+``SiteDetection`` records, raising :class:`StorageError` with the chunk
 offset on any damage.  A torn write can only truncate the tail, and each
 reader applies one policy to the lister's tail result:
 
@@ -50,9 +50,6 @@ reader applies one policy to the lister's tail result:
 * ``ColumnarStorage.recover_to`` requires an exact chunk boundary and
   truncates to it, dropping whatever a crashed run wrote past its last
   checkpoint.
-
-Re-closing after an append rewrites a footer identical to the one a clean
-run would have produced.
 """
 
 from __future__ import annotations
@@ -89,19 +86,14 @@ __all__ = [
 #: mmap into near-contiguous columns.
 SAVE_CHUNK_RECORDS = 8192
 
-COLUMNAR_MAGIC = b"HBCOL1\r\n"
+COLUMNAR_MAGIC = b"HBCOL2\r\n"
 _MAGIC_LEN = len(COLUMNAR_MAGIC)
 _CHUNK_MAGIC = b"HBCK"
-_FOOTER_MAGIC = b"HBFO"
-_TRAILER_MAGIC = b"HBCOLEND"
 
 # Chunk header: magic + 22 u64 counts, padded to a multiple of 8.
 _CHUNK_HEADER = struct.Struct("<4s22Q")
 _CHUNK_HEADER_SIZE = (_CHUNK_HEADER.size + 7) & ~7
 _CHUNK_HEADER_PAD = b"\x00" * (_CHUNK_HEADER_SIZE - _CHUNK_HEADER.size)
-_FOOTER_HEAD = struct.Struct("<4sI")
-_FOOTER_ENTRY = struct.Struct("<23Q")
-_TRAILER = struct.Struct("<Q8s")
 
 #: File-global string dictionaries, in the order their deltas appear in a chunk.
 DICT_NAMES = ("domain", "library", "partner", "bidder", "slot", "size", "channel", "source")
@@ -240,9 +232,7 @@ class _Interner(dict):
         return idx
 
 
-def _encode_chunk(
-    records: list[SiteDetection], dicts: list[_Interner]
-) -> tuple[bytes, tuple[int, ...], list[list[str]]]:
+def _encode_chunk(records: list[SiteDetection], dicts: list[_Interner]) -> tuple[bytes, list[list[str]]]:
     """Encode one flush's worth of detections as a complete chunk.
 
     ``dicts`` are the file-global string tables; new strings get the next
@@ -354,7 +344,7 @@ def _encode_chunk(
             payload[off : off + count * _ITEMSIZE[name]] = np.asarray(data[name], dtype=dtype).tobytes()
 
     header = _CHUNK_HEADER.pack(_CHUNK_MAGIC, *counts) + _CHUNK_HEADER_PAD
-    return header + bytes(payload), counts, added
+    return header + bytes(payload), added
 
 
 def _new_names() -> list[list[str]]:
@@ -516,77 +506,46 @@ def _check_magic(path: Path, head: bytes) -> None:
 
 
 class _Listing(NamedTuple):
-    """A columnar file's complete chunks and what follows them."""
+    """A columnar file's complete chunks and whether a torn chunk follows them."""
 
     chunks: list[tuple[int, tuple[int, ...]]]
-    #: End of the last complete chunk (the footer's start on a closed file).
+    #: End of the last complete chunk.
     data_end: int
-    #: "clean" (nothing follows), "footer" (a complete footer follows) or
-    #: "partial" (a torn chunk or footer, or a chunk crossing ``stop``).
-    tail: str
+    #: Whether a torn chunk (or one crossing ``stop``) follows ``data_end``.
+    torn: bool
 
 
 def _list_chunks(handle, path: Path, size: int, start: int = _MAGIC_LEN, stop: int | None = None) -> _Listing:
     """The one chunk lister: every complete chunk of ``handle`` in ``[start, stop)``.
 
     ``size`` is the file size the caller observed (a live file may grow
-    past it; nothing beyond it is read).  Listing a whole file (the default
-    bounds) reads the footer index when the trailer is valid and its entries
-    chain from the magic to the footer, so a closed file lists in three
-    reads.  Otherwise — a live, torn or partially read file, or an
-    inconsistent footer — one walk of chunk headers runs from ``start`` (a
-    chunk boundary) to ``stop`` (default: ``size``).  Bytes that cannot
-    begin a chunk or a footer raise :class:`StorageError`; each reader
-    applies its own torn-tail policy to the returned ``tail``.
+    past it; nothing beyond it is read).  One walk of chunk headers runs
+    from ``start`` (a chunk boundary) to ``stop`` (default: ``size``).
+    Bytes that cannot begin a chunk raise :class:`StorageError`; each reader
+    applies its own torn-tail policy to the returned ``torn``.
     """
     limit = size if stop is None else min(stop, size)
     if start == _MAGIC_LEN:
         handle.seek(0)
         head = handle.read(min(_MAGIC_LEN, limit))
         if len(head) < _MAGIC_LEN and COLUMNAR_MAGIC.startswith(head):
-            return _Listing([], 0, "partial" if head else "clean")
+            return _Listing([], 0, bool(head))
         _check_magic(path, head)
-    footer_start = None
-    if stop is None and size - start >= _FOOTER_HEAD.size + _TRAILER.size:
-        handle.seek(size - _TRAILER.size)
-        trailer_start, magic = _TRAILER.unpack(handle.read(_TRAILER.size))
-        if magic == _TRAILER_MAGIC and start <= trailer_start <= size - _FOOTER_HEAD.size - _TRAILER.size:
-            handle.seek(trailer_start)
-            fmagic, n_chunks = _FOOTER_HEAD.unpack(handle.read(_FOOTER_HEAD.size))
-            if fmagic == _FOOTER_MAGIC and size == (
-                trailer_start + _FOOTER_HEAD.size + n_chunks * _FOOTER_ENTRY.size + _TRAILER.size
-            ):
-                footer_start = trailer_start
-                if start == _MAGIC_LEN:
-                    chunks, pos = [], _MAGIC_LEN
-                    for offset, *counts in _FOOTER_ENTRY.iter_unpack(handle.read(n_chunks * _FOOTER_ENTRY.size)):
-                        if offset != pos:
-                            break
-                        chunks.append((offset, tuple(counts)))
-                        pos += _CHUNK_HEADER_SIZE + _payload_size(chunks[-1][1])
-                    if pos == footer_start and len(chunks) == n_chunks:
-                        return _Listing(chunks, pos, "footer")
-    chunks, pos, tail = [], start, "clean"
+    chunks, pos = [], start
     while pos < limit:
         handle.seek(pos)
         header = handle.read(min(_CHUNK_HEADER_SIZE, limit - pos))
-        magic = header[:4]
-        if magic == _FOOTER_MAGIC:
-            tail = "footer" if pos == footer_start else "partial"
-            break
-        if not (_CHUNK_MAGIC.startswith(magic) or _FOOTER_MAGIC.startswith(magic)):
+        if not _CHUNK_MAGIC.startswith(header[:4]):
             raise StorageError(f"corrupt columnar store {path}: unrecognised bytes at offset {pos}")
         if len(header) < _CHUNK_HEADER_SIZE:
-            tail = "partial"
-            break
+            return _Listing(chunks, pos, True)
         counts = _CHUNK_HEADER.unpack_from(header)[1:]
         end = pos + _CHUNK_HEADER_SIZE + _payload_size(counts)
         if end > limit:
-            tail = "partial"
-            break
+            return _Listing(chunks, pos, True)
         chunks.append((pos, counts))
         pos = end
-    return _Listing(chunks, pos, tail)
+    return _Listing(chunks, pos, False)
 
 
 def _open_for_read(path: Path):
@@ -600,17 +559,16 @@ class ColumnarDetectionSink(_BufferedSink):
     """The columnar detection sink, on the shared ``_BufferedSink`` contract.
 
     Detections are buffered as objects and encoded one chunk per flush;
-    ``offset`` reports flushed data bytes (footer excluded), so checkpoint
-    offsets recorded against this sink are chunk boundaries by construction.
-    ``close()`` appends the footer index; reopening in append mode reads the
+    ``offset`` is the file's size as flushed, so checkpoint offsets
+    recorded against this sink are chunk boundaries by construction and a
+    closed file ends at its last chunk.  Reopening in append mode reads the
     file's dictionaries through the one lister and decoder, refuses a torn
-    tail, strips the footer, and a later close rewrites an identical one.
+    tail, and continues the file where it ends.
     """
 
     format = "columnar"
     _offset: int | None = None
     _dicts: list[_Interner] | None = None
-    _chunks: list[tuple[int, tuple[int, ...]]] | None = None
 
     def __init__(
         self,
@@ -629,39 +587,37 @@ class ColumnarDetectionSink(_BufferedSink):
 
     @property
     def offset(self) -> int:
-        """Bytes of flushed chunk data (header included, footer excluded)."""
+        """Bytes of flushed chunk data, the magic included."""
         self._prepare()
         return self._offset  # type: ignore[return-value]
 
     def _prepare(self) -> None:
         if self._dicts is not None:
             return
-        names, chunks, data_end = _new_names(), [], 0
+        names, data_end = _new_names(), 0
         if self.append and self.path.exists():
             with _open_for_read(self.path) as handle:
                 listing = _list_chunks(handle, self.path, os.fstat(handle.fileno()).st_size)
-                if listing.tail == "partial":
+                if listing.torn:
                     raise StorageError(
                         f"cannot append to {self.path}: the file ends in a torn write; "
                         f"recover it to a checkpointed offset first"
                     )
                 _decode(handle, listing.chunks, names, records=False)
-            chunks, data_end = listing.chunks, listing.data_end
+            data_end = listing.data_end
         self._dicts = [_Interner(bucket) for bucket in names]
-        self._chunks = chunks
         self._offset = data_end
 
     def _open(self):
         self._prepare()
         if self.append and self.path.exists():
             handle = self.path.open("r+b")
-            handle.truncate(self._offset)  # strip any footer
             handle.seek(self._offset)  # type: ignore[arg-type]
             return handle
         return self.path.open("wb")
 
     def _write_records(self, handle, records: list[SiteDetection]) -> None:
-        chunk, counts, added = _encode_chunk(records, self._dicts)  # type: ignore[arg-type]
+        chunk, added = _encode_chunk(records, self._dicts)  # type: ignore[arg-type]
         base = self._offset  # type: ignore[assignment]
         prefix = COLUMNAR_MAGIC if base == 0 else b""
         try:
@@ -674,28 +630,9 @@ class ColumnarDetectionSink(_BufferedSink):
                 for name in news:
                     del table[name]
             raise StorageError(f"could not write detections to {self.path}: {exc}") from exc
-        self._chunks.append((base + len(prefix), counts))  # type: ignore[union-attr]
         self._offset = base + len(prefix) + len(chunk)
         if self._written is not None:
             self._written.extend(records)
-
-    def _finish(self, handle) -> None:
-        """Append the footer index."""
-        base = self._offset or 0
-        prefix = COLUMNAR_MAGIC if base == 0 else b""
-        footer_start = base + len(prefix)
-        chunks = self._chunks or []
-        blob = (
-            prefix
-            + _FOOTER_HEAD.pack(_FOOTER_MAGIC, len(chunks))
-            + b"".join(_FOOTER_ENTRY.pack(offset, *counts) for offset, counts in chunks)
-            + _TRAILER.pack(footer_start, _TRAILER_MAGIC)
-        )
-        try:
-            handle.write(blob)
-            handle.flush()
-        except OSError as exc:
-            raise StorageError(f"could not finalise detection sink {self.path}: {exc}") from exc
 
     def close(self) -> None:
         if self._closed:
@@ -743,7 +680,7 @@ class ColumnarStorage:
             raise StorageError(f"crawl dataset not found: {self.path}")
         with _open_for_read(self.path) as handle:
             listing = _list_chunks(handle, self.path, os.fstat(handle.fileno()).st_size)
-            if listing.tail == "partial":
+            if listing.torn:
                 raise StorageError(
                     f"truncated columnar store {self.path}: the file ends mid-write; "
                     f"recover it to a checkpointed offset first"
@@ -761,12 +698,13 @@ class ColumnarStorage:
     def read_new(self, offset: int = 0) -> tuple[list[SiteDetection], int]:
         """Detections in complete chunks past ``offset``, plus the new offset.
 
-        A trailing half-written chunk (or half-written footer) is left for the
-        next call; a complete footer is consumed by advancing the offset to
-        end-of-file so pollers observe the store as drained after close.  A
-        reader continuing from its last returned offset lists only the new
-        chunks; one joining elsewhere lists the whole file and rebuilds the
-        dictionaries up to ``offset``, which must be a chunk boundary.
+        The new offset is the end of the last complete chunk, so a trailing
+        half-written chunk is left for the next call, and on a closed file it
+        is the file size: pollers see the store as drained, and an append
+        continues from it.  A reader continuing from its last returned
+        offset lists only the new chunks; one joining elsewhere lists the
+        whole file and rebuilds the dictionaries up to ``offset``, which must
+        be a chunk boundary.
         """
         if offset < 0:
             raise StorageError(f"read offset cannot be negative, got {offset}")
@@ -788,20 +726,18 @@ class ColumnarStorage:
                 boundaries = [chunk_offset for chunk_offset, _ in listing.chunks] + [listing.data_end]
                 first = bisect.bisect_left(boundaries, offset)
                 if first == len(boundaries) or boundaries[first] != offset:
-                    if not (listing.tail == "footer" and offset == size):
-                        raise StorageError(f"read offset {offset} of {self.path} is not a chunk boundary")
+                    raise StorageError(f"read offset {offset} of {self.path} is not a chunk boundary")
                 _decode(handle, listing.chunks[:first], names, records=False)
             detections = _decode(handle, listing.chunks[first:], names)
-        end = size if listing.tail == "footer" else listing.data_end
-        self._tail_offset, self._tail_names = end, names
-        return detections, end
+        self._tail_offset, self._tail_names = listing.data_end, names
+        return detections, listing.data_end
 
     def recover_to(self, offset: int) -> list[SiteDetection]:
         """Validate and truncate the store to a checkpointed chunk boundary.
 
         Returns the kept detections and drops everything past ``offset`` —
-        post-checkpoint chunks, a torn tail, or a footer, all of which the
-        resumed sink will rewrite.
+        post-checkpoint chunks or a torn tail, both of which the resumed sink
+        will rewrite.
         """
         if offset < 0:
             raise StorageError(f"cannot recover {self.path} to negative offset {offset}")
@@ -822,7 +758,7 @@ class ColumnarStorage:
         names = _new_names()
         with _open_for_read(self.path) as handle:
             listing = _list_chunks(handle, self.path, size, stop=offset)
-            if listing.tail != "clean":
+            if listing.torn:
                 raise StorageError(
                     f"cannot recover {self.path} to offset {offset}: not a chunk boundary "
                     f"(the complete chunks before it end at {listing.data_end})"
@@ -844,9 +780,9 @@ class ColumnarStorage:
 class ColumnarTable:
     """Zero-copy reader: mmaps a columnar file and serves numpy column views.
 
-    Lists the file through :func:`_list_chunks` (the footer index when the
-    file was cleanly closed, an O(1) open) and keeps the complete-chunk
-    prefix, so a live or crashed file reads as the chunks written so far.
+    Lists the file through :func:`_list_chunks` (one walk of chunk headers)
+    and keeps the complete-chunk prefix, so a live or crashed file reads as
+    the chunks written so far.
     """
 
     def __init__(self, path: str | Path) -> None:

@@ -151,8 +151,8 @@ class _BufferedSink:
     fails leaves the sink as it was before the call, so a retried write
     lands the record exactly once.  :meth:`close` is idempotent and
     ``__exit__`` never masks the body's exception.  Subclasses add only
-    ``_open`` (the file handle), ``_write_records`` (encode one flush and
-    write it, raising :class:`StorageError`) and optionally ``_finish``.
+    ``_open`` (the file handle) and ``_write_records`` (encode one flush and
+    write it, raising :class:`StorageError`).
     """
 
     #: Default number of records buffered between file writes.
@@ -175,9 +175,6 @@ class _BufferedSink:
 
     def _write_records(self, handle: IO[bytes], records: list[SiteDetection]) -> None:
         raise NotImplementedError
-
-    def _finish(self, handle: IO[bytes]) -> None:
-        """Write whatever a cleanly closed file ends with (nothing by default)."""
 
     def _ensure_open(self) -> IO[bytes]:
         if self._closed:
@@ -227,7 +224,7 @@ class _BufferedSink:
         self.flushes += 1
 
     def close(self) -> None:
-        """Flush the buffered tail, finish the file and close it.
+        """Flush the buffered tail and close the file.
 
         Idempotent: every call after the first is a no-op, including when the
         first call's flush failed mid-write — the sink still ends closed with
@@ -238,8 +235,6 @@ class _BufferedSink:
             return
         try:
             self.flush()
-            if self._handle is not None:
-                self._finish(self._handle)
         finally:
             self._closed = True
             if self._handle is not None:

@@ -94,14 +94,20 @@ class TestFormatDetection:
             sniff_format(bogus)
         assert issubclass(StorageError, ReproError)
 
-    def test_unknown_columnar_version_raises_clearly(self, tmp_path):
-        future = tmp_path / "future.hbc"
-        future.write_bytes(b"HBCOL9\r\n" + b"\x00" * 64)
-        assert sniff_format(future) == "columnar"
+    @pytest.mark.parametrize("magic", [b"HBCOL1\r\n", b"HBCOL9\r\n"], ids=["footered", "future"])
+    def test_unknown_columnar_version_raises_clearly(self, tmp_path, records, magic):
+        """An HBCOL1 store (chunks then a footer) or a future version is
+        refused by its magic, before any chunk is listed."""
+        other = tmp_path / "other.hbc"
+        ColumnarStorage(other).save(records[:10])
+        other.write_bytes(magic + other.read_bytes()[8:] + b"HBFO" + b"\x00" * 64)
+        assert sniff_format(other) == "columnar"
         with pytest.raises(StorageError, match="unsupported columnar store version"):
-            ColumnarTable(future)
+            ColumnarTable(other)
         with pytest.raises(StorageError, match="unsupported columnar store version"):
-            ColumnarStorage(future).load()
+            ColumnarStorage(other).load()
+        with pytest.raises(StorageError, match="unsupported columnar store version"):
+            ColumnarStorage(other).append(records[10:12])
 
     def test_from_path_dispatches_to_the_right_dataset(self, campaign):
         plain = CrawlDataset.from_path(campaign.jsonl.path)
@@ -243,13 +249,13 @@ class TestColumnarSink:
             sink.flush()
             assert sink.offset == (tmp_path / "sink.hbc").stat().st_size
 
-    def test_offset_excludes_the_footer(self, records, tmp_path):
+    def test_a_closed_store_ends_at_its_last_chunk(self, records, tmp_path):
         path = tmp_path / "sink.hbc"
         with ColumnarDetectionSink(path) as sink:
             sink.write_many(records[:10])
             sink.flush()
             data_end = sink.offset
-        assert path.stat().st_size > data_end  # footer follows the data
+        assert path.stat().st_size == data_end  # nothing follows the chunks
 
     def test_writes_are_buffered_until_the_flush_interval(self, records, tmp_path):
         path = tmp_path / "sink.hbc"
@@ -261,14 +267,13 @@ class TestColumnarSink:
             assert path.stat().st_size > 0
             assert sink.flushes == 1
 
-    def test_close_flushes_the_tail_and_writes_the_footer(self, records, tmp_path):
+    def test_close_flushes_the_tail(self, records, tmp_path):
         path = tmp_path / "sink.hbc"
         sink = ColumnarDetectionSink(path, flush_every=100)
         sink.write_many(records[:7])
         sink.close()
         table = ColumnarTable(path)
         assert table.n_records == 7
-        # A footer-indexed open and a header-walk open agree.
         assert ColumnarStorage(path).load() == records[:7]
 
     def test_entering_sink_creates_parent_directories(self, tmp_path):
@@ -321,7 +326,7 @@ class TestColumnarSink:
         with ColumnarDetectionSink(path, flush_every=5) as sink:
             sink.write_many(records[:10])
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 7])  # tear the footer
+        path.write_bytes(blob[: len(blob) - 7])  # tear the last chunk
         with pytest.raises(StorageError, match="torn write"):
             ColumnarDetectionSink(path, append=True).offset
 
@@ -361,7 +366,7 @@ class TestColumnarReadNew:
         rest, _ = storage.read_new(offset2)
         assert rest == records[4:8]
 
-    def test_footer_is_consumed_so_the_store_drains(self, records, tmp_path):
+    def test_a_closed_store_drains_at_its_size(self, records, tmp_path):
         path = tmp_path / "tail.hbc"
         storage = ColumnarStorage(path)
         with storage.open_sink(flush_every=4) as sink:
@@ -371,6 +376,23 @@ class TestColumnarReadNew:
         assert offset == path.stat().st_size
         again, offset2 = storage.read_new(offset)
         assert again == [] and offset2 == offset
+
+    def test_a_reader_continues_across_an_append(self, records, tmp_path):
+        """A closed store is a prefix of any store appended to it: a reader
+        that consumed it reads exactly the appended records next."""
+        path = tmp_path / "tail.hbc"
+        storage, reader = ColumnarStorage(path), ColumnarStorage(path)
+        storage.save(records[:8])
+        got, offset = reader.read_new(0)
+        assert got == records[:8] and offset == path.stat().st_size
+        closed = path.read_bytes()
+        storage.append(records[8:20])
+        assert path.read_bytes().startswith(closed)
+        appended, offset2 = reader.read_new(offset)
+        assert appended == records[8:20]
+        assert offset2 == path.stat().st_size
+        # A fresh reader joining at the old end sees the same records.
+        assert ColumnarStorage(path).read_new(offset) == (records[8:20], offset2)
 
     def test_a_fresh_reader_can_join_at_any_chunk_boundary(self, records, tmp_path):
         path = tmp_path / "tail.hbc"

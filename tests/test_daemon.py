@@ -388,6 +388,25 @@ class TestResidentDaemon:
         sink = resident["detections." + ("hbc" if store_format == "columnar" else "jsonl")]
         assert sink == _oneshot_bytes(tmp_path, config, 3)
 
+    @pytest.mark.parametrize("store_format", ["jsonl", "columnar"])
+    def test_warm_ticks_only_append_to_the_working_store(self, tmp_path, store_format):
+        """Each warm tick continues the working store, so a service tailing
+        it absorbs just the new day and never re-reads the campaign."""
+        from repro.service.store import DetectionStore
+
+        with RecrawlDaemon(tmp_path / "work", _config(store_format)) as daemon:
+            daemon.tick()
+            store = DetectionStore(daemon.working_path)
+            store.refresh()
+            for _ in range(3):
+                before = daemon.working_path.read_bytes()
+                report = daemon.tick()
+                assert report.status == "advanced"
+                assert daemon.working_path.read_bytes().startswith(before)
+                grown = store.count
+                assert store.refresh() == report.detections - grown > 0
+            assert store.restarts == 0 and store.drained()
+
     def test_tick_cost_does_not_grow_with_campaign_age(self, tmp_path, monkeypatch):
         calls = collections.Counter()
         _spy(monkeypatch, calls, ExperimentRunner, "build_population")

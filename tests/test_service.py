@@ -438,6 +438,22 @@ class TestStoreColumns:
         assert store.refresh() == 0
         assert store.count == 0 and store.restarts == restarts + 2
 
+    def test_appends_to_a_closed_store_continue_without_a_restart(self, reference, tmp_path):
+        """Each append reopens and closes the store, as a daemon tick does;
+        the store absorbs only the appended records and never restarts."""
+        _, ref_dataset = reference
+        records = list(ref_dataset.detections)
+        storage = ColumnarStorage(tmp_path / "crawl.hbc")
+        storage.save(records[:150])
+        store = DetectionStore(storage.path)
+        assert store.refresh() == 150
+        for start, end in [(150, 151), (151, 300), (300, len(records))]:
+            storage.append(records[start:end])
+            assert store.refresh() == end - start
+            assert store.drained() and store.count == end
+        assert store.restarts == 0
+        self.assert_matches_oracle(store, records)
+
     def test_a_jsonl_path_is_refused_with_its_working_store_named(self, tmp_path):
         with pytest.raises(StorageError, match=r"crawl\.jsonl\.hbc"):
             DetectionStore(tmp_path / "crawl.jsonl")
@@ -690,8 +706,9 @@ class TestCancellation:
         full = path.read_bytes()
         assert client.download(cid, sink_name) == full
         # What the cancelled run handed out is a non-empty proper prefix of
-        # the records.  A columnar file ends in its footer, so it is
-        # compared as exported JSONL.
+        # the records.  A cancelled columnar store's closing flush writes a
+        # short last chunk that the resumed run rewrites, so it is compared
+        # as exported JSONL.
         def as_jsonl(data, name):
             if store_format == "jsonl":
                 return data
