@@ -34,6 +34,18 @@ Layout (all integers little-endian, every region padded to 8 bytes)::
     file    := magic(8) chunk*
     chunk   := "HBCK" counts(22 x u64) pad(4) dict-deltas columns
 
+Records are written by one encoder and one packer.  :func:`_encode` turns
+records into columns over their own string tables, interning in
+first-occurrence order: a :class:`ColumnBatch`, which pickles as one chunk
+whose dictionaries are its own: process-pool workers encode their
+shard, so a shard crosses the pool as one ``bytes`` object.  :func:`_pack`
+cuts a stream of batches into chunks of the sink's ``flush_every`` records
+and maps each onto the file's dictionaries (one ``np.take`` per id column,
+new strings interned in local-id order, which is first-occurrence order).
+The serial path buffers records and encodes each flush's buffer as a batch
+for the packer, so the chunk bytes do not depend on how the stream arrived
+or how it was split into batches.
+
 Every reader reaches chunks through two functions.  :func:`_list_chunks`
 lists a file's complete chunks by one walk of chunk headers between a start
 and a stop offset, reporting whether a torn chunk follows them.
@@ -55,10 +67,15 @@ reader applies one policy to the lister's tail result:
 from __future__ import annotations
 
 import bisect
+import io
 import mmap
 import os
+import signal
 import struct
+import threading
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,6 +89,7 @@ from repro.crawler.storage import STORE_FORMATS, CrawlStorage, _BufferedSink
 
 __all__ = [
     "COLUMNAR_MAGIC",
+    "ColumnBatch",
     "ColumnarDataset",
     "ColumnarDetectionSink",
     "ColumnarStorage",
@@ -93,7 +111,6 @@ _CHUNK_MAGIC = b"HBCK"
 # Chunk header: magic + 22 u64 counts, padded to a multiple of 8.
 _CHUNK_HEADER = struct.Struct("<4s22Q")
 _CHUNK_HEADER_SIZE = (_CHUNK_HEADER.size + 7) & ~7
-_CHUNK_HEADER_PAD = b"\x00" * (_CHUNK_HEADER_SIZE - _CHUNK_HEADER.size)
 
 #: File-global string dictionaries, in the order their deltas appear in a chunk.
 DICT_NAMES = ("domain", "library", "partner", "bidder", "slot", "size", "channel", "source")
@@ -182,6 +199,27 @@ COLUMNAR_SUFFIXES = frozenset({".hbc", ".columnar"})
 # Region names and sizes in payload order, precomputed for _layout.
 _DICT_REGIONS = tuple((dname + ".offsets", dname + ".blob") for dname in DICT_NAMES)
 _COLUMN_REGIONS = tuple((name, _COUNT_INDEX[key], _ITEMSIZE[name]) for name, _dtype, key in COLUMNS)
+# The columns grouped by (count index, itemsize), with how many share each.
+_SIZE_GROUPS = tuple(
+    (index, itemsize, sum(1 for _, i, s in _COLUMN_REGIONS if (i, s) == (index, itemsize)))
+    for index, itemsize in sorted({(i, s) for _, i, s in _COLUMN_REGIONS})
+)
+
+
+def _dict_layout(counts: tuple[int, ...]) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Where the dictionary deltas lie in a chunk payload.
+
+    Returns ``([(offsets_offset, n_new, blob_offset, blob_len)] per
+    dictionary, end of the last one)``; the columns follow.
+    """
+    regions = []
+    pos = 0
+    for i in range(6, 6 + 2 * _N_DICTS, 2):
+        n_new, blob_len = counts[i], counts[i + 1]
+        blob_pos = pos + ((4 * n_new + 7) & ~7)
+        regions.append((pos, n_new, blob_pos, blob_len))
+        pos = blob_pos + ((blob_len + 7) & ~7)
+    return regions, pos
 
 
 def _layout(counts: tuple[int, ...]) -> tuple[dict[str, tuple[int, int]], int]:
@@ -192,14 +230,10 @@ def _layout(counts: tuple[int, ...]) -> tuple[dict[str, tuple[int, int]], int]:
     padded to 8 bytes.
     """
     entries: dict[str, tuple[int, int]] = {}
-    pos = 0
-    for i, (offsets_region, blob_region) in enumerate(_DICT_REGIONS):
-        n_new = counts[6 + 2 * i]
-        blob_len = counts[7 + 2 * i]
-        entries[offsets_region] = (pos, n_new)
-        pos += (4 * n_new + 7) & ~7
-        entries[blob_region] = (pos, blob_len)
-        pos += (blob_len + 7) & ~7
+    regions, pos = _dict_layout(counts)
+    for (offsets_region, blob_region), (off, n_new, blob_off, blob_len) in zip(_DICT_REGIONS, regions):
+        entries[offsets_region] = (off, n_new)
+        entries[blob_region] = (blob_off, blob_len)
     for name, index, itemsize in _COLUMN_REGIONS:
         count = counts[index]
         entries[name] = (pos, count)
@@ -208,15 +242,21 @@ def _layout(counts: tuple[int, ...]) -> tuple[dict[str, tuple[int, int]], int]:
 
 
 def _payload_size(counts: tuple[int, ...]) -> int:
-    return _layout(counts)[1]
+    """``_layout(counts)[1]`` without building the layout: the header walk's step."""
+    size = 0
+    for i in range(6, 6 + 2 * _N_DICTS, 2):
+        size += ((4 * counts[i] + 7) & ~7) + ((counts[i + 1] + 7) & ~7)
+    for index, itemsize, n_columns in _SIZE_GROUPS:
+        size += n_columns * ((counts[index] * itemsize + 7) & ~7)
+    return size
 
 
 class _Interner(dict):
-    """One file-global string table: ``table[s]`` is ``s``'s id.
+    """One string table: ``table[s]`` is ``s``'s id.
 
     A string missing from the table gets the next id and is recorded in
-    ``added`` (first-occurrence order), which each chunk encode starts
-    empty, so a failed write can roll the chunk's new strings back.  Hits
+    ``added`` (first-occurrence order).  The packer starts ``added`` empty
+    for each chunk, so a failed write can roll the chunk's new strings back.  Hits
     are plain dict lookups.
     """
 
@@ -232,15 +272,14 @@ class _Interner(dict):
         return idx
 
 
-def _encode_chunk(records: list[SiteDetection], dicts: list[_Interner]) -> tuple[bytes, list[list[str]]]:
-    """Encode one flush's worth of detections as a complete chunk.
+def _encode(records: list[SiteDetection]) -> tuple[list[list[str]], dict[str, list]]:
+    """The encoder: ``records`` as columns over their own string tables.
 
-    ``dicts`` are the file-global string tables; new strings get the next
-    ids (in first-occurrence order) and are also returned so a failed write
-    can roll them back.
+    Each string gets the next id of its table on first occurrence.  Returns
+    the tables (strings in id order) and the columns (lists of values): a
+    :class:`ColumnBatch`'s encoding.
     """
-    for table in dicts:
-        table.added = []
+    dicts = [_Interner([]) for _ in range(_N_DICTS)]
     domain_d, library_d, partner_d, bidder_d, slot_d, size_d, channel_d, source_d = dicts
 
     data: dict[str, list] = {name: [] for name, _, _ in COLUMNS}
@@ -314,8 +353,15 @@ def _encode_chunk(records: list[SiteDetection], dicts: list[_Interner]) -> tuple
             a_bids_end(n_bids)
         n_auctions += len(auctions)
         d_auctions_end(n_auctions)
-    added = [table.added for table in dicts]
+    return [table.added for table in dicts], data
 
+
+def _chunk_bytes(sizes: tuple[int, ...], added: list[list[str]], columns: dict) -> bytes:
+    """Lay out one chunk: header, the dictionary deltas ``added``, ``columns``.
+
+    ``sizes`` are the element counts ``(n, na, nb, np, nl, nc)``; ``columns``
+    maps every column name to a list or array of its values.
+    """
     dict_regions: list[tuple[list[int], bytes]] = []
     dict_counts: list[int] = []
     for news in added:
@@ -329,9 +375,11 @@ def _encode_chunk(records: list[SiteDetection], dicts: list[_Interner]) -> tuple
         dict_regions.append((ends, joined))
         dict_counts.extend((len(news), len(joined)))
 
-    counts = (len(records), n_auctions, n_bids, n_partners, n_latencies, n_channels, *dict_counts)
+    counts = (*sizes, *dict_counts)
     layout, size = _layout(counts)
-    payload = bytearray(size)
+    chunk = bytearray(_CHUNK_HEADER_SIZE + size)
+    _CHUNK_HEADER.pack_into(chunk, 0, _CHUNK_MAGIC, *counts)
+    payload = memoryview(chunk)[_CHUNK_HEADER_SIZE:]
     for dname, (ends, joined) in zip(DICT_NAMES, dict_regions):
         if ends:
             off, count = layout[dname + ".offsets"]
@@ -341,10 +389,197 @@ def _encode_chunk(records: list[SiteDetection], dicts: list[_Interner]) -> tuple
     for name, dtype, _key in COLUMNS:
         off, count = layout[name]
         if count:
-            payload[off : off + count * _ITEMSIZE[name]] = np.asarray(data[name], dtype=dtype).tobytes()
+            payload[off : off + count * _ITEMSIZE[name]] = np.asarray(columns[name], dtype=dtype).tobytes()
+    return bytes(chunk)
 
-    header = _CHUNK_HEADER.pack(_CHUNK_MAGIC, *counts) + _CHUNK_HEADER_PAD
-    return header + bytes(payload), added
+
+class ColumnBatch:
+    """Detections encoded once: columns over batch-local dictionaries.
+
+    A process-pool shard returns its records as a batch.  It pickles as one
+    chunk in the ``.hbc`` layout whose dictionary deltas are the batch's
+    dictionaries, so a shard crosses the pool as one ``bytes`` object
+    instead of a ``SiteDetection`` tree.  :func:`_pack` maps a batch onto a
+    file's dictionaries, and :meth:`records` decodes it, once, for a reader
+    that needs the objects.  A batch encoded in this process keeps its
+    columns, names and records, and builds its chunk only to pickle.
+    """
+
+    __slots__ = ("_chunk", "_names", "_columns", "_records")
+
+    def __init__(
+        self,
+        chunk: bytes | None = None,
+        *,
+        names: list[list[str]] | None = None,
+        columns: dict[str, np.ndarray] | None = None,
+        records: list[SiteDetection] | None = None,
+    ) -> None:
+        self._chunk = chunk
+        self._names = names
+        self._columns = columns
+        self._records = records
+
+    @classmethod
+    def encode(cls, records: list[SiteDetection]) -> ColumnBatch:
+        """The records over batch-local dictionaries, in first-occurrence order."""
+        names, data = _encode(records)
+        columns = {name: np.asarray(data[name], dtype=dtype) for name, dtype, _key in COLUMNS}
+        return cls(names=names, columns=columns, records=records)
+
+    def chunk(self) -> bytes:
+        if self._chunk is None:
+            columns = self._columns
+            sizes = tuple(len(columns[name]) for name in _SIZE_COLUMNS)  # type: ignore[index]
+            self._chunk = _chunk_bytes(sizes, self._names, columns)  # type: ignore[arg-type]
+        return self._chunk
+
+    def __reduce__(self):
+        return ColumnBatch, (self.chunk(),)
+
+    def __len__(self) -> int:
+        return len(self.columns()["d_domain"])
+
+    def _listing(self) -> list[tuple[int, tuple[int, ...]]]:
+        return [(0, _CHUNK_HEADER.unpack_from(self._chunk)[1:])]  # type: ignore[arg-type]
+
+    def names(self) -> list[list[str]]:
+        """The batch-local dictionaries, indexed like ``DICT_NAMES``."""
+        if self._names is None:
+            names = _new_names()
+            _decode(io.BytesIO(self._chunk), self._listing(), names, records=False)  # type: ignore[arg-type]
+            self._names = names
+        return self._names
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every column as a numpy array; ids are batch-local."""
+        if self._columns is None:
+            counts = self._listing()[0][1]
+            layout = _layout(counts)[0]
+            self._columns = {
+                name: np.frombuffer(
+                    self._chunk, dtype=dtype, count=layout[name][1],  # type: ignore[arg-type]
+                    offset=_CHUNK_HEADER_SIZE + layout[name][0],
+                )
+                for name, dtype, _key in COLUMNS
+            }
+        return self._columns
+
+    def records(self) -> list[SiteDetection]:
+        if self._records is None:
+            self._records = _decode(io.BytesIO(self.chunk()), self._listing(), _new_names())
+        return self._records
+
+    def hb_domains(self) -> list[str]:
+        """Domains of the HB pages, from the ``d_hb`` and ``d_domain`` columns."""
+        cols = self.columns()
+        domains = self.names()[0]
+        return [domains[i] for i in cols["d_domain"][cols["d_hb"] != 0].tolist()]
+
+
+#: One column per element count, in count order: (n, na, nb, np, nl, nc).
+_SIZE_COLUMNS = tuple(
+    next(name for name, _dtype, key in COLUMNS if _COUNT_INDEX[key] == index) for index in range(6)
+)
+# Id columns of each dictionary, and each column's end-counter column (if it
+# is one) with the count index of the flat array it indexes into.
+_DICT_COLUMNS = tuple(
+    tuple(name for name, space, _nullable in _ID_COLUMNS if space == index) for index in range(_N_DICTS)
+)
+_ID_SPACE = {name: space for name, space, _nullable in _ID_COLUMNS if space is not None}
+_END_INDEX = {name: _COUNT_INDEX[key] for name, key in _END_TARGET.items()}
+
+
+def _pack(pieces: list[tuple[ColumnBatch, int, int]], dicts: list[_Interner], flush_every: int):
+    """The packer: the records of ``pieces`` as chunks over ``dicts``.
+
+    ``pieces`` are ``(batch, start, stop)`` record ranges in stream order and
+    ``dicts`` a file's dictionaries.  Yields ``(chunk, added, n)`` for every
+    chunk of ``flush_every`` records, then for the rest.  A chunk maps its
+    batch-local ids to file ids with one ``np.take`` per id column, and
+    interns the strings it is first to use in local-id order.  Local ids
+    follow first occurrence, so those are the strings, in the order, that
+    encoding the records one chunk at a time would intern: the bytes are
+    the same for any split of the stream into batches.
+    """
+    maps: dict = {}
+    group: list[tuple[ColumnBatch, int, int]] = []
+    room = flush_every
+    for batch, start, stop in pieces:
+        while start < stop:
+            take = min(room, stop - start)
+            group.append((batch, start, start + take))
+            start += take
+            room -= take
+            if not room:
+                yield _pack_chunk(group, dicts, maps)
+                group, room = [], flush_every
+    if group:
+        yield _pack_chunk(group, dicts, maps)
+
+
+def _pack_chunk(group, dicts: list[_Interner], maps: dict) -> tuple[bytes, list[list[str]], int]:
+    for table in dicts:
+        table.added = []
+    sizes = [0] * 6
+    parts: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in COLUMNS}
+    for batch, start, stop in group:
+        cols = batch.columns()
+        names = batch.names()
+        state = maps.get(id(batch))
+        if state is None:
+            # Local id -> file id (-1: not interned yet), plus a trailing -1
+            # that absent values (-1) take to; and which dictionaries still
+            # have local strings to intern.
+            mapping = [
+                np.fromiter(chain(map(table.get, bucket, repeat(-1)), (-1,)), np.int64, len(bucket) + 1)
+                for table, bucket in zip(dicts, names)
+            ]
+            state = maps[id(batch)] = (mapping, [bool((local[:-1] < 0).any()) for local in mapping])
+        mapping, unresolved = state
+
+        def end(name: str, i: int) -> int:
+            return int(cols[name][i - 1]) if i else 0
+
+        a0, a1 = end("d_auctions_end", start), end("d_auctions_end", stop)
+        ranges = (
+            (start, stop),
+            (a0, a1),
+            (end("a_bids_end", a0), end("a_bids_end", a1)),
+            (end("d_partners_end", start), end("d_partners_end", stop)),
+            (end("d_latencies_end", start), end("d_latencies_end", stop)),
+            (end("d_channels_end", start), end("d_channels_end", stop)),
+        )
+        segs = {name: cols[name][slice(*ranges[index])] for name, index, _size in _COLUMN_REGIONS}
+        for space, columns in enumerate(_DICT_COLUMNS):
+            if not unresolved[space]:
+                continue
+            top = max((int(segs[name].max()) + 1 for name in columns if segs[name].size), default=0)
+            local = mapping[space]
+            unresolved[space] = top < len(local) - 1
+            unmapped = np.flatnonzero(local[:top] < 0).tolist()
+            if unmapped:
+                # Intern in local-id order: the strings not in the table yet
+                # take the next ids, as one at a time would give them.
+                table, bucket = dicts[space], names[space]
+                strings = [bucket[k] for k in unmapped]
+                new = [s for s in strings if s not in table]
+                table.update(zip(new, range(len(table), len(table) + len(new))))
+                table.added.extend(new)
+                local[unmapped] = [table[s] for s in strings]
+        for name, seg in segs.items():
+            space = _ID_SPACE.get(name)
+            if space is not None:
+                seg = np.take(mapping[space], seg)
+            elif name in _END_INDEX:
+                target = _END_INDEX[name]
+                seg = seg.astype(np.int64) + (sizes[target] - ranges[target][0])
+            parts[name].append(seg)
+        for index, (lo, hi) in enumerate(ranges):
+            sizes[index] += hi - lo
+    columns = {name: seg[0] if len(seg) == 1 else np.concatenate(seg) for name, seg in parts.items()}
+    added = [table.added for table in dicts]
+    return _chunk_bytes(tuple(sizes), added, columns), added, sizes[0]
 
 
 def _new_names() -> list[list[str]]:
@@ -369,8 +604,8 @@ def _decode(source, chunks, names: list[list[str]], *, records: bool = True) -> 
     """
     out: list[SiteDetection] = []
     for offset, counts in chunks:
-        layout, payload_size = _layout(counts)
-        length = _CHUNK_HEADER_SIZE + (payload_size if records else layout[COLUMNS[0][0]][0])
+        regions, dict_end = _dict_layout(counts)
+        length = _CHUNK_HEADER_SIZE + (_payload_size(counts) if records else dict_end)
         source.seek(offset)
         buf = source.read(length)
         if len(buf) < length:
@@ -378,11 +613,9 @@ def _decode(source, chunks, names: list[list[str]], *, records: bool = True) -> 
         if buf[: _CHUNK_HEADER.size] != _CHUNK_HEADER.pack(_CHUNK_MAGIC, *counts):
             raise StorageError(f"columnar chunk at offset {offset} has a header that disagrees with its index")
         payload = memoryview(buf)[_CHUNK_HEADER_SIZE:]
-        for i, dname in enumerate(DICT_NAMES):
-            off, n_new = layout[dname + ".offsets"]
+        for i, (dname, (off, n_new, blob_off, blob_len)) in enumerate(zip(DICT_NAMES, regions)):
             if not n_new:
                 continue
-            blob_off, blob_len = layout[dname + ".blob"]
             blob = bytes(payload[blob_off : blob_off + blob_len])
             ends = np.frombuffer(payload, dtype="<u4", count=n_new, offset=off)
             if ends[-1] != blob_len or (ends[1:] < ends[:-1]).any():
@@ -394,6 +627,7 @@ def _decode(source, chunks, names: list[list[str]], *, records: bool = True) -> 
                 raise StorageError(f"columnar chunk at offset {offset}: {dname} dictionary is not UTF-8") from None
         if not records:
             continue
+        layout = _layout(counts)[0]
         cols = {
             name: np.frombuffer(payload, dtype=dtype, count=layout[name][1], offset=layout[name][0])
             for name, dtype, _key in COLUMNS
@@ -520,7 +754,9 @@ def _list_chunks(handle, path: Path, size: int, start: int = _MAGIC_LEN, stop: i
 
     ``size`` is the file size the caller observed (a live file may grow
     past it; nothing beyond it is read).  One walk of chunk headers runs
-    from ``start`` (a chunk boundary) to ``stop`` (default: ``size``).
+    from ``start`` (a chunk boundary) to ``stop`` (default: ``size``), one
+    ``pread`` of a header per chunk (no seek, no read-ahead), the step to
+    the next from :func:`_payload_size`.
     Bytes that cannot begin a chunk raise :class:`StorageError`; each reader
     applies its own torn-tail policy to the returned ``torn``.
     """
@@ -532,9 +768,9 @@ def _list_chunks(handle, path: Path, size: int, start: int = _MAGIC_LEN, stop: i
             return _Listing([], 0, bool(head))
         _check_magic(path, head)
     chunks, pos = [], start
+    fd = handle.fileno()
     while pos < limit:
-        handle.seek(pos)
-        header = handle.read(min(_CHUNK_HEADER_SIZE, limit - pos))
+        header = os.pread(fd, min(_CHUNK_HEADER_SIZE, limit - pos), pos)
         if not _CHUNK_MAGIC.startswith(header[:4]):
             raise StorageError(f"corrupt columnar store {path}: unrecognised bytes at offset {pos}")
         if len(header) < _CHUNK_HEADER_SIZE:
@@ -555,20 +791,34 @@ def _open_for_read(path: Path):
         raise StorageError(f"could not read {path}: {exc}") from exc
 
 
+def _stamp(path: Path) -> tuple[int, int, int] | None:
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 class ColumnarDetectionSink(_BufferedSink):
     """The columnar detection sink, on the shared ``_BufferedSink`` contract.
 
-    Detections are buffered as objects and encoded one chunk per flush;
+    Records written one at a time are buffered as objects; whole shards
+    arrive as :class:`ColumnBatch` es through :meth:`write_batch`.  Either
+    way the pending stream is cut into chunks of ``flush_every`` records
+    by the one packer, so the bytes do not depend on how it arrived.
     ``offset`` is the file's size as flushed, so checkpoint offsets
     recorded against this sink are chunk boundaries by construction and a
     closed file ends at its last chunk.  Reopening in append mode reads the
     file's dictionaries through the one lister and decoder, refuses a torn
-    tail, and continues the file where it ends.
+    tail, and continues the file where it ends (or where an earlier sink
+    left it, see :meth:`continue_from`).
     """
 
     format = "columnar"
     _offset: int | None = None
     _dicts: list[_Interner] | None = None
+    #: ``(inode, size, mtime)`` of the file when this sink closed cleanly.
+    _end_stamp: tuple[int, int, int] | None = None
 
     def __init__(
         self,
@@ -582,6 +832,8 @@ class ColumnarDetectionSink(_BufferedSink):
         self.append = append
         #: Where a successful close exports the whole file as JSONL.
         self.export_to = export_to
+        #: Batches queued by write_batch: ``(batch, start, stop)``, ahead of the buffer.
+        self._pieces: list[tuple[ColumnBatch, int, int]] = []
         # A fresh sink's own writes are the whole file, exported from memory.
         self._written: list[SiteDetection] | None = [] if export_to is not None and not append else None
 
@@ -590,6 +842,18 @@ class ColumnarDetectionSink(_BufferedSink):
         """Bytes of flushed chunk data, the magic included."""
         self._prepare()
         return self._offset  # type: ignore[return-value]
+
+    def continue_from(self, previous: ColumnarDetectionSink) -> None:
+        """Append where ``previous``, an earlier sink of this file, closed it.
+
+        Takes that sink's dictionaries and offset instead of listing and
+        decoding the file, if the file still has the inode, size and mtime
+        that sink closed it with; otherwise the append-open reads the file
+        as usual.  Call it before the sink opens (``with`` or a first write).
+        """
+        stamp = previous._end_stamp
+        if self.append and self._dicts is None and stamp is not None and stamp == _stamp(self.path):
+            self._dicts, self._offset = previous._dicts, previous._offset
 
     def _prepare(self) -> None:
         if self._dicts is not None:
@@ -616,30 +880,84 @@ class ColumnarDetectionSink(_BufferedSink):
             return handle
         return self.path.open("wb")
 
-    def _write_records(self, handle, records: list[SiteDetection]) -> None:
-        chunk, added = _encode_chunk(records, self._dicts)  # type: ignore[arg-type]
-        base = self._offset  # type: ignore[assignment]
-        prefix = COLUMNAR_MAGIC if base == 0 else b""
-        try:
-            handle.write(prefix + chunk)
-            handle.flush()
-        except OSError as exc:
-            # Un-intern this chunk's new strings so a retried flush
-            # re-encodes an identical chunk.
-            for table, news in zip(self._dicts, added):  # type: ignore[arg-type]
-                for name in news:
-                    del table[name]
-            raise StorageError(f"could not write detections to {self.path}: {exc}") from exc
-        self._offset = base + len(prefix) + len(chunk)
-        if self._written is not None:
-            self._written.extend(records)
+    def write_batch(self, batch: ColumnBatch) -> None:
+        """Queue a whole batch; it reaches the file at the next flush.
+
+        The chunks are the ones writing its records one by one would give:
+        records written after it fill up its last chunk first.
+        """
+        if self._closed:
+            raise StorageError(f"detection sink for {self.path} is closed")
+        if self._buffer:
+            self._pieces.append((ColumnBatch.encode(self._buffer), 0, len(self._buffer)))
+            self._buffer = []
+        self._pieces.append((batch, 0, len(batch)))
+        self.count += len(batch)
+        queued = sum(stop - start for _, start, stop in self._pieces)
+        self._room = self.flush_every - queued % self.flush_every
+
+    def flush(self) -> None:
+        """Write every pending record, in chunks of ``flush_every``.
+
+        Each chunk is committed on its own: a failed write leaves that chunk
+        and everything after it pending, so a retried flush writes the same
+        bytes.
+        """
+        if self._pieces or self._buffer:
+            self._write_chunks()
+            self._room = self.flush_every
+
+    def _write_chunks(self) -> None:
+        """Write the pending records: the queued batches, then the buffer as one."""
+        handle = self._ensure_open()
+        pieces = list(self._pieces)
+        if self._buffer:
+            pieces.append((ColumnBatch.encode(self._buffer), 0, len(self._buffer)))
+        for chunk, added, n in _pack(pieces, self._dicts, self.flush_every):  # type: ignore[arg-type]
+            prefix = COLUMNAR_MAGIC if self._offset == 0 else b""
+            try:
+                handle.write(prefix + chunk)
+                handle.flush()
+            except OSError as exc:
+                # Un-intern this chunk's new strings so a retried flush
+                # re-encodes an identical chunk.
+                for table, news in zip(self._dicts, added):  # type: ignore[arg-type]
+                    for name in news:
+                        del table[name]
+                raise StorageError(f"could not write detections to {self.path}: {exc}") from exc
+            self._offset += len(prefix) + len(chunk)  # type: ignore[operator]
+            self.flushes += 1
+            self._advance(n)
+
+    def _advance(self, n: int) -> None:
+        """Drop the ``n`` records just written from the front of the pending
+        stream: the queued batches, then the buffer."""
+        written = self._written
+        while n and self._pieces:
+            batch, start, stop = self._pieces[0]
+            take = min(n, stop - start)
+            if written is not None:
+                written.extend(batch.records()[start : start + take])
+            if start + take < stop:
+                self._pieces[0] = (batch, start + take, stop)
+            else:
+                del self._pieces[0]
+            n -= take
+        if written is not None:
+            written.extend(self._buffer[:n])
+        del self._buffer[:n]
 
     def close(self) -> None:
         if self._closed:
             return
         super().close()
+        if self._dicts is not None:
+            self._end_stamp = _stamp(self.path)
+            if self._end_stamp is not None and self._end_stamp[1] != self._offset:
+                self._end_stamp = None
         if self.export_to is not None and self.path.exists():
-            export(self.path, self.export_to, "jsonl", records=self._written)
+            records, self._written = self._written, None
+            export(self.path, self.export_to, "jsonl", records=records)
 
 
 class ColumnarStorage:
@@ -1016,22 +1334,63 @@ def export(
     The one writer of whole converted files (``hbrepro convert`` and every
     JSONL campaign).  It writes a sibling temp file, fsyncs it and renames
     it into place, so a crash never leaves a torn file where a valid one
-    stood.  ``records``, when the caller holds every record of ``src`` in
-    file order (a fresh sink's own writes), are written instead of decoding
-    ``src`` again.
+    stood, and a first SIGINT/SIGTERM waits for the rename.  ``records``,
+    when the caller holds every record of ``src`` in file order (a fresh
+    sink's own writes), are written instead of decoding ``src`` again.
     """
     src, dst = Path(src), Path(dst)
     tmp = dst.with_name(dst.name + ".export-tmp")
     if src.resolve() in (dst.resolve(), tmp.resolve()):
         raise StorageError("an export needs distinct source and destination paths")
     source = records if records is not None else storage_for(src).iter_load()
-    try:
-        count = storage_for(tmp, format=format).save(source)
-        with tmp.open("rb") as handle:
-            os.fsync(handle.fileno())
-        os.replace(tmp, dst)
-    except OSError as exc:
-        raise StorageError(f"could not write {dst}: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _signals_held():
+        try:
+            count = storage_for(tmp, format=format).save(source)
+            with tmp.open("rb") as handle:
+                os.fsync(handle.fileno())
+            os.replace(tmp, dst)
+        except OSError as exc:
+            raise StorageError(f"could not write {dst}: {exc}") from exc
+        finally:
+            tmp.unlink(missing_ok=True)
     return count
+
+
+_HELD_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+@contextmanager
+def _signals_held():
+    """Hold a first SIGINT or SIGTERM until the block ends, then deliver it.
+
+    An export takes a moment at scale, and a stop request (Ctrl-C, ``kill``)
+    landing in it would otherwise abort it and leave a finished campaign
+    with only its ``.hbc``.  The held signal is delivered when the block
+    ends, whether it finished or raised; a second signal aborts the block at
+    once with ``KeyboardInterrupt``, which answers both.  A signal the
+    process ignores stays ignored.  Signal handlers belong to the main
+    thread; elsewhere the block runs as is.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    held: list[int] = []
+
+    def hold(signum, frame) -> None:
+        if held:
+            held.clear()
+            raise KeyboardInterrupt
+        held.append(signum)
+
+    previous = {
+        signum: signal.signal(signum, hold)
+        for signum in _HELD_SIGNALS
+        if signal.getsignal(signum) is not signal.SIG_IGN
+    }
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler if handler is not None else signal.SIG_DFL)
+        if held:
+            signal.raise_signal(held[0])

@@ -20,17 +20,20 @@ Streaming
 Detections are streamed to the sink in canonical order, instead of buffering
 the whole crawl before persisting anything: the serial backend streams after
 every page, the process backend streams each shard as soon as every earlier
-shard has completed.  If the sink exposes a ``flush()`` method (buffered
-sinks do), the crawler calls it at every shard boundary, so a buffered sink
-never holds more than one shard's tail of detections in memory.
+shard has completed.  A process-pool shard arrives as a column batch its
+worker encoded; a columnar sink takes it whole (``write_batch``), and any
+other sink, or a ``progress`` callback, gets its decoded records.  If the
+sink exposes a ``flush()`` method (buffered sinks do), the crawler calls it
+at every shard boundary, so a buffered sink never holds more than one
+shard's tail of detections in memory.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import time
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.detector.detector import HBDetector
@@ -42,6 +45,7 @@ from repro.utils.rng import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.crawler.checkpoint import CrawlCheckpointer
+    from repro.crawler.colstore import ColumnBatch
     from repro.crawler.engine import CrawlPlan, DetectionSinkLike, ExecutionBackend
 
 __all__ = [
@@ -208,24 +212,73 @@ class ShardFailure:
         )
 
 
-@dataclass
 class CrawlResult:
-    """Outcome of crawling a list of sites once."""
+    """Outcome of crawling a list of sites once.
 
-    detections: list[SiteDetection] = field(default_factory=list)
-    timed_out_domains: list[str] = field(default_factory=list)
-    pages_visited: int = 0
-    sessions_started: int = 0
-    #: Supervision bookkeeping: shard attempts retried, worker pools rebuilt
-    #: after a dead worker, transient sink writes retried.  All zero on a
-    #: fault-free run; never part of the byte-identity surface.
-    retries: int = 0
-    pool_rebuilds: int = 0
-    sink_retries: int = 0
-    #: Shards that exhausted their retry budget; non-empty means the crawl
-    #: completed *degraded* — its detections cover only the shards before
-    #: the first quarantined index, and a resume re-crawls the rest.
-    quarantined_shards: tuple[ShardFailure, ...] = ()
+    The records are kept in parts, each a ``SiteDetection`` list or the
+    :class:`~repro.crawler.colstore.ColumnBatch` a process-pool shard
+    returns.  :attr:`detections` decodes batches on first read; merging,
+    :attr:`n_detections`, :attr:`batches` and :attr:`hb_domains` do not.
+    """
+
+    def __init__(
+        self,
+        detections: list[SiteDetection] | None = None,
+        timed_out_domains: list[str] | None = None,
+        pages_visited: int = 0,
+        sessions_started: int = 0,
+        retries: int = 0,
+        pool_rebuilds: int = 0,
+        sink_retries: int = 0,
+        quarantined_shards: tuple[ShardFailure, ...] = (),
+        *,
+        batches: Sequence["ColumnBatch"] = (),
+    ) -> None:
+        self._parts: tuple = ((detections,) if detections is not None else ()) + tuple(batches)
+        self.timed_out_domains = timed_out_domains if timed_out_domains is not None else []
+        self.pages_visited = pages_visited
+        self.sessions_started = sessions_started
+        #: Supervision bookkeeping: shard attempts retried, worker pools rebuilt
+        #: after a dead worker, transient sink writes retried.  All zero on a
+        #: fault-free run; never part of the byte-identity surface.
+        self.retries = retries
+        self.pool_rebuilds = pool_rebuilds
+        self.sink_retries = sink_retries
+        #: Shards that exhausted their retry budget; non-empty means the crawl
+        #: completed *degraded* — its detections cover only the shards before
+        #: the first quarantined index, and a resume re-crawls the rest.
+        self.quarantined_shards = quarantined_shards
+
+    @property
+    def detections(self) -> list[SiteDetection]:
+        """Every record, in order (batches are decoded the first time)."""
+        parts = self._parts
+        if len(parts) != 1 or not isinstance(parts[0], list):
+            records = [
+                record for part in parts
+                for record in (part if isinstance(part, list) else part.records())
+            ]
+            self._parts = parts = (records,)
+        return parts[0]
+
+    @property
+    def n_detections(self) -> int:
+        return sum(len(part) for part in self._parts)
+
+    @property
+    def batches(self) -> tuple["ColumnBatch", ...] | None:
+        """The records as column batches, or ``None`` if any part is a list."""
+        if any(isinstance(part, list) for part in self._parts):
+            return None
+        return self._parts
+
+    def encoded(self) -> "CrawlResult":
+        """This result with its records encoded as one column batch."""
+        from repro.crawler.colstore import ColumnBatch
+
+        result = copy.copy(self)
+        result._parts = (ColumnBatch.encode(self.detections),)
+        return result
 
     @property
     def degraded(self) -> bool:
@@ -237,6 +290,9 @@ class CrawlResult:
 
     @property
     def hb_domains(self) -> list[str]:
+        batches = self.batches
+        if batches is not None:
+            return [domain for batch in batches for domain in batch.hb_domains()]
         return [detection.domain for detection in self.hb_detections]
 
     @property
@@ -253,21 +309,27 @@ class CrawlResult:
         ``merged([a, b, c])`` equals ``a.merge(b).merge(c)``.  Neither input
         is mutated.
         """
-        return CrawlResult(
-            detections=self.detections + other.detections,
-            timed_out_domains=self.timed_out_domains + other.timed_out_domains,
-            pages_visited=self.pages_visited + other.pages_visited,
-            sessions_started=self.sessions_started + other.sessions_started,
-            retries=self.retries + other.retries,
-            pool_rebuilds=self.pool_rebuilds + other.pool_rebuilds,
-            sink_retries=self.sink_retries + other.sink_retries,
-            quarantined_shards=self.quarantined_shards + other.quarantined_shards,
-        )
+        return CrawlResult.merged((self, other))
 
     @classmethod
     def merged(cls, results: Iterable["CrawlResult"]) -> "CrawlResult":
         """Merge many results left to right into a fresh :class:`CrawlResult`."""
-        return reduce(cls.merge, results, cls())
+        merged = cls()
+        parts: list = []
+        for result in results:
+            # Lists are copied so the merged result never aliases an input's.
+            parts.extend(
+                list(part) if isinstance(part, list) else part for part in result._parts if len(part)
+            )
+            merged.timed_out_domains.extend(result.timed_out_domains)
+            merged.pages_visited += result.pages_visited
+            merged.sessions_started += result.sessions_started
+            merged.retries += result.retries
+            merged.pool_rebuilds += result.pool_rebuilds
+            merged.sink_retries += result.sink_retries
+            merged.quarantined_shards += result.quarantined_shards
+        merged._parts = tuple(parts)
+        return merged
 
 
 ProgressCallback = Callable[[int, int, SiteDetection], None]
@@ -387,7 +449,10 @@ class Crawler:
                     "completed shards from the sink file"
                 )
             prior, skip = checkpoint.begin_phase(plan, crawl_day, sink)
-        emitted = len(prior.detections)
+        emitted = prior.n_detections
+        # A columnar sink takes a pool shard's batch whole; other sinks and
+        # progress callbacks get its records one by one.
+        batched = progress is None and getattr(sink, "format", None) == "columnar"
         degraded = False
         sink_retries = 0
 
@@ -442,7 +507,7 @@ class Crawler:
         backend.publish_sites([p for shard in plan.shards for p in shard.publishers])
         sink_flush = getattr(sink, "flush", None)
         # Phase-cumulative counters for checkpointing (resumed prefix included).
-        n_detections = len(prior.detections)
+        n_detections = prior.n_detections
         pages_visited = prior.pages_visited
         sessions_started = prior.sessions_started
         timed_out = list(prior.timed_out_domains)
@@ -472,11 +537,15 @@ class Crawler:
             at_boundary = False
             while skip + len(ordered) in early:
                 ready = early.pop(skip + len(ordered))
-                if not inline:
+                batches = None if inline or not batched else ready.batches
+                if batches is not None:
+                    for batch in batches:
+                        retry_sink(sink.write_batch, "sink-write", batch)  # type: ignore[union-attr]
+                elif not inline:
                     for detection in ready.detections:
                         emit(detection)
                 ordered.append(ready)
-                n_detections += len(ready.detections)
+                n_detections += ready.n_detections
                 pages_visited += ready.pages_visited
                 sessions_started += ready.sessions_started
                 timed_out.extend(ready.timed_out_domains)

@@ -419,10 +419,14 @@ def _process_context() -> WorkerContext:
 def _run_shard_in_process(
     shard: CrawlShard, crawl_day: int, fault: Callable[[], None] | None = None
 ) -> CrawlResult:
-    """Entry point for process-pool shard tasks (only the descriptor ships)."""
+    """Entry point for process-pool shard tasks (only the descriptor ships).
+
+    Like every pool task, it returns its records encoded as one column
+    batch, so the result crosses back as a few buffers.
+    """
     if fault is not None:
         fault()
-    return _crawl_shard(_process_context(), crawl_day, None, shard)
+    return _crawl_shard(_process_context(), crawl_day, None, shard).encoded()
 
 
 def _run_shard_from_shared_sites(
@@ -455,7 +459,7 @@ def _run_shard_from_shared_sites(
         publishers=tuple(sites[start : start + length]),
         shard_seed=shard_seed,
     )
-    return _crawl_shard(_process_context(), crawl_day, None, shard)
+    return _crawl_shard(_process_context(), crawl_day, None, shard).encoded()
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +940,9 @@ class DetectionSinkLike(Protocol):
     """Anything detections can be streamed to (see ``CrawlStorage.open_sink``).
 
     Sinks may additionally expose ``flush()``; the crawler then flushes at
-    every shard boundary (and buffered sinks flush themselves on close).
+    every shard boundary (and buffered sinks flush themselves on close).  A
+    sink whose ``format`` is ``"columnar"`` also takes a pool shard's column
+    batch whole, through ``write_batch(batch)``.
     """
 
     def write(self, detection: SiteDetection) -> None: ...

@@ -150,9 +150,10 @@ class _BufferedSink:
     shard boundaries) and on :meth:`close`.  A write whose automatic flush
     fails leaves the sink as it was before the call, so a retried write
     lands the record exactly once.  :meth:`close` is idempotent and
-    ``__exit__`` never masks the body's exception.  Subclasses add only
+    ``__exit__`` never masks the body's exception.  Subclasses add
     ``_open`` (the file handle) and ``_write_records`` (encode one flush and
-    write it, raising :class:`StorageError`).
+    write it, raising :class:`StorageError`); the columnar sink instead
+    flushes through its packer and also takes whole column batches.
     """
 
     #: Default number of records buffered between file writes.
@@ -167,6 +168,8 @@ class _BufferedSink:
         #: Lifetime number of buffer-to-file flushes (for benchmarks).
         self.flushes = 0
         self._buffer: list[SiteDetection] = []
+        #: Records the buffer takes before the next automatic flush.
+        self._room = flush_every
         self._handle: IO[bytes] | None = None
         self._closed = False
 
@@ -195,7 +198,7 @@ class _BufferedSink:
             raise StorageError(f"detection sink for {self.path} is closed")
         self._buffer.append(detection)
         self.count += 1
-        if len(self._buffer) >= self.flush_every:
+        if len(self._buffer) >= self._room:
             try:
                 self.flush()
             except StorageError:

@@ -36,11 +36,16 @@ population (with the environment and detector inside one
 site tables stay warm), the live checkpointer and the discovery pass's HB
 sites.  A warm tick first checks with ``stat`` that the working store and
 ``crawl.ckpt`` are exactly as this daemon's last tick left them, then grows
-the checkpointer's horizon, reopens the working store in append mode and
-crawls the new day alone; its snapshot and partition come from that day's
-result and its detection count from the checkpoint phases.  No history is
-read back (except by a JSONL campaign's export, which rewrites the whole
-file), so a warm tick costs the same on day 3 as on day 30.  The first tick, a
+the checkpointer's horizon, reopens the working store in append mode where
+the last warm tick's sink left it (its dictionaries and offset: no listing,
+no re-interning) and crawls the new day alone.  On the process backend the
+day arrives as the workers' column batches: the sink packs them, the
+day's partition is packed from them onto its own dictionaries, and a
+columnar campaign's snapshot is computed over the partition's columns, so
+the parent builds no ``SiteDetection``.  The detection count comes from
+the checkpoint phases.  No history is read back (except by a JSONL
+campaign's export, which rewrites the whole file), so a warm tick costs
+the same on day 3 as on day 30.  The first tick, a
 restarted daemon, any ``stat`` mismatch (another writer moved the
 campaign), and the tick after any failed, degraded or raising tick take the
 cold path, which stays the only resume implementation; a failing tick also
@@ -72,7 +77,14 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
 from repro.analysis.registry import compute_metric, get_metric
 from repro.crawler.checkpoint import CrawlCheckpoint, CrawlCheckpointer, PhaseProgress
-from repro.crawler.colstore import ColumnarStorage, campaign_store, storage_for
+from repro.crawler.colstore import (
+    SAVE_CHUNK_RECORDS,
+    ColumnarDataset,
+    ColumnarDetectionSink,
+    ColumnarStorage,
+    campaign_store,
+    storage_for,
+)
 from repro.crawler.crawler import Crawler, CrawlResult
 from repro.ecosystem.publishers import PublisherPopulation
 from repro.errors import AnalysisError, ConfigurationError
@@ -314,6 +326,8 @@ class _Resident:
     hb_domains: list[str] = field(default_factory=list)
     #: ``stat`` of the sink and the checkpoint as this daemon left them.
     stamp: tuple | None = None
+    #: The last warm tick's sink: the next one continues where it closed.
+    sink: ColumnarDetectionSink | None = None
 
 
 def _last_state(phases: Sequence[PhaseProgress]) -> tuple[int, bool] | None:
@@ -519,9 +533,11 @@ class RecrawlDaemon:
         """Crawl the one new ``day`` on the resident crawler and checkpointer."""
         storage = self._storage_factory(self.sink_path, self.config.store_format)
         resident.checkpointer.extend_horizon(day)
-        with storage.open_sink(
-            append=True, flush_every=self.config.sink_flush_every
-        ) as sink:
+        sink = storage.open_sink(append=True, flush_every=self.config.sink_flush_every)
+        if resident.sink is not None:
+            sink.continue_from(resident.sink)
+        resident.sink = sink
+        with sink:
             result = resident.crawler.crawl_domains(
                 resident.population,
                 resident.hb_domains,
@@ -539,7 +555,7 @@ class RecrawlDaemon:
         checkpointer: CrawlCheckpointer,
     ) -> TickReport:
         """Record the crawled days (``results[i]`` is ``first_day + i``) and report."""
-        per_day = [(first_day + i, r.detections) for i, r in enumerate(results)]
+        per_day = [(first_day + i, r) for i, r in enumerate(results)]
         error = None
         if any(r.degraded for r in results):
             # The last phase quarantined shards, so its detections are a
@@ -641,9 +657,9 @@ class RecrawlDaemon:
 
     # -- snapshots, partitions, alerts ------------------------------------------
     def _record_days(
-        self, per_day: Sequence[tuple[int, list]]
+        self, per_day: Sequence[tuple[int, CrawlResult]]
     ) -> tuple[list[dict], list[int]]:
-        """Snapshot + partition every ``(day, detections)`` missing them; alert on new days.
+        """Partition + snapshot every ``(day, result)`` missing them; alert on new days.
 
         A degraded phase's detections are a truncated prefix, so callers
         leave that day out: writing its snapshot (the day's "recorded"
@@ -654,12 +670,12 @@ class RecrawlDaemon:
         emitted: list[dict] = []
         snapshot_days: list[int] = []
         previous: dict | None = None
-        for day, detections in per_day:
+        for day, result in per_day:
             snapshot = self._load_snapshot(day)
             if snapshot is None:
-                snapshot = self._snapshot_day(day, detections)
+                self._write_partition(day, result)
+                snapshot = self._snapshot_day(day, result)
                 snapshot_days.append(day)
-                self._write_partition(day, detections)
                 if day >= FIRST_COMPARABLE_DAY and day not in alerted:
                     baseline = (
                         previous
@@ -680,8 +696,13 @@ class RecrawlDaemon:
             previous = snapshot
         return emitted, snapshot_days
 
-    def _snapshot_day(self, day: int, detections: list) -> dict:
-        dataset = CrawlDataset.from_detections(detections, label=f"day-{day:05d}")
+    def _snapshot_day(self, day: int, result: CrawlResult) -> dict:
+        """The day's metrics; a columnar campaign reads them off its partition's columns."""
+        label = f"day-{day:05d}"
+        if self.config.store_format == "columnar":
+            dataset = ColumnarDataset.open(self._partition_path(day), label=label)
+        else:
+            dataset = CrawlDataset.from_detections(result.detections, label=label)
         context = AnalysisContext.offline(dataset)
         flat: dict[str, dict[str, float]] = {}
         for name in self.metrics:
@@ -693,7 +714,7 @@ class RecrawlDaemon:
                 flat[name] = {}
             else:
                 flat[name] = flatten_metric_data(result.data)
-        return {"day": day, "detections": len(detections), "metrics": flat}
+        return {"day": day, "detections": len(dataset), "metrics": flat}
 
     def _snapshot_path(self, day: int) -> Path:
         return self.metrics_dir / f"day-{day:05d}.json"
@@ -722,10 +743,19 @@ class RecrawlDaemon:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
 
-    def _write_partition(self, day: int, detections: list) -> None:
+    def _write_partition(self, day: int, result: CrawlResult) -> None:
+        """``save`` the day's records; a columnar day of pool batches is packed
+        from them onto the partition's own dictionaries, with ``save``'s chunks."""
         path = self._partition_path(day)
         path.parent.mkdir(parents=True, exist_ok=True)
-        storage_for(path, format=self.config.store_format).save(detections)
+        storage = storage_for(path, format=self.config.store_format)
+        batches = result.batches
+        if self.config.store_format != "columnar" or batches is None:
+            storage.save(result.detections)
+            return
+        with storage.open_sink(flush_every=SAVE_CHUNK_RECORDS) as sink:
+            for batch in batches:
+                sink.write_batch(batch)
 
     def _alerted_days(self) -> set[int]:
         days: set[int] = set()

@@ -21,11 +21,13 @@ its own ``__init__`` and ``__reduce__``:
   ``__setstate__``: one ``fields()`` call and one ``object.__setattr__`` per
   field, and no checks at all.
 
-Every process-pool shard result crosses back to the parent as pickled
-records.  On a 2-CPU host, one recrawl-daemon tick of a 10k-site campaign
-(1,392 detections, 5,927 auctions, 7,412 bids) pickled in 55 ms and
-unpickled in 50 ms with the generated methods; with these it takes 31 ms
-and 29 ms.
+On a 2-CPU host the records of one recrawl-daemon tick of a 10k-site
+campaign (1,392 detections, 5,927 auctions, 7,412 bids) pickle in 31 ms
+and unpickle in 29 ms with these methods, against 55 ms and 50 ms with the
+generated ones.  Process-pool shards do not cross as pickled records: each
+crosses as the ``.hbc`` column batch its worker encoded
+(:class:`repro.crawler.colstore.ColumnBatch`, one ``bytes`` object), which
+the parent packs into the store without building a record.
 """
 
 from __future__ import annotations

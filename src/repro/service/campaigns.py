@@ -137,7 +137,7 @@ class _Cancellable:
     Built around the campaign's working store, so it serves either store
     format.  :meth:`ExperimentRunner.run` opens the sink itself
     from the storage it is handed, so :meth:`open_sink` wraps the opened sink
-    the same way, and the sink's :meth:`write` raises
+    the same way, and the sink's :meth:`write` and :meth:`write_batch` raise
     :class:`CampaignCancelled` once the event is set.  The crawler writes every detection through the sink,
     so this cancels any backend — serial or process — at page/shard
     granularity: the raise unwinds through the crawler's normal error path,
@@ -153,9 +153,16 @@ class _Cancellable:
         return _Cancellable(self._inner.open_sink(**kwargs), self._cancel_event)
 
     def write(self, detection) -> None:
+        self._check()
+        self._inner.write(detection)
+
+    def write_batch(self, batch) -> None:
+        self._check()
+        self._inner.write_batch(batch)
+
+    def _check(self) -> None:
         if self._cancel_event.is_set():
             raise CampaignCancelled(f"campaign sink {self._inner.path} was cancelled")
-        self._inner.write(detection)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

@@ -15,7 +15,8 @@ Two generations of tooling live here:
   counter, or probability (seeded RNG), delivered *below* the supervision
   layer.  Backends ask the plan for a :class:`FaultAction` at submit time
   and ship the picklable action into the worker, where it fires before the
-  shard simulates; :class:`FaultInjectingSink` flakes detection writes.
+  shard simulates; :class:`FaultInjectingSink` flakes detection writes,
+  whether a record or a pool shard's whole column batch.
   Supervision must absorb every one of these without changing a byte of
   output.
 
@@ -220,14 +221,19 @@ class FaultPlan:
                 return FaultAction(kind=fault.kind, shard=shard_index, delay=delay)
         return None
 
-    def sink_exception(self) -> StorageError | None:
-        """Decide whether the next sink write should fail transiently."""
+    def sink_exception(self, records: int = 1) -> StorageError | None:
+        """Decide whether the next sink write, of ``records`` records, should fail.
+
+        Writes are counted in records, so ``count=K`` fires on the write
+        that holds record K whether records arrive one by one or as a
+        shard's batch; a ``p=`` rule draws once per write.
+        """
         serial = self.sink_writes
-        self.sink_writes += 1
+        self.sink_writes += records
         for fault in self.faults:
             if fault.kind != "sink":
                 continue
-            if self._triggers(fault, serial, shard_index=None):
+            if self._triggers(fault, serial + records - 1, shard_index=None):
                 fault.fired += 1
                 return StorageError(
                     f"injected sink write failure ({fault.spec()}, write #{serial})"
@@ -246,7 +252,7 @@ class FaultPlan:
 
 
 class FaultInjectingSink:
-    """Wraps a ``DetectionSink`` and flakes writes on the plan's orders.
+    """Wraps a detection sink and flakes writes (and batch writes) on the plan's orders.
 
     The injected :class:`~repro.errors.StorageError` is raised *before*
     delegating, so a failed write leaves the inner sink untouched and a
@@ -264,6 +270,13 @@ class FaultInjectingSink:
             self.injected += 1
             raise exc
         self._inner.write(record)
+
+    def write_batch(self, batch) -> None:
+        exc = self._plan.sink_exception(len(batch))
+        if exc is not None:
+            self.injected += 1
+            raise exc
+        self._inner.write_batch(batch)
 
     def flush(self) -> None:
         self._inner.flush()
