@@ -7,7 +7,7 @@ requested artefacts, which is the quickest way to see the pipeline working::
     hbrepro run --sites 2000 --save crawl.jsonl --figures table1
     hbrepro run --sites 2000 --save crawl.jsonl --checkpoint crawl.ckpt
     hbrepro run --sites 2000 --save crawl.jsonl --checkpoint crawl.ckpt --resume
-    hbrepro run --sites 2000 --save crawl.hbc --store-format columnar
+    hbrepro run --sites 2000 --save crawl.hbc
     hbrepro analyze crawl.jsonl --artifact table1 fig12
     hbrepro analyze crawl.jsonl.hbc --watch --interval 2
     hbrepro convert crawl.hbc crawl.jsonl
@@ -28,6 +28,8 @@ maintained indices.
 Saved crawls come in two on-disk formats (``--store-format``): ``jsonl``,
 the human-greppable reference, and ``columnar``, the typed binary layout of
 :mod:`repro.crawler.colstore` that ``analyze`` mmaps instead of re-parsing.
+Without the flag, ``--save x.hbc`` (or ``.columnar``) is columnar and any
+other name JSONL.
 Every crawl streams into an ``.hbc`` working store (``x.hbc`` itself, or
 ``x.jsonl.hbc`` for ``--save x.jsonl``, exported whole whenever the run
 ends).  ``analyze`` and ``convert`` sniff the format from the file itself.
@@ -118,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--oversubscribe", type=_positive_int, default=4, metavar="N",
         help="shards per worker for parallel crawls (default %(default)s; "
-        "bytes identical for any value; use 1 to resume checkpoints written "
-        "before this knob existed)",
+        "bytes identical for any value)",
     )
     run.add_argument(
         "--save", metavar="PATH", default=None,
@@ -127,10 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
         "and exports PATH whenever the run ends",
     )
     run.add_argument(
-        "--store-format", choices=list(STORE_FORMATS), default="jsonl",
+        "--store-format", choices=list(STORE_FORMATS), default=None,
         help="on-disk format for --save: 'jsonl' is the reference format, "
-        "'columnar' the typed binary layout that analyze mmaps "
-        "(default %(default)s; `hbrepro convert` translates between them)",
+        "'columnar' the typed binary layout that analyze mmaps (default: "
+        "columnar for a .hbc/.columnar PATH, else jsonl; `hbrepro convert` "
+        "translates between them)",
     )
     run.add_argument(
         "--flush-every", type=_positive_int, default=DetectionSink.DEFAULT_FLUSH_EVERY, metavar="N",
@@ -632,6 +634,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--resume requires --checkpoint")
     if args.checkpoint is not None and args.save is None:
         parser.error("--checkpoint requires --save (resume recovers the sink file)")
+    store_format = args.store_format
+    if store_format is None:
+        suffix = Path(args.save or "").suffix.lower()
+        store_format = "columnar" if suffix in COLUMNAR_SUFFIXES else "jsonl"
     import signal
 
     def _sigterm(signum, frame):  # pragma: no cover - signal plumbing
@@ -653,14 +659,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             resume=args.resume,
             fast_path=not args.slow_path,
             shard_oversubscribe=args.oversubscribe,
-            store_format=args.store_format,
+            store_format=store_format,
             shard_retries=args.shard_retries,
             shard_timeout=args.shard_timeout,
             retry_backoff=args.retry_backoff,
             fault_spec=args.inject_faults,
             fault_log=args.fault_log,
         )
-        storage = campaign_store(args.save, args.store_format) if args.save else None
+        storage = campaign_store(args.save, store_format) if args.save else None
         artifacts = ExperimentRunner(config).run(storage=storage)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,8 @@ of the final canonical record stream.  The sink is always a campaign's
 ``.hbc`` working store (:func:`repro.crawler.colstore.campaign_store`).  A :class:`CrawlCheckpoint` snapshots
 exactly that state — the campaign fingerprint, the per-phase shard plan hash,
 the completed-shard set, per-phase crawl counters, and the sink byte offset —
-and is written *atomically* (temp file + fsync + rename) so a crash can never
-leave a half-written checkpoint.
+and is written *atomically* (:func:`repro.workdir.write_json`) so a crash
+can never leave a half-written checkpoint.
 
 On resume, :meth:`CrawlCheckpointer.resume` refuses to continue unless the
 checkpoint's fingerprint matches the current configuration (same seed,
@@ -52,14 +52,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.crawler.crawler import CrawlResult
 from repro.detector.records import SiteDetection
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, StorageError
+from repro.workdir import read_json, write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.crawler.colstore import ColumnarStorage
@@ -262,21 +262,13 @@ class CrawlCheckpoint:
         return cls(fingerprint=fingerprint, sink_offset=sink_offset, phases=phases)
 
     def save(self, path: str | Path) -> None:
-        """Write the checkpoint atomically (temp file + fsync + rename).
+        """Write the checkpoint atomically (:func:`repro.workdir.write_json`).
 
         A crash at any instant leaves either the previous checkpoint or this
         one on disk, never a torn file.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        payload = json.dumps(self.to_dict(), sort_keys=True, indent=2)
         try:
-            with tmp.open("w", encoding="utf-8") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            write_json(path, self.to_dict())
         except OSError as exc:
             raise CheckpointError(f"could not write checkpoint {path}: {exc}") from exc
 
@@ -286,12 +278,9 @@ class CrawlCheckpoint:
         if not path.exists():
             raise CheckpointError(f"no checkpoint to resume at {path}")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"could not read checkpoint {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CheckpointError(f"checkpoint {path} is not a JSON object")
-        return cls.from_dict(data)
+            return cls.from_dict(read_json(path))
+        except StorageError as exc:
+            raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +484,7 @@ class CrawlCheckpointer:
                     f"phase {crawl_day} was interrupted under a different shard "
                     f"plan; resume it with the original worker count, shard "
                     f"oversubscription factor and site list (finished phases "
-                    f"may re-plan freely; checkpoints from before the "
-                    f"shard_oversubscribe knob existed planned one shard per "
-                    f"worker — resume those with --oversubscribe 1)"
+                    f"may re-plan freely)"
                 )
             if phase.quarantined:
                 # Re-opening a degraded phase: the quarantined shards are

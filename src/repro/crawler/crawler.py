@@ -22,16 +22,15 @@ the whole crawl before persisting anything: the serial backend streams after
 every page, the process backend streams each shard as soon as every earlier
 shard has completed.  A process-pool shard arrives as a column batch its
 worker encoded; a columnar sink takes it whole (``write_batch``), and any
-other sink, or a ``progress`` callback, gets its decoded records.  If the
-sink exposes a ``flush()`` method (buffered sinks do), the crawler calls it
-at every shard boundary, so a buffered sink never holds more than one
-shard's tail of detections in memory.
+other sink gets its decoded records.  If the sink exposes a ``flush()``
+method (buffered sinks do), the crawler calls it at every shard boundary,
+so a buffered sink never holds more than one shard's tail of detections in
+memory.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -42,6 +41,7 @@ from repro.ecosystem.publishers import Publisher, PublisherPopulation
 from repro.errors import ConfigurationError, StorageError
 from repro.hb.environment import AuctionEnvironment
 from repro.utils.rng import stable_hash
+from repro.workdir import append_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.crawler.checkpoint import CrawlCheckpointer
@@ -165,16 +165,15 @@ def retry_delay(config: CrawlConfig, key: object, attempt: int) -> float:
 def log_fault_event(config: CrawlConfig, kind: str, **data) -> None:
     """Append one supervision event to ``config.fault_log`` (best effort).
 
-    JSON lines, parent-process only; the campaign service tails this file
-    into SSE ``fault`` events.  Log I/O failures are swallowed —
-    observability must never take down a crawl that supervision just saved.
+    JSON lines (:func:`repro.workdir.append_jsonl`), parent-process only;
+    the campaign service tails this file into SSE ``fault`` events.  Log I/O
+    failures are swallowed — observability must never take down a crawl
+    that supervision just saved.
     """
     if not config.fault_log:
         return
-    record = {"event": kind, "ts": round(time.time(), 3), **data}
     try:
-        with open(config.fault_log, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        append_jsonl(config.fault_log, [{"event": kind, "ts": round(time.time(), 3), **data}])
     except OSError:  # pragma: no cover - best-effort log
         pass
 
@@ -332,9 +331,6 @@ class CrawlResult:
         return merged
 
 
-ProgressCallback = Callable[[int, int, SiteDetection], None]
-
-
 class Crawler:
     """Shards a crawl, fans it out to a backend, and merges canonically.
 
@@ -415,16 +411,14 @@ class Crawler:
         publishers: Sequence[Publisher] | PublisherPopulation,
         *,
         crawl_day: int = 0,
-        progress: ProgressCallback | None = None,
         sink: "DetectionSinkLike | None" = None,
         checkpoint: "CrawlCheckpointer | None" = None,
     ) -> CrawlResult:
         """Visit every publisher once and run detection on each page load.
 
-        Detections reach ``progress`` and ``sink`` incrementally, always in
-        canonical site order: page by page on inline backends (serial), and
-        shard by shard — as soon as every earlier shard has completed — on
-        pool backends.  Sinks with a ``flush()`` method are flushed at every
+        Detections reach ``sink`` incrementally, always in canonical site
+        order: page by page on inline backends (serial), and shard by shard
+        — as soon as every earlier shard has completed — on pool backends.  Sinks with a ``flush()`` method are flushed at every
         shard boundary.
 
         ``checkpoint`` makes the crawl resumable: progress is recorded at
@@ -434,7 +428,7 @@ class Crawler:
         from the sink file instead of re-crawled, and the merged result —
         and the sink bytes — are identical to an uninterrupted run.  A
         checkpointed crawl requires a sink (recovery replays its file), and
-        recovered detections are not re-streamed to ``sink``/``progress``.
+        recovered detections are not re-streamed to ``sink``.
         """
         config = self.config
         plan = self.plan(publishers)
@@ -449,10 +443,9 @@ class Crawler:
                     "completed shards from the sink file"
                 )
             prior, skip = checkpoint.begin_phase(plan, crawl_day, sink)
-        emitted = prior.n_detections
-        # A columnar sink takes a pool shard's batch whole; other sinks and
-        # progress callbacks get its records one by one.
-        batched = progress is None and getattr(sink, "format", None) == "columnar"
+        # A columnar sink takes a pool shard's batch whole; other sinks get
+        # its records one by one.
+        batched = getattr(sink, "format", None) == "columnar"
         degraded = False
         sink_retries = 0
 
@@ -478,17 +471,13 @@ class Crawler:
                     time.sleep(retry_delay(config, key, attempt))
 
         def emit(detection: SiteDetection) -> None:
-            nonlocal emitted
             if degraded:
                 # An inline backend already hit a quarantined shard: every
                 # later shard is past the gap and its detections can never
                 # be part of this run's canonical prefix.
                 return
-            emitted += 1
             if sink is not None:
                 retry_sink(sink.write, "sink-write", detection)
-            if progress is not None:
-                progress(emitted, plan.n_sites, detection)
 
         remaining = plan.shards[skip:]
         if not remaining:
@@ -597,16 +586,9 @@ class Crawler:
         domains: Iterable[str],
         *,
         crawl_day: int = 0,
-        progress: ProgressCallback | None = None,
         sink: "DetectionSinkLike | None" = None,
         checkpoint: "CrawlCheckpointer | None" = None,
     ) -> CrawlResult:
         """Crawl a subset of a population selected by domain name."""
         publishers = [population.by_domain(domain) for domain in domains]
-        return self.crawl(
-            publishers,
-            crawl_day=crawl_day,
-            progress=progress,
-            sink=sink,
-            checkpoint=checkpoint,
-        )
+        return self.crawl(publishers, crawl_day=crawl_day, sink=sink, checkpoint=checkpoint)

@@ -9,16 +9,13 @@ replan, so a tick only ever crawls the net-new day), recomputes the
 registered metrics over the finished day, diffs them against the previous
 day's snapshot, and emits structured regression alerts.
 
-Workdir layout (everything the daemon owns lives under one directory)::
-
-    workdir/
-      detections.hbc | detections.jsonl.hbc   working store (never pruned)
-      detections.jsonl                    a JSONL campaign's export
-      crawl.ckpt                          crash-safe campaign checkpoint
-      daemon.json                         the daemon's recorded knobs
-      metrics/day-00002.json              per-day flattened metric snapshot
-      partitions/day-00002.hbc            per-day detection partition
-      alerts.jsonl                        append-only regression alert log
+Everything the daemon owns lives under one directory, laid out, written
+and read by :mod:`repro.workdir`: the working store (``detections.hbc``, or
+``detections.jsonl.hbc`` exporting ``detections.jsonl``; never pruned),
+``crawl.ckpt``, ``daemon.json`` (the daemon's recorded knobs), per-day
+metric snapshots ``metrics/day-00002.json`` and partitions
+``partitions/day-00002.hbc``, and the ``alerts.jsonl`` and ``faults.jsonl``
+logs.
 
 Byte-identity is inherited, not re-proven: the sink a daemon grows over N
 ticks is byte-identical to a one-shot ``run`` with ``recrawl_days=N``,
@@ -66,8 +63,6 @@ snapshots it lost but never duplicates an alert already logged.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -87,9 +82,10 @@ from repro.crawler.colstore import (
 )
 from repro.crawler.crawler import Crawler, CrawlResult
 from repro.ecosystem.publishers import PublisherPopulation
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError, StorageError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
+from repro.workdir import CampaignDir, append_jsonl, read_json, tail_jsonl, write_json
 
 __all__ = [
     "ALERT_KINDS",
@@ -118,9 +114,6 @@ FIRST_COMPARABLE_DAY = 2
 #: ECDF curves and rank lists are plot data, not alertable scalars, and
 #: flattening them would bloat every snapshot.
 _MAX_FLATTEN_SEQUENCE = 128
-
-_SINK_NAMES = {"jsonl": "detections.jsonl", "columnar": "detections.hbc"}
-_PARTITION_SUFFIX = {"jsonl": "jsonl", "columnar": "hbc"}
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +384,8 @@ class RecrawlDaemon:
                     f"threshold {rule.spec!r} targets metric {rule.metric!r} "
                     f"which is not watched; add it to the daemon's metrics"
                 )
-        self.workdir = Path(workdir)
+        self.files = files = CampaignDir(workdir, config.store_format)
+        self.workdir = files.root
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.config = replace(config, checkpoint_path=None, resume=False)
         self.metrics = tuple(metrics)
@@ -400,13 +394,13 @@ class RecrawlDaemon:
         self.retention_days = retention_days
         self._storage_factory = storage_factory or campaign_store
         #: The file the campaign hands out, and the store it streams into.
-        self.sink_path = self.workdir / _SINK_NAMES[config.store_format]
+        self.sink_path = files.sink
         self.working_path = campaign_store(self.sink_path, config.store_format).path
-        self.checkpoint_path = self.workdir / "crawl.ckpt"
-        self.metrics_dir = self.workdir / "metrics"
-        self.partitions_dir = self.workdir / "partitions"
-        self.alert_log = self.workdir / "alerts.jsonl"
-        self.fault_log_path = self.workdir / "faults.jsonl"
+        self.checkpoint_path = files.checkpoint
+        self.metrics_dir = files.metrics
+        self.partitions_dir = files.partitions
+        self.alert_log = files.alerts
+        self.fault_log_path = files.faults
         if self.working_path.exists() and not self.checkpoint_path.exists():
             raise ConfigurationError(
                 f"{self.workdir} holds a detection sink but no checkpoint; "
@@ -666,7 +660,7 @@ class RecrawlDaemon:
         marker) would stop the resumed, completed day from ever being
         snapshotted.
         """
-        alerted = self._alerted_days()
+        alerted = {r["day"] for r in self.read_alerts() if isinstance(r.get("day"), int)}
         emitted: list[dict] = []
         snapshot_days: list[int] = []
         previous: dict | None = None
@@ -690,9 +684,16 @@ class RecrawlDaemon:
                             day=day,
                         )
                         if alerts:
-                            self._append_alerts(alerts)
+                            stamp = time.time()
+                            for alert in alerts:
+                                alert.setdefault("ts", stamp)
+                            append_jsonl(self.alert_log, alerts)
                             emitted.extend(alerts)
-                self._write_snapshot(day, snapshot)
+                # The snapshot is the day's "recorded" marker, so it is
+                # written last (after the partition and any alerts) and
+                # atomically: a kill between any two steps re-derives the
+                # day on the next tick.
+                write_json(self.files.snapshot(day), snapshot)
             previous = snapshot
         return emitted, snapshot_days
 
@@ -700,7 +701,7 @@ class RecrawlDaemon:
         """The day's metrics; a columnar campaign reads them off its partition's columns."""
         label = f"day-{day:05d}"
         if self.config.store_format == "columnar":
-            dataset = ColumnarDataset.open(self._partition_path(day), label=label)
+            dataset = ColumnarDataset.open(self.files.partition(day), label=label)
         else:
             dataset = CrawlDataset.from_detections(result.detections, label=label)
         context = AnalysisContext.offline(dataset)
@@ -716,37 +717,17 @@ class RecrawlDaemon:
                 flat[name] = flatten_metric_data(result.data)
         return {"day": day, "detections": len(dataset), "metrics": flat}
 
-    def _snapshot_path(self, day: int) -> Path:
-        return self.metrics_dir / f"day-{day:05d}.json"
-
-    def _partition_path(self, day: int) -> Path:
-        suffix = _PARTITION_SUFFIX[self.config.store_format]
-        return self.partitions_dir / f"day-{day:05d}.{suffix}"
-
     def _load_snapshot(self, day: int) -> dict | None:
-        path = self._snapshot_path(day)
+        """The day's recorded snapshot; ``None`` re-derives a missing or unreadable one."""
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            return read_json(self.files.snapshot(day))
+        except StorageError:
             return None
-
-    def _write_snapshot(self, day: int, snapshot: dict) -> None:
-        # The snapshot is the day's "recorded" marker, so it is written last
-        # (after the partition and any alerts) and atomically — a kill
-        # between any two steps re-derives the day on the next tick.
-        path = self._snapshot_path(day)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, sort_keys=True, indent=2)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
 
     def _write_partition(self, day: int, result: CrawlResult) -> None:
         """``save`` the day's records; a columnar day of pool batches is packed
         from them onto the partition's own dictionaries, with ``save``'s chunks."""
-        path = self._partition_path(day)
+        path = self.files.partition(day)
         path.parent.mkdir(parents=True, exist_ok=True)
         storage = storage_for(path, format=self.config.store_format)
         batches = result.batches
@@ -757,48 +738,9 @@ class RecrawlDaemon:
             for batch in batches:
                 sink.write_batch(batch)
 
-    def _alerted_days(self) -> set[int]:
-        days: set[int] = set()
-        for record in self.read_alerts():
-            if isinstance(record.get("day"), int):
-                days.add(record["day"])
-        return days
-
-    def _append_alerts(self, alerts: list[dict]) -> None:
-        stamp = time.time()
-        with self.alert_log.open("a", encoding="utf-8") as handle:
-            for alert in alerts:
-                alert.setdefault("ts", stamp)
-                handle.write(json.dumps(alert, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
     def read_alerts(self) -> list[dict]:
-        """Every alert recorded so far, in emission order.
-
-        Only whole (newline-terminated) lines are considered: a daemon
-        killed mid-append can leave a torn final line — possibly cut
-        mid-UTF-8-codepoint — which belongs to no alert yet.  Each complete
-        line decodes and parses independently, so one bad record never hides
-        the rest.
-        """
-        try:
-            raw = self.alert_log.read_bytes()
-        except OSError:
-            return []
-        end = raw.rfind(b"\n")
-        if end < 0:
-            return []
-        records = []
-        for line in raw[: end + 1].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue  # a torn or corrupt record from a kill mid-append
-        return records
+        """Every alert recorded so far, in emission order (see :func:`repro.workdir.tail_jsonl`)."""
+        return tail_jsonl(self.alert_log)[0]
 
     # -- retention ---------------------------------------------------------------
     def _prune(self, *, last_day: int) -> None:
@@ -813,8 +755,8 @@ class RecrawlDaemon:
             return
         floor = min(last_day - self.retention_days, last_day - 2)
         for day in range(0, floor + 1):
-            self._partition_path(day).unlink(missing_ok=True)
-            self._snapshot_path(day).unlink(missing_ok=True)
+            self.files.partition(day).unlink(missing_ok=True)
+            self.files.snapshot(day).unlink(missing_ok=True)
 
     # -- bookkeeping -------------------------------------------------------------
     def _stamp(self) -> tuple | None:
@@ -842,7 +784,4 @@ class RecrawlDaemon:
             "target_days": self.target_days,
             "retention_days": self.retention_days,
         }
-        path = self.workdir / "daemon.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")
-        os.replace(tmp, path)
+        write_json(self.files.manifest, manifest)

@@ -63,9 +63,7 @@ class ExperimentConfig:
     #: every per-page input; detections are byte-identical.
     fast_path: bool = True
     #: Shards per worker for parallel crawls (bytes identical for any
-    #: value).  Pass ``1`` to resume a parallel checkpoint written before
-    #: this knob existed (its mid-flight phase planned one shard per
-    #: worker).
+    #: value; a mid-flight phase resumes only under its original value).
     shard_oversubscribe: int = 4
     #: Format of the file a campaign hands out: ``"jsonl"`` (the reference
     #: format, exported whole from the ``.hbc`` working store every campaign

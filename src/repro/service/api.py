@@ -58,6 +58,7 @@ from repro.errors import (
 )
 from repro.service.campaigns import CampaignManager, campaign_config_from_dict
 from repro.service.store import DetectionQuery, compact_json
+from repro.workdir import tail_jsonl
 
 __all__ = ["ReproServiceServer", "running_server", "DEFAULT_EVENT_INTERVAL"]
 
@@ -104,35 +105,6 @@ def _error_status(exc: Exception) -> int:
         if isinstance(exc, exc_type):
             return status
     return 500
-
-
-def _tail_alerts(path: Path, offset: int) -> tuple[list[dict], int]:
-    """Complete JSONL alert records past ``offset``, plus the new offset.
-
-    Reads only whole lines — a half-appended record stays for the next poll —
-    so an SSE stream tailing the log never emits a torn alert.
-    """
-    try:
-        size = path.stat().st_size
-    except OSError:
-        return [], offset
-    if size <= offset:
-        return [], offset
-    with path.open("rb") as handle:
-        handle.seek(offset)
-        chunk = handle.read()
-    end = chunk.rfind(b"\n")
-    if end < 0:
-        return [], offset
-    records = []
-    for line in chunk[: end + 1].splitlines():
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return records, offset + end + 1
 
 
 def _offline_metric_names() -> list[str]:
@@ -453,32 +425,25 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
         deadline = time.monotonic() + timeout
         store = campaign.store
-        alert_offset = 0
-        fault_offset = 0
+        # The alert log and the engine's supervision event log (retries, pool
+        # rebuilds, quarantines) each stream their whole lines once.
+        logs = {"alert": campaign.files.alerts, "fault": campaign.files.faults}
+        offsets = dict.fromkeys(logs, 0)
 
-        def drain_alerts() -> bool:
-            nonlocal alert_offset
-            alerts, alert_offset = _tail_alerts(campaign.alert_log_path, alert_offset)
-            for alert in alerts:
-                self._emit("alert", {"campaign": campaign.id, **alert})
-            return bool(alerts)
-
-        def drain_faults() -> bool:
-            # The engine's supervision event log (retries, pool rebuilds,
-            # quarantines) streams through the same whole-lines-only tail as
-            # the alert log.
-            nonlocal fault_offset
-            faults, fault_offset = _tail_alerts(campaign.fault_log_path, fault_offset)
-            for fault in faults:
-                self._emit("fault", {"campaign": campaign.id, **fault})
-            return bool(faults)
+        def drain_logs() -> bool:
+            drained = False
+            for event, path in logs.items():
+                records, offsets[event] = tail_jsonl(path, offsets[event])
+                for record in records:
+                    self._emit(event, {"campaign": campaign.id, **record})
+                drained = drained or bool(records)
+            return drained
 
         try:
             self._emit("progress", self._progress_payload(campaign, fresh=0))
             last_emit = time.monotonic()
             while True:
-                emitted = drain_alerts()
-                emitted = drain_faults() or emitted
+                emitted = drain_logs()
                 fresh = store.refresh()
                 finished = campaign.terminal and store.drained()
                 if fresh:
@@ -491,8 +456,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     # flips terminal; drain anything that landed since the
                     # check above so no alert or fault event is lost to the
                     # close.
-                    drain_alerts()
-                    drain_faults()
+                    drain_logs()
                     if artifact_names:
                         self._emit("metrics", self._metrics_payload(campaign, artifact_names, final=True))
                     self._emit("state", campaign.to_dict(refresh=False))

@@ -11,14 +11,16 @@ and tracks the state machine
     queued/running ----> cancelled        (resumable)
     cancelled/failed --> queued           (resume())
 
-Every campaign gets its own working directory under the manager's root with
-the ``.hbc`` working store its sink streams into (``detections.hbc``, or
+Every campaign gets its own working directory under the manager's root
+(laid out, written and read by :mod:`repro.workdir`) with the ``.hbc``
+working store its sink streams into (``detections.hbc``, or
 ``detections.jsonl.hbc`` exporting ``detections.jsonl``), the shard-boundary
-checkpoint (``crawl.ckpt``) and a ``campaign.json`` record of the submitted
-configuration.  Cancellation is cooperative and crash-equivalent: a flag is
-raised and the campaign's sink throws :class:`~repro.errors.CampaignCancelled`
-at the next detection write, unwinding the crawl through the same path a
-SIGKILL would — the last shard-boundary checkpoint survives, so
+checkpoint (``crawl.ckpt``), the ``faults.jsonl`` supervision log, the
+``alerts.jsonl`` of its daemon ticks and a ``campaign.json`` record of the
+submitted configuration and the latest run's outcome.  Cancellation is
+cooperative and crash-equivalent: a flag is raised and the campaign's sink
+throws :class:`~repro.errors.CampaignCancelled` at the next detection write,
+unwinding the crawl through the same path a SIGKILL would — the last shard-boundary checkpoint survives, so
 :meth:`CampaignManager.resume` continues the campaign byte-identically (the
 PR-4 resume guarantee).  :meth:`CampaignManager.shutdown` cancels everything
 in flight the same way, which is what makes stopping the server graceful.
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import threading
 import time
 import uuid
@@ -44,11 +45,13 @@ from repro.errors import (
     ConfigurationError,
     ReproError,
     ServiceError,
+    StorageError,
     UnknownCampaignError,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.service.store import DetectionStore
+from repro.workdir import CampaignDir, read_json, tail_jsonl, write_json
 
 __all__ = [
     "CAMPAIGN_STATES",
@@ -175,6 +178,15 @@ class _Cancellable:
         self._inner.__exit__(*exc_info)
 
 
+def _first_record(campaign: "Campaign") -> dict[str, Any]:
+    """``campaign.json`` as a submission writes it."""
+    return {
+        "id": campaign.id,
+        "created_at": campaign.created_at,
+        "config": campaign_config_to_dict(campaign.config),
+    }
+
+
 def _supervision_counts(longitudinal) -> dict[str, int]:
     """Aggregate a run's supervision counters across all its phases."""
     results = [longitudinal.discovery, *longitudinal.daily_results]
@@ -203,18 +215,20 @@ class Campaign:
     #: Supervision counters from the last finished run (retries,
     #: pool_rebuilds, sink_retries, quarantined); empty until a run ends.
     supervision: dict[str, int] = field(default_factory=dict)
+    #: The paths of the campaign directory's files.
+    files: CampaignDir = field(init=False, repr=False)
     store: DetectionStore = field(init=False, repr=False)
     _cancel: threading.Event = field(default_factory=threading.Event, init=False, repr=False)
     _thread: threading.Thread | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.files = CampaignDir(self.workdir, self.config.store_format)
         self.store = DetectionStore(self.working_store().path, label=self.id)
 
     @property
     def sink_path(self) -> Path:
         """The file the campaign hands out (its raw sink artifact)."""
-        name = "detections.hbc" if self.config.store_format == "columnar" else "detections.jsonl"
-        return self.workdir / name
+        return self.files.sink
 
     def working_store(self):
         """The ``.hbc`` store the campaign's sink streams into; cancellable."""
@@ -222,27 +236,16 @@ class Campaign:
 
     @property
     def checkpoint_path(self) -> Path:
-        return self.workdir / "crawl.ckpt"
-
-    @property
-    def alert_log_path(self) -> Path:
-        """The recrawl daemon's append-only regression alert log."""
-        return self.workdir / "alerts.jsonl"
+        return self.files.checkpoint
 
     @property
     def fault_log_path(self) -> Path:
-        """The crawl engine's append-only supervision event log."""
-        return self.workdir / "faults.jsonl"
+        return self.files.faults
 
     @property
     def alert_count(self) -> int:
-        # Only newline-terminated lines count: the daemon may be mid-append,
-        # and a torn final line is not yet an alert.
-        try:
-            with self.alert_log_path.open("rb") as handle:
-                return sum(1 for line in handle if line.endswith(b"\n") and line.strip())
-        except OSError:
-            return 0
+        """Alerts in the log, counted as the ``/events`` stream reads them."""
+        return len(tail_jsonl(self.files.alerts)[0])
 
     @property
     def terminal(self) -> bool:
@@ -331,19 +334,7 @@ class CampaignManager:
             campaign = Campaign(id=campaign_id, config=config, workdir=workdir)
             self._campaigns[campaign_id] = campaign
             self._order.append(campaign_id)
-        (workdir / "campaign.json").write_text(
-            json.dumps(
-                {
-                    "id": campaign_id,
-                    "created_at": campaign.created_at,
-                    "config": campaign_config_to_dict(config),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        write_json(campaign.files.record, _first_record(campaign))
         self._start(campaign, lambda: self._crawl(campaign, resume=False))
         return campaign
 
@@ -592,15 +583,10 @@ class CampaignManager:
         record carries the final state, error and supervision counters of
         the latest run.
         """
-        path = campaign.workdir / "campaign.json"
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            record = {
-                "id": campaign.id,
-                "created_at": campaign.created_at,
-                "config": campaign_config_to_dict(campaign.config),
-            }
+            record = read_json(campaign.files.record)
+        except StorageError:
+            record = _first_record(campaign)
         record.update(
             {
                 "state": campaign.state,
@@ -611,9 +597,7 @@ class CampaignManager:
             }
         )
         try:
-            path.write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            write_json(campaign.files.record, record)
         except OSError:  # pragma: no cover - disk-full etc.; state stays in memory
             pass
 

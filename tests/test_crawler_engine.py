@@ -194,17 +194,6 @@ class TestBackendEquivalence:
 
 
 class TestStreamingAndProgress:
-    def test_progress_is_called_in_canonical_order(self, environment, detector, small_population):
-        sites = list(small_population)[:12]
-        seen = []
-        with Crawler(
-            environment, detector, CrawlConfig(seed=5, workers=4, backend="process")
-        ) as engine:
-            engine.crawl(sites, progress=lambda i, n, d: seen.append((i, n, d.domain)))
-        assert [entry[0] for entry in seen] == list(range(1, 13))
-        assert all(entry[1] == 12 for entry in seen)
-        assert [entry[2] for entry in seen] == [p.domain for p in sites]
-
     def test_sink_receives_detections_in_canonical_order(
         self, environment, detector, small_population, tmp_path
     ):

@@ -64,13 +64,6 @@ class TestCrawler:
     def test_clean_state_means_one_session_per_page(self, crawl_result):
         assert crawl_result.sessions_started >= crawl_result.pages_visited
 
-    def test_progress_callback_called_per_page(self, environment, detector, small_population):
-        seen = []
-        crawler = Crawler(environment, detector)
-        crawler.crawl(list(small_population)[:10], progress=lambda i, n, d: seen.append((i, n)))
-        assert seen[0] == (1, 10)
-        assert seen[-1] == (10, 10)
-
     def test_crawl_domains_restricts_to_requested_sites(self, environment, detector, small_population):
         crawler = Crawler(environment, detector)
         domains = small_population.domains[:5]
