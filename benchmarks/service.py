@@ -211,9 +211,7 @@ def run_benchmark(*, smoke: bool) -> dict:
             }
 
             reference_path = tmp_path / "reference.jsonl"
-            ExperimentRunner(campaign_config_from_dict(body)).run(
-                use_cache=False, storage=CrawlStorage(reference_path)
-            )
+            ExperimentRunner(campaign_config_from_dict(body)).run(storage=CrawlStorage(reference_path))
             assert served == reference_path.read_bytes(), "served sink diverged from direct run"
             context = AnalysisContext.offline(CrawlDataset.from_jsonl(reference_path))
             expected = compute_metric("table1", context).text

@@ -4,12 +4,12 @@ Paper: ~10% of the yearly top-1k sites were early adopters in 2014, with a
 steady climb to roughly 20% after the 2016 breakthrough.
 """
 
-from repro.experiments.figures import figure04_adoption_history
+from repro.analysis import AnalysisContext, compute_metric
 
 
 def test_bench_fig04_adoption_history(benchmark, historical):
-    result = benchmark(figure04_adoption_history, historical)
-    rows = {int(row["year"]): row for row in result["rows"]}
+    result = benchmark(compute_metric, "fig04", AnalysisContext(historical=historical))
+    rows = {int(row["year"]): row for row in result.data["rows"]}
     assert set(rows) == {2014, 2015, 2016, 2017, 2018, 2019}
     # Adoption grows over the years and lands in the paper's ballpark.
     assert rows[2014]["adoption_rate"] < rows[2019]["adoption_rate"]
@@ -19,4 +19,4 @@ def test_bench_fig04_adoption_history(benchmark, historical):
     assert rows[2019]["precision"] >= 0.85
     assert rows[2019]["recall"] < 1.0
     print()
-    print(result["text"])
+    print(result.text)

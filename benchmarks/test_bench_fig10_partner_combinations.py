@@ -5,12 +5,10 @@ single partners (2.37% and 1.68%), and the popular pairs/triples all include
 DFP (DFP appears in 51% of the multi-partner groups).
 """
 
-from repro.experiments.figures import figure10_partner_combinations
 
-
-def test_bench_fig10_partner_combinations(benchmark, artifacts):
-    result = benchmark(figure10_partner_combinations, artifacts, top_n=15)
-    rows = result["rows"]
+def test_bench_fig10_partner_combinations(benchmark, artefact):
+    result = benchmark(artefact, "fig10", top_n=15)
+    rows = result.data["rows"]
     assert rows, "there must be at least one combination"
     top_combo, top_share = rows[0]
     assert top_combo == ("DFP",)
@@ -21,4 +19,4 @@ def test_bench_fig10_partner_combinations(benchmark, artifacts):
         with_dfp = sum(1 for combo in multi if "DFP" in combo)
         assert with_dfp / len(multi) >= 0.4
     print()
-    print(result["text"])
+    print(result.text)

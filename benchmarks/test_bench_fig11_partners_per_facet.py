@@ -4,13 +4,12 @@ Paper: big exchanges/SSPs (Rubicon, AppNexus, Index, OpenX, Pubmatic, ...)
 hold the highest bid shares in every facet.
 """
 
-from repro.experiments.figures import figure11_partners_per_facet
 from repro.models import HBFacet
 
 
-def test_bench_fig11_partners_per_facet(benchmark, artifacts):
-    result = benchmark(figure11_partners_per_facet, artifacts, top_n=10)
-    per_facet = result["per_facet"]
+def test_bench_fig11_partners_per_facet(benchmark, artefact):
+    result = benchmark(artefact, "fig11", top_n=10)
+    per_facet = result.data["per_facet"]
     big_players = {"AppNexus", "Rubicon", "Index", "OpenX", "Pubmatic", "Criteo", "Amazon", "DFP"}
     for facet in HBFacet:
         rows = per_facet.get(facet, [])
@@ -20,4 +19,4 @@ def test_bench_fig11_partners_per_facet(benchmark, artifacts):
         shares = [share for _, share in rows]
         assert shares == sorted(shares, reverse=True)
     print()
-    print(result["text"])
+    print(result.text)

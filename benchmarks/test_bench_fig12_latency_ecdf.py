@@ -4,13 +4,11 @@ Paper: median latency ~600 ms (point 1), ~35% of sites above one second, and
 ~10% of sites exceeding the common 3-second wrapper timeout (point 2).
 """
 
-from repro.experiments.figures import figure12_latency_ecdf
 
-
-def test_bench_fig12_latency_ecdf(benchmark, artifacts):
-    result = benchmark(figure12_latency_ecdf, artifacts)
-    assert 350.0 <= result["median_ms"] <= 950.0
-    assert 0.15 <= result["share_above_1s"] <= 0.55
-    assert 0.01 <= result["share_above_3s"] <= 0.25
+def test_bench_fig12_latency_ecdf(benchmark, artefact):
+    result = benchmark(artefact, "fig12")
+    assert 350.0 <= result.data["median_ms"] <= 950.0
+    assert 0.15 <= result.data["share_above_1s"] <= 0.55
+    assert 0.01 <= result.data["share_above_3s"] <= 0.25
     print()
-    print(result["text"])
+    print(result.text)

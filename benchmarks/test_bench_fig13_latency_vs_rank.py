@@ -6,12 +6,10 @@ clearly below the ~500 ms median of the remaining sites.
 
 import numpy as np
 
-from repro.experiments.figures import figure13_latency_vs_rank
 
-
-def test_bench_fig13_latency_vs_rank(benchmark, artifacts):
-    result = benchmark(figure13_latency_vs_rank, artifacts)
-    rows = result["rows"]
+def test_bench_fig13_latency_vs_rank(benchmark, artefact, artifacts):
+    result = benchmark(artefact, "fig13")
+    rows = result.data["rows"]
     assert len(rows) >= 3
     assert all(stats.median > 0 for _, stats in rows)
 
@@ -27,4 +25,4 @@ def test_bench_fig13_latency_vs_rank(benchmark, artifacts):
     assert head and tail
     assert float(np.median(head)) < float(np.median(tail))
     print()
-    print(result["text"])
+    print(result.text)

@@ -7,14 +7,12 @@ not the quickest (Criteo being the notable sub-200 ms exception).
 
 import numpy as np
 
-from repro.experiments.figures import figure14_partner_latency
 
-
-def test_bench_fig14_partner_latency(benchmark, artifacts):
-    result = benchmark(figure14_partner_latency, artifacts, top_n=10)
-    fastest = [profile.median_ms for profile in result["fastest"]]
-    slowest = [profile.median_ms for profile in result["slowest"]]
-    top_market = [profile.median_ms for profile in result["top_market"]]
+def test_bench_fig14_partner_latency(benchmark, artefact):
+    result = benchmark(artefact, "fig14", top_n=10)
+    fastest = [profile.median_ms for profile in result.data["fastest"]]
+    slowest = [profile.median_ms for profile in result.data["slowest"]]
+    top_market = [profile.median_ms for profile in result.data["top_market"]]
     assert max(fastest) < min(slowest)
     assert 20.0 <= min(fastest) <= 300.0
     # The slowest group's upper bound is wider than the paper's 1,290 ms
@@ -25,4 +23,4 @@ def test_bench_fig14_partner_latency(benchmark, artifacts):
     assert np.median(top_market) > np.median(fastest)
     assert np.median(top_market) < np.median(slowest)
     print()
-    print(result["text"])
+    print(result.text)

@@ -4,12 +4,10 @@ Paper: 21 demand partners are late in at least half of the auctions they take
 part in, and a few lose every single bid to lateness.
 """
 
-from repro.experiments.figures import figure18_late_bids_per_partner
 
-
-def test_bench_fig18_late_bids_per_partner(benchmark, artifacts):
-    result = benchmark(figure18_late_bids_per_partner, artifacts)
-    rows = result["rows"]
+def test_bench_fig18_late_bids_per_partner(benchmark, artefact):
+    result = benchmark(artefact, "fig18")
+    rows = result.data["rows"]
     assert rows, "expected per-partner lateness rows"
     shares = [row.late_share for row in rows]
     assert shares == sorted(shares, reverse=True)
@@ -22,4 +20,4 @@ def test_bench_fig18_late_bids_per_partner(benchmark, artifacts):
     assert sum(1 for share in shares if share >= 0.30) >= 3
     assert sum(1 for share in shares if share >= 0.15) >= 6
     print()
-    print(result["text"])
+    print(result.text)

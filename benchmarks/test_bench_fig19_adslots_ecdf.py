@@ -5,14 +5,13 @@ auctioning the most), 90% of sites stay below 5-11 slots and ~3% request more
 than 20 (device-duplicate inventory).
 """
 
-from repro.experiments.figures import figure19_adslots_ecdf
 from repro.models import HBFacet
 
 
-def test_bench_fig19_adslots_ecdf(benchmark, artifacts):
-    result = benchmark(figure19_adslots_ecdf, artifacts)
-    medians = result["medians"]
-    curves = result["ecdfs"]
+def test_bench_fig19_adslots_ecdf(benchmark, artefact):
+    result = benchmark(artefact, "fig19")
+    medians = result.data["medians"]
+    curves = result.data["ecdfs"]
     for facet, median in medians.items():
         assert 1.0 <= median <= 8.0, facet
     assert medians[HBFacet.HYBRID] >= medians[HBFacet.CLIENT_SIDE]
@@ -22,4 +21,4 @@ def test_bench_fig19_adslots_ecdf(benchmark, artifacts):
     any_inflated = any(curve.fraction_above(15.0) > 0.0 for curve in curves.values())
     assert any_inflated
     print()
-    print(result["text"])
+    print(result.text)

@@ -6,12 +6,10 @@ to 0.57-0.92 s; more slots mean more latency and more variability.
 
 import numpy as np
 
-from repro.experiments.figures import figure20_latency_vs_adslots
 
-
-def test_bench_fig20_latency_vs_adslots(benchmark, artifacts):
-    result = benchmark(figure20_latency_vs_adslots, artifacts)
-    rows = result["rows"]
+def test_bench_fig20_latency_vs_adslots(benchmark, artefact):
+    result = benchmark(artefact, "fig20")
+    rows = result.data["rows"]
     counts = [count for count, _ in rows]
     medians = {count: stats.median for count, stats in rows}
     assert min(counts) <= 2
@@ -21,4 +19,4 @@ def test_bench_fig20_latency_vs_adslots(benchmark, artifacts):
         assert float(np.median(many)) > float(np.median(few)) * 0.9
     assert all(median > 0 for median in medians.values())
     print()
-    print(result["text"])
+    print(result.text)

@@ -4,13 +4,12 @@ Paper: the 300x250 medium rectangle dominates every facet, followed by the
 728x90 leaderboard and the 300x600 half page.
 """
 
-from repro.experiments.figures import figure21_adslot_sizes
 from repro.models import HBFacet
 
 
-def test_bench_fig21_adslot_sizes(benchmark, artifacts):
-    result = benchmark(figure21_adslot_sizes, artifacts, top_n=10)
-    shares = result["shares"]
+def test_bench_fig21_adslot_sizes(benchmark, artefact):
+    result = benchmark(artefact, "fig21", top_n=10)
+    shares = result.data["shares"]
     for facet in HBFacet:
         rows = shares.get(facet, [])
         assert rows, f"no slot sizes observed for {facet}"
@@ -20,4 +19,4 @@ def test_bench_fig21_adslot_sizes(benchmark, artifacts):
         total = sum(share for _, share in rows)
         assert total <= 1.0 + 1e-9
     print()
-    print(result["text"])
+    print(result.text)

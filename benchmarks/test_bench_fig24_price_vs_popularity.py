@@ -7,12 +7,10 @@ impressions they see.
 
 import numpy as np
 
-from repro.experiments.figures import figure24_price_vs_popularity
 
-
-def test_bench_fig24_price_vs_popularity(benchmark, artifacts):
-    result = benchmark(figure24_price_vs_popularity, artifacts, bin_size=10)
-    rows = result["rows"]
+def test_bench_fig24_price_vs_popularity(benchmark, artefact):
+    result = benchmark(artefact, "fig24", bin_size=10)
+    rows = result.data["rows"]
     assert len(rows) >= 3
     medians = [stats.median for _, stats in rows]
     spreads = [stats.spread for _, stats in rows]
@@ -21,4 +19,4 @@ def test_bench_fig24_price_vs_popularity(benchmark, artifacts):
     # ... and with less spread.
     assert spreads[0] < float(np.max(spreads[1:])) + 1e-9
     print()
-    print(result["text"])
+    print(result.text)

@@ -6,12 +6,10 @@ crawler observes in HB; the gap is attributed to the missing user profile,
 not to the protocol.
 """
 
-from repro.experiments.figures import waterfall_price_comparison
 
-
-def test_bench_price_comparison(benchmark, artifacts):
-    result = benchmark(waterfall_price_comparison, artifacts)
-    comparison = result["comparison"]
+def test_bench_price_comparison(benchmark, artefact):
+    result = benchmark(artefact, "prices")
+    comparison = result.data["comparison"]
     # Real-user waterfall prices are a multiple of the vanilla HB baseline.
     assert comparison.real_user_median_ratio > 2.0
     # With the same vanilla profile, waterfall and HB prices are comparable
@@ -19,4 +17,4 @@ def test_bench_price_comparison(benchmark, artifacts):
     ratio = comparison.waterfall_vanilla.median / comparison.hb.median
     assert 0.2 < ratio < 8.0
     print()
-    print(result["text"])
+    print(result.text)

@@ -6,12 +6,10 @@ the proportions (adoption rate, auctions per HB site per day) while running on
 a smaller population.
 """
 
-from repro.experiments.tables import table1_summary
 
-
-def test_bench_table1_summary(benchmark, artifacts):
-    result = benchmark(table1_summary, artifacts)
-    summary = result["summary"]
+def test_bench_table1_summary(benchmark, artefact, artifacts):
+    result = benchmark(artefact, "table1")
+    summary = result.data["summary"]
     assert summary["websites_crawled"] == artifacts.config.total_sites
     # Adoption rate close to the paper's 14.28%.
     assert 0.10 <= summary["adoption_rate"] <= 0.20
@@ -24,4 +22,4 @@ def test_bench_table1_summary(benchmark, artifacts):
     assert 0 < summary["bids_detected"]
     assert summary["competing_demand_partners"] >= 40
     print()
-    print(result["text"])
+    print(result.text)

@@ -4,12 +4,10 @@ Paper: header bidding's median latency can be up to 3x the waterfall's, and
 far worse in the tail (up to 15x for 10% of the sites).
 """
 
-from repro.experiments.figures import waterfall_latency_comparison
 
-
-def test_bench_waterfall_comparison(benchmark, artifacts):
-    result = benchmark(waterfall_latency_comparison, artifacts)
-    comparison = result["comparison"]
+def test_bench_waterfall_comparison(benchmark, artefact):
+    result = benchmark(artefact, "waterfall")
+    comparison = result.data["comparison"]
     # HB is slower than the waterfall at the median, by a factor in the
     # "up to 3x" range the paper reports.
     assert comparison.median_ratio > 1.2
@@ -17,4 +15,4 @@ def test_bench_waterfall_comparison(benchmark, artifacts):
     # The tail is worse than the median for HB.
     assert comparison.hb.p95 / comparison.hb.median > 2.0
     print()
-    print(result["text"])
+    print(result.text)

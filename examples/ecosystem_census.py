@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis import AnalysisContext, compute_metric
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments import figures
 
 
 def parse_args() -> argparse.Namespace:
@@ -30,25 +30,26 @@ def parse_args() -> argparse.Namespace:
 def main() -> None:
     args = parse_args()
     config = ExperimentConfig(total_sites=args.sites, recrawl_days=args.days, seed=args.seed)
-    artifacts = ExperimentRunner(config).run()
+    context = AnalysisContext.from_artifacts(ExperimentRunner(config).run())
 
-    print(figures.figure08_top_partners(artifacts)["text"])
+    print(compute_metric("fig08", context).text)
     print()
 
-    per_site = figures.figure09_partners_per_site(artifacts)
-    print(per_site["text"])
+    per_site = compute_metric("fig09", context)
+    shares = per_site.data
+    print(per_site.text)
     print()
-    print(f"{per_site['share_one_partner'] * 100:.1f}% of HB sites expose a single partner "
+    print(f"{shares['share_one_partner'] * 100:.1f}% of HB sites expose a single partner "
           "(paper: >50%); "
-          f"{per_site['share_five_or_more'] * 100:.1f}% expose five or more (paper: ~20%); "
-          f"{per_site['share_ten_or_more'] * 100:.1f}% expose ten or more (paper: ~5%).")
+          f"{shares['share_five_or_more'] * 100:.1f}% expose five or more (paper: ~20%); "
+          f"{shares['share_ten_or_more'] * 100:.1f}% expose ten or more (paper: ~5%).")
     print()
 
-    print(figures.figure10_partner_combinations(artifacts)["text"])
+    print(compute_metric("fig10", context).text)
     print()
-    print(figures.figure11_partners_per_facet(artifacts)["text"])
+    print(compute_metric("fig11", context).text)
     print()
-    print(figures.figure24_price_vs_popularity(artifacts)["text"])
+    print(compute_metric("fig24", context).text)
 
 
 if __name__ == "__main__":

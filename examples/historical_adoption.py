@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis import AnalysisContext, compute_metric
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.figures import figure04_adoption_history
 
 
 def parse_args() -> argparse.Namespace:
@@ -36,11 +36,11 @@ def main() -> None:
         historical_sites=args.sites,
     )
     historical = ExperimentRunner(config).run_historical()
-    result = figure04_adoption_history(historical)
-    print(result["text"])
+    result = compute_metric("fig04", AnalysisContext(historical=historical))
+    print(result.text)
     print()
-    first = result["rows"][0]
-    last = result["rows"][-1]
+    first = result.data["rows"][0]
+    last = result.data["rows"][-1]
     print(
         f"Detected adoption grew from {first['adoption_rate'] * 100:.1f}% in "
         f"{int(first['year'])} to {last['adoption_rate'] * 100:.1f}% in {int(last['year'])} "

@@ -12,9 +12,9 @@ Run with::
 
 from __future__ import annotations
 
+from repro.analysis import AnalysisContext, compute_metric
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments import figures, tables
 
 
 def main() -> None:
@@ -22,31 +22,24 @@ def main() -> None:
     print(f"Simulating and crawling {config.total_sites} websites "
           f"({config.recrawl_days} daily re-crawl day(s), seed {config.seed})...\n")
     runner = ExperimentRunner(config)
-    artifacts = runner.run()
+    context = AnalysisContext.from_artifacts(runner.run())
 
-    print(tables.table1_summary(artifacts)["text"])
-    print()
-    print(tables.adoption_by_rank(artifacts)["text"])
-    print()
-    print(tables.detector_accuracy(artifacts)["text"])
-    print()
-    print(figures.facet_breakdown_result(artifacts)["text"])
-    print()
-    print(figures.figure08_top_partners(artifacts)["text"])
-    print()
+    for name in ("table1", "adoption", "accuracy", "facet", "fig08"):
+        print(compute_metric(name, context).text)
+        print()
 
-    latency = figures.figure12_latency_ecdf(artifacts)
-    print(latency["text"])
+    latency = compute_metric("fig12", context)
+    print(latency.text)
     print()
-    print(f"Median HB latency: {latency['median_ms']:.0f} ms "
-          f"(paper: ~600 ms); {latency['share_above_3s'] * 100:.1f}% of sites "
+    print(f"Median HB latency: {latency.data['median_ms']:.0f} ms "
+          f"(paper: ~600 ms); {latency.data['share_above_3s'] * 100:.1f}% of sites "
           "exceed the 3-second wrapper timeout (paper: ~10%).")
 
-    comparison = figures.waterfall_latency_comparison(artifacts)
+    comparison = compute_metric("waterfall", context)
     print()
-    print(comparison["text"])
+    print(comparison.text)
     print()
-    ratio = comparison["comparison"].median_ratio
+    ratio = comparison.data["comparison"].median_ratio
     print(f"Header bidding is {ratio:.1f}x slower than the waterfall at the median "
           "(paper: up to 3x).")
 

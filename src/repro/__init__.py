@@ -12,18 +12,18 @@ Header Bidding Ad-Ecosystem" end to end on a simulated Web:
 * :mod:`repro.detector` — HBDetector, the paper's contribution;
 * :mod:`repro.crawler` — crawl sessions, longitudinal scheduling, historical
   static crawling and dataset storage;
-* :mod:`repro.analysis` — every figure/table computation;
-* :mod:`repro.experiments` — end-to-end experiment runner and per-artefact
-  entry points.
+* :mod:`repro.analysis` — every figure/table computation, one registered
+  metric per paper artefact;
+* :mod:`repro.experiments` — the end-to-end experiment runner.
 
 Quickstart::
 
+    from repro.analysis import AnalysisContext, compute_metric
     from repro.experiments import ExperimentConfig, ExperimentRunner
-    from repro.experiments.tables import table1_summary
 
     runner = ExperimentRunner(ExperimentConfig(total_sites=1_000, recrawl_days=1))
     artifacts = runner.run()
-    print(table1_summary(artifacts)["text"])
+    print(compute_metric("table1", AnalysisContext.from_artifacts(artifacts)).text)
 """
 
 from repro.errors import ReproError

@@ -12,8 +12,9 @@ per-page detections with lazily-cached indices) through an
     result = compute_metric("fig12", AnalysisContext.offline(dataset))
     print(result.text)
 
-The underlying per-figure computation functions remain importable from the
-individual modules for callers that want raw data structures instead of the
+The underlying per-figure computation functions are importable from their
+own modules (``repro.analysis.latency.total_latency_ecdf``, ...) for callers
+that want raw data structures instead of the
 :class:`~repro.analysis.registry.MetricResult` envelope.
 """
 
@@ -31,26 +32,18 @@ from repro.analysis.registry import (
     metric_names,
     register_metric,
 )
-from repro.analysis import summary as summary  # registers table1/accuracy metrics
-from repro.analysis.adoption import adoption_by_rank_tier, adoption_summary
-from repro.analysis.partners import (
-    partner_popularity,
-    partners_per_site_ecdf,
-    partner_combinations,
-    partners_per_facet,
+# Importing each metric module registers its metrics.
+from repro.analysis import (
+    adoption,
+    adslots,
+    comparison,
+    facets,
+    late_bids,
+    latency,
+    partners,
+    prices,
+    summary,
 )
-from repro.analysis.latency import (
-    total_latency_ecdf,
-    latency_by_rank_bin,
-    partner_latency_profiles,
-    latency_by_partner_count,
-    latency_by_popularity_rank,
-)
-from repro.analysis.late_bids import late_bid_ecdf, late_bids_per_partner
-from repro.analysis.adslots import adslots_per_site_ecdf, latency_by_adslot_count, adslot_size_shares
-from repro.analysis.prices import price_ecdf_by_facet, price_by_size, price_by_popularity_rank
-from repro.analysis.facets import facet_breakdown
-from repro.analysis.comparison import hb_vs_waterfall_latency, hb_vs_waterfall_prices
 from repro.analysis.reporting import format_table, format_summary
 
 __all__ = [
@@ -70,28 +63,6 @@ __all__ = [
     "iter_metrics",
     "metric_names",
     "register_metric",
-    "adoption_by_rank_tier",
-    "adoption_summary",
-    "partner_popularity",
-    "partners_per_site_ecdf",
-    "partner_combinations",
-    "partners_per_facet",
-    "total_latency_ecdf",
-    "latency_by_rank_bin",
-    "partner_latency_profiles",
-    "latency_by_partner_count",
-    "latency_by_popularity_rank",
-    "late_bid_ecdf",
-    "late_bids_per_partner",
-    "adslots_per_site_ecdf",
-    "latency_by_adslot_count",
-    "adslot_size_shares",
-    "price_ecdf_by_facet",
-    "price_by_size",
-    "price_by_popularity_rank",
-    "facet_breakdown",
-    "hb_vs_waterfall_latency",
-    "hb_vs_waterfall_prices",
     "format_table",
     "format_summary",
 ]

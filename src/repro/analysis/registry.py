@@ -5,10 +5,9 @@ Every artefact of the paper — Table 1, the §3-§5 headline numbers, Figures
 metric has a stable name (the CLI artefact name), a paper reference, default
 parameters, and a ``compute`` that turns an :class:`~repro.analysis.context.AnalysisContext`
 into a typed :class:`MetricResult` envelope (data + rendered text + metadata
-+ render hints).  The experiment bindings (:mod:`repro.experiments.figures`,
-:mod:`repro.experiments.tables`), the CLI and the examples all resolve
-artefacts through this registry, so adding a metric is a single
-:func:`register_metric` call in an analysis module.
++ render hints).  The CLI, the service, the examples, the tests and the
+benchmarks all resolve artefacts through :func:`compute_metric`, so adding a
+metric is a single :func:`register_metric` call in an analysis module.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ class MetricResult:
     params: Mapping[str, Any] = field(default_factory=dict)
     render: Mapping[str, Any] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, Any]:
-        """The legacy per-figure dict shape: data keys plus ``"text"``."""
-        return {**self.data, "text": self.text}
-
 
 @runtime_checkable
 class Metric(Protocol):
@@ -73,8 +68,8 @@ class Metric(Protocol):
 class FunctionMetric:
     """A metric backed by a plain function ``fn(context, **params) -> dict``.
 
-    The function returns the legacy dict shape (data keys plus ``"text"``);
-    :meth:`compute` wraps it into the :class:`MetricResult` envelope.
+    The function returns its data keys plus a rendered ``"text"``;
+    :meth:`compute` wraps them into the :class:`MetricResult` envelope.
     """
 
     name: str

@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--oversubscribe", type=_positive_int, default=4, metavar="N",
         help="shards per worker for parallel crawls (default %(default)s; "
-        "bytes identical for any value)",
+        "the exported JSONL is identical for any value, the .hbc store's "
+        "chunks follow shard boundaries)",
     )
     run.add_argument(
         "--save", metavar="PATH", default=None,
@@ -137,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--flush-every", type=_positive_int, default=DetectionSink.DEFAULT_FLUSH_EVERY, metavar="N",
         help="buffer N detections between --save file writes (1 = per record, "
-        "default %(default)s); bytes are identical for any value",
+        "default %(default)s); the exported JSONL is identical for any value, "
+        "the .hbc store's chunks follow the flushes",
     )
     run.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -322,11 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument(
         "--flush-every", type=_positive_int,
         default=DetectionSink.DEFAULT_FLUSH_EVERY, metavar="N",
-        help="buffer N detections between sink writes (bytes identical for any value)",
+        help="buffer N detections between sink writes (the exported JSONL is "
+        "identical for any value, the .hbc store's chunks follow the flushes)",
     )
     daemon.add_argument(
         "--oversubscribe", type=_positive_int, default=4, metavar="N",
-        help="shards per worker for parallel crawls (bytes identical for any value)",
+        help="shards per worker for parallel crawls (the exported JSONL is "
+        "identical for any value, the .hbc store's chunks follow shard boundaries)",
     )
     daemon.add_argument(
         "--slow-path", action="store_true",

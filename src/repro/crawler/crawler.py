@@ -98,8 +98,9 @@ class CrawlConfig:
     #: ``workers * shard_oversubscribe`` shards so that pool workers stay
     #: busy despite the rank-correlated cost skew (high-rank shards carry
     #: more HB sites and cost several times more than tail shards).  A
-    #: sequential crawl always uses a single shard.  Detections are
-    #: byte-identical for any value; only scheduling granularity changes.
+    #: sequential crawl always uses a single shard.  Detections (and the
+    #: exported JSONL) are byte-identical for any value; the ``.hbc`` working
+    #: store's chunks follow shard boundaries, so its bytes are not.
     shard_oversubscribe: int = 4
     #: Supervision: how many times a failed shard attempt is retried before
     #: the shard is quarantined and the crawl completes degraded (the

@@ -63,6 +63,7 @@ snapshots it lost but never duplicates an alert already logged.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -166,6 +167,11 @@ def parse_rule(spec: str) -> AlertRule:
         raise ConfigurationError(
             f"malformed threshold {spec!r}: {raw_value!r} is not a number"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"threshold {spec!r}: the value must be finite (a NaN or infinite "
+            f"threshold can never fire)"
+        )
     if kind == "drop" and not 0.0 < value <= 1.0:
         raise ConfigurationError(
             f"threshold {spec!r}: a drop threshold is a relative fraction "
@@ -718,11 +724,15 @@ class RecrawlDaemon:
         return {"day": day, "detections": len(dataset), "metrics": flat}
 
     def _load_snapshot(self, day: int) -> dict | None:
-        """The day's recorded snapshot; ``None`` re-derives a missing or unreadable one."""
+        """The day's recorded snapshot; ``None`` re-derives a missing or unreadable
+        one, or one that does not record this day's metrics."""
         try:
-            return read_json(self.files.snapshot(day))
+            snapshot = read_json(self.files.snapshot(day))
         except StorageError:
             return None
+        if snapshot.get("day") != day or not isinstance(snapshot.get("metrics"), dict):
+            return None
+        return snapshot
 
     def _write_partition(self, day: int, result: CrawlResult) -> None:
         """``save`` the day's records; a columnar day of pool batches is packed

@@ -1,10 +1,10 @@
 """End-to-end experiments reproducing the paper's evaluation.
 
 :mod:`repro.experiments.config` defines the experiment configuration (site
-count, seed, crawl length), :mod:`repro.experiments.runner` runs the full
-pipeline (generate Web → crawl → detect → dataset), and
-:mod:`repro.experiments.figures` / :mod:`repro.experiments.tables` expose one
-function per paper artefact that the benchmarks call.
+count, seed, crawl length) and :mod:`repro.experiments.runner` runs the full
+pipeline (generate Web → crawl → detect → dataset).  Every paper artefact is
+then one registered metric: ``compute_metric(name,
+AnalysisContext.from_artifacts(artifacts))`` (:mod:`repro.analysis.registry`).
 """
 
 from repro.experiments.config import ExperimentConfig

@@ -10,7 +10,7 @@ smaller populations with identical proportions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.crawler.crawler import CrawlConfig
 from repro.crawler.storage import STORE_FORMATS, DetectionSink
@@ -45,8 +45,9 @@ class ExperimentConfig:
     #: Detections are byte-identical across backends and worker counts.
     crawl_backend: str = "serial"
     #: How many detections a streaming ``--save`` sink buffers between file
-    #: writes (``1`` = write-and-flush per record).  Purely operational: the
-    #: saved bytes are identical for any value.
+    #: writes (``1`` = write-and-flush per record).  The exported JSONL and
+    #: the decoded detections are identical for any value; the ``.hbc``
+    #: working store's bytes are not, because its chunks follow the flushes.
     sink_flush_every: int = DetectionSink.DEFAULT_FLUSH_EVERY
     #: Write a resumable crawl checkpoint to this path as the campaign
     #: progresses (requires persistent storage — ``run --save``).  ``None``
@@ -62,8 +63,10 @@ class ExperimentConfig:
     #: ``False`` selects the reference browser simulator, which re-derives
     #: every per-page input; detections are byte-identical.
     fast_path: bool = True
-    #: Shards per worker for parallel crawls (bytes identical for any
-    #: value; a mid-flight phase resumes only under its original value).
+    #: Shards per worker for parallel crawls.  The exported JSONL and the
+    #: decoded detections are identical for any value; the ``.hbc`` working
+    #: store's chunks follow shard boundaries, so its bytes are not.  A
+    #: mid-flight phase resumes only under its original value.
     shard_oversubscribe: int = 4
     #: Format of the file a campaign hands out: ``"jsonl"`` (the reference
     #: format, exported whole from the ``.hbc`` working store every campaign
@@ -159,15 +162,3 @@ class ExperimentConfig:
             retry_backoff=self.retry_backoff,
             fault_log=self.fault_log,
         )
-
-    def with_parallelism(self, workers: int, backend: str = "process") -> "ExperimentConfig":
-        return replace(self, workers=workers, crawl_backend=backend)
-
-    def with_checkpoint(self, path: str, *, resume: bool = False) -> "ExperimentConfig":
-        return replace(self, checkpoint_path=path, resume=resume)
-
-    def with_sites(self, total_sites: int) -> "ExperimentConfig":
-        return replace(self, total_sites=total_sites)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)

@@ -3,20 +3,17 @@
 ``ExperimentRunner.run()`` executes the full measurement campaign on the
 simulated Web: generate the publisher population and partner registry, build
 the detector, crawl the top list, re-crawl the HB sites daily, and bundle the
-results into :class:`ExperimentArtifacts` — the object every figure and table
-function consumes.
+results into :class:`ExperimentArtifacts`, which
+:meth:`~repro.analysis.context.AnalysisContext.from_artifacts` hands to the
+metric registry.
 
-Because everything downstream of the configuration is deterministic, running
-the same configuration twice yields identical artifacts, and benchmarks can
-memoise artifacts per configuration to avoid re-simulating the Web for each
-figure.
+Everything downstream of the configuration is deterministic: running the
+same configuration twice yields identical artifacts.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.analysis.dataset import CrawlDataset
@@ -54,50 +51,6 @@ class ExperimentArtifacts:
     @property
     def summary(self) -> Mapping[str, int | float]:
         return self.dataset.summary()
-
-
-#: Memoised experiment runs, keyed by the configuration fields ``run()``
-#: actually consumes (the historical-study parameters are excluded on
-#: purpose: varying them must not force a crawl re-simulation).  Bounded
-#: LRU: long-lived processes that sweep many configurations (parameter
-#: scans, services) evict the least recently used run instead of growing
-#: without limit.  Each entry holds a full simulated-Web run, so the cap is
-#: deliberately small.  All access goes through :func:`_cache_get` /
-#: :func:`_cache_put` under :data:`_ARTIFACT_CACHE_LOCK`: the OrderedDict
-#: move-to-end/evict dance is not atomic, and the HTTP service hits the
-#: cache from many request threads at once.
-_ARTIFACT_CACHE: "OrderedDict[tuple, ExperimentArtifacts]" = OrderedDict()
-_ARTIFACT_CACHE_LOCK = threading.Lock()
-ARTIFACT_CACHE_MAX_ENTRIES = 8
-
-
-def _run_cache_key(config: ExperimentConfig) -> tuple:
-    return (
-        config.total_sites,
-        config.seed,
-        config.recrawl_days,
-        config.detector_coverage,
-        config.total_partners,
-        config.vanilla_profile,
-        config.workers,
-        config.crawl_backend,
-    )
-
-
-def _cache_get(key: tuple) -> ExperimentArtifacts | None:
-    with _ARTIFACT_CACHE_LOCK:
-        artifacts = _ARTIFACT_CACHE.get(key)
-        if artifacts is not None:
-            _ARTIFACT_CACHE.move_to_end(key)
-        return artifacts
-
-
-def _cache_put(key: tuple, artifacts: ExperimentArtifacts) -> None:
-    with _ARTIFACT_CACHE_LOCK:
-        _ARTIFACT_CACHE[key] = artifacts
-        _ARTIFACT_CACHE.move_to_end(key)
-        while len(_ARTIFACT_CACHE) > ARTIFACT_CACHE_MAX_ENTRIES:
-            _ARTIFACT_CACHE.popitem(last=False)
 
 
 class ExperimentRunner:
@@ -220,16 +173,13 @@ class ExperimentRunner:
     def run(
         self,
         *,
-        use_cache: bool = True,
         storage: CrawlStorage | ColumnarStorage | None = None,
     ) -> ExperimentArtifacts:
-        """Run (or reuse) the full crawl campaign for this configuration.
+        """Run the full crawl campaign for this configuration.
 
         ``storage`` streams every detection to disk incrementally as the
-        campaign progresses (discovery pass first, then each crawl day) —
-        runs given a storage are never served from the artifact cache, since
-        a cache hit would skip the writes.  A :class:`CrawlStorage` stands
-        for its JSONL file's working store
+        campaign progresses (discovery pass first, then each crawl day).  A
+        :class:`CrawlStorage` stands for its JSONL file's working store
         (:func:`~repro.crawler.colstore.campaign_store`).
 
         With ``config.checkpoint_path`` set, progress is checkpointed at
@@ -252,15 +202,6 @@ class ExperimentRunner:
                 f"for store_format={config.store_format!r}; build the storage "
                 f"with repro.crawler.colstore.campaign_store"
             )
-        cache_key = _run_cache_key(config)
-        # Fault-injected runs are never cached: a chaos run that quarantines
-        # shards completes degraded, and serving it from cache would hand a
-        # later clean run the truncated artifacts.
-        use_cache = use_cache and storage is None and config.fault_spec is None
-        if use_cache:
-            cached = _cache_get(cache_key)
-            if cached is not None:
-                return cached
 
         population, crawler, checkpointer = self.open_campaign(storage)
         # Pool workers persist across the discovery pass and every daily
@@ -274,7 +215,7 @@ class ExperimentRunner:
         dataset = CrawlDataset.from_detections(
             longitudinal.all_detections, label=f"crawl-{self.config.total_sites}"
         )
-        artifacts = ExperimentArtifacts(
+        return ExperimentArtifacts(
             config=self.config,
             population=population,
             environment=crawler.environment,
@@ -282,9 +223,6 @@ class ExperimentRunner:
             longitudinal=longitudinal,
             dataset=dataset,
         )
-        if use_cache:
-            _cache_put(cache_key, artifacts)
-        return artifacts
 
     def run_historical(self) -> HistoricalAdoption:
         """Run the Wayback-style historical adoption study (Figure 4)."""
@@ -297,14 +235,3 @@ class ExperimentRunner:
         crawler = HistoricalCrawler(archive, StaticAnalyzer())
         return crawler.crawl()
 
-
-def clear_artifact_cache() -> None:
-    """Drop memoised experiment artifacts (used by tests that vary configs)."""
-    with _ARTIFACT_CACHE_LOCK:
-        _ARTIFACT_CACHE.clear()
-
-
-def artifact_cache_size() -> int:
-    """How many experiment runs are currently memoised."""
-    with _ARTIFACT_CACHE_LOCK:
-        return len(_ARTIFACT_CACHE)

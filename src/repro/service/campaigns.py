@@ -531,9 +531,7 @@ class CampaignManager:
             resume=resume,
             fault_log=str(campaign.fault_log_path),
         )
-        longitudinal = ExperimentRunner(config).run(
-            use_cache=False, storage=campaign.working_store()
-        ).longitudinal
+        longitudinal = ExperimentRunner(config).run(storage=campaign.working_store()).longitudinal
         supervision = _supervision_counts(longitudinal)
         if longitudinal.degraded:
             # Degraded completion: shards exhausted their retries and were

@@ -285,9 +285,10 @@ class FaultInjectingSink:
         return getattr(self._inner, name)
 
 
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)"
 _FAULT_TOKEN = re.compile(
-    r"(?P<kind>[a-z]+)@(?P<key>shard|count|p)=(?P<value>[0-9.]+)"
-    r"(?:x(?P<times>\d+))?(?:~(?P<delay>[0-9.]+))?"
+    rf"(?P<kind>[a-z]+)@(?P<key>shard|count|p)=(?P<value>{_NUMBER})"
+    rf"(?:x(?P<times>\d+))?(?:~(?P<delay>{_NUMBER}))?"
 )
 
 

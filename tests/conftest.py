@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.context import AnalysisContext
 from repro.browser.context import BrowserContext
 from repro.browser.engine import BrowserEngine
 from repro.detector.detector import HBDetector
@@ -118,6 +119,12 @@ def context(rng):
 def experiment_artifacts():
     """A complete (tiny) end-to-end experiment run, shared by read-only tests."""
     return ExperimentRunner(ExperimentConfig.test_scale()).run()
+
+
+@pytest.fixture(scope="session")
+def experiment_context(experiment_artifacts):
+    """The metric registry's view of the shared experiment run."""
+    return AnalysisContext.from_artifacts(experiment_artifacts)
 
 
 @pytest.fixture(scope="session")

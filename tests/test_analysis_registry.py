@@ -15,7 +15,6 @@ from repro.analysis import (
 )
 from repro.analysis.registry import register
 from repro.errors import MetricContextError, UnknownMetricError
-from repro.experiments import figures, tables
 
 #: Every artefact name the pre-registry CLI exposed, which must keep resolving.
 LEGACY_ARTIFACT_NAMES = {
@@ -91,7 +90,7 @@ class TestComputation:
         assert result.render.get("kind") == "ecdf"
         assert result.text.startswith("Figure 12")
         assert "median_ms" in result.data
-        assert result.as_dict()["text"] == result.text
+        assert "text" not in result.data
 
     def test_param_overrides_are_recorded(self, experiment_artifacts):
         context = AnalysisContext.from_artifacts(experiment_artifacts)
@@ -99,15 +98,29 @@ class TestComputation:
         assert result.params == {"top_n": 3}
         assert len(result.data["rows"]) <= 3
 
-    def test_registry_matches_legacy_table_bindings(self, experiment_artifacts):
-        context = AnalysisContext.from_artifacts(experiment_artifacts)
-        assert compute_metric("table1", context).text == tables.table1_summary(experiment_artifacts)["text"]
-        assert compute_metric("adoption", context).text == tables.adoption_by_rank(experiment_artifacts)["text"]
+    def test_registry_matches_the_registered_table_functions(self, experiment_context):
+        from repro.analysis.adoption import adoption_by_rank_result
+        from repro.analysis.summary import table1_summary_result
 
-    def test_registry_matches_legacy_figure_bindings(self, experiment_artifacts):
-        context = AnalysisContext.from_artifacts(experiment_artifacts)
-        assert compute_metric("fig08", context).text == figures.figure08_top_partners(experiment_artifacts)["text"]
-        assert compute_metric("facet", context).text == figures.facet_breakdown_result(experiment_artifacts)["text"]
+        for name, fn in (("table1", table1_summary_result), ("adoption", adoption_by_rank_result)):
+            direct = dict(fn(experiment_context))
+            result = compute_metric(name, experiment_context)
+            assert result.text == direct.pop("text")
+            assert result.data == direct
+
+    def test_registry_matches_the_registered_figure_functions(self, experiment_context):
+        from repro.analysis.facets import facet_breakdown_result
+        from repro.analysis.partners import top_partners_result
+
+        direct = dict(top_partners_result(experiment_context, top_n=11))
+        result = compute_metric("fig08", experiment_context)
+        assert result.params == {"top_n": 11}
+        assert result.text == direct.pop("text")
+        assert result.data == direct
+        direct = dict(facet_breakdown_result(experiment_context))
+        result = compute_metric("facet", experiment_context)
+        assert result.text == direct.pop("text")
+        assert result.data == direct
 
     def test_offline_and_in_memory_paths_agree(self, experiment_artifacts):
         offline = AnalysisContext.offline(experiment_artifacts.dataset)

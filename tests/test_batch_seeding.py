@@ -63,9 +63,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("seed", sorted(CAMPAIGN_SHA256))
     def test_campaign_sink_bytes(self, seed, tmp_path):
         storage = CrawlStorage(tmp_path / "campaign.jsonl")
-        ExperimentRunner(ExperimentConfig.test_scale(seed=seed)).run(
-            use_cache=False, storage=storage
-        )
+        ExperimentRunner(ExperimentConfig.test_scale(seed=seed)).run(storage=storage)
         digest = hashlib.sha256(storage.path.read_bytes()).hexdigest()
         assert digest == CAMPAIGN_SHA256[seed]
 
@@ -266,6 +264,6 @@ class TestDeriveRngCalls:
         for sites in (400, 800):
             calls.clear()
             config = replace(ExperimentConfig.test_scale(), total_sites=sites)
-            ExperimentRunner(config).run(use_cache=False)
+            ExperimentRunner(config).run()
             counts.append(Counter(calls))
         assert counts[0] == counts[1] == {"long-tail-partner": 32, "known-partner-list": 1}

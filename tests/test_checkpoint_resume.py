@@ -529,7 +529,7 @@ class TestCampaignResume:
         clean = CrawlStorage(tmp_path / "clean.jsonl")
         expected = ExperimentRunner(config).run(storage=clean)
 
-        ckpt_config = config.with_checkpoint(str(tmp_path / "cp.json"))
+        ckpt_config = dataclasses.replace(config, checkpoint_path=str(tmp_path / "cp.json"))
         storage = CrawlStorage(tmp_path / "resumable.jsonl")
         real = engine_mod.backend_from_name
         with monkeypatch.context() as patch:

@@ -52,11 +52,9 @@ def campaign(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("colstore-campaign")
     config = ExperimentConfig.test_scale()
     jsonl = CrawlStorage(tmp / "campaign.jsonl")
-    ExperimentRunner(config).run(use_cache=False, storage=jsonl)
+    ExperimentRunner(config).run(storage=jsonl)
     columnar = ColumnarStorage(tmp / "campaign.hbc")
-    ExperimentRunner(replace(config, store_format="columnar")).run(
-        use_cache=False, storage=columnar
-    )
+    ExperimentRunner(replace(config, store_format="columnar")).run(storage=columnar)
     return SimpleNamespace(
         dir=tmp, jsonl=jsonl, columnar=columnar, detections=jsonl.load()
     )
@@ -771,10 +769,6 @@ class TestStoreFormatConfig:
     def test_runner_rejects_a_mismatched_storage(self, tmp_path):
         config = replace(ExperimentConfig.test_scale(), store_format="columnar")
         with pytest.raises(ConfigurationError, match="store_format"):
-            ExperimentRunner(config).run(
-                use_cache=False, storage=CrawlStorage(tmp_path / "a.jsonl")
-            )
+            ExperimentRunner(config).run(storage=CrawlStorage(tmp_path / "a.jsonl"))
         with pytest.raises(ConfigurationError, match="store_format"):
-            ExperimentRunner(ExperimentConfig.test_scale()).run(
-                use_cache=False, storage=ColumnarStorage(tmp_path / "a.hbc")
-            )
+            ExperimentRunner(ExperimentConfig.test_scale()).run(storage=ColumnarStorage(tmp_path / "a.hbc"))

@@ -50,10 +50,10 @@ def _oneshot_bytes(tmp_path, config, days, name="oneshot"):
     runner = ExperimentRunner(dataclasses.replace(config, recrawl_days=days))
     if config.store_format == "jsonl":
         storage = CrawlStorage(tmp_path / f"{name}.jsonl")
-        storage.save(runner.run(use_cache=False).longitudinal.all_detections)
+        storage.save(runner.run().longitudinal.all_detections)
     else:
         storage = ColumnarStorage(tmp_path / f"{name}.hbc")
-        runner.run(use_cache=False, storage=storage)
+        runner.run(storage=storage)
     return storage.path.read_bytes()
 
 
@@ -88,6 +88,9 @@ class TestRuleParsing:
             "table1.summary.websites_with_hb:drop=1.5",  # drop outside (0, 1]
             "table1.summary.websites_with_hb:drop=0",  # drop outside (0, 1]
             "table1.summary.websites_with_hb:min",  # no value
+            "table1.summary.websites_with_hb:max=nan",  # can never fire
+            "table1.summary.websites_with_hb:min=inf",
+            "table1.summary.websites_with_hb:max=-Infinity",
         ],
     )
     def test_malformed_specs_are_refused(self, spec):

@@ -55,20 +55,18 @@ class TestHorizonExtension:
         )
         ckpt = str(tmp_path / "cp.json")
 
-        ExperimentRunner(config.with_checkpoint(ckpt)).run(
-            use_cache=False, storage=grown
-        )
+        ExperimentRunner(dataclasses.replace(config, checkpoint_path=ckpt)).run(storage=grown)
         extended = dataclasses.replace(
             config, recrawl_days=3, checkpoint_path=ckpt, resume=True
         )
-        artifacts = ExperimentRunner(extended).run(use_cache=False, storage=grown)
+        artifacts = ExperimentRunner(extended).run(storage=grown)
 
         oneshot = storage_for(
             tmp_path / f"oneshot.{_suffix(store_format)}", format=store_format
         )
         expected = ExperimentRunner(
             dataclasses.replace(config, recrawl_days=3)
-        ).run(use_cache=False, storage=oneshot)
+        ).run(storage=oneshot)
 
         assert grown.path.read_bytes() == oneshot.path.read_bytes()
         assert artifacts.dataset.summary() == expected.dataset.summary()
@@ -85,33 +83,29 @@ class TestHorizonExtension:
         ckpt = str(tmp_path / "cp.json")
         ExperimentRunner(
             dataclasses.replace(config, recrawl_days=0, checkpoint_path=ckpt)
-        ).run(use_cache=False, storage=grown)
+        ).run(storage=grown)
         for days in (1, 2, 3):
             ExperimentRunner(
                 dataclasses.replace(
                     config, recrawl_days=days, checkpoint_path=ckpt, resume=True
                 )
-            ).run(use_cache=False, storage=grown)
+            ).run(storage=grown)
 
         oneshot = storage_for(tmp_path / "oneshot.jsonl")
-        ExperimentRunner(dataclasses.replace(config, recrawl_days=3)).run(
-            use_cache=False, storage=oneshot
-        )
+        ExperimentRunner(dataclasses.replace(config, recrawl_days=3)).run(storage=oneshot)
         assert grown.path.read_bytes() == oneshot.path.read_bytes()
 
     def test_every_offline_metric_matches_after_extension(self, tmp_path):
         config = _config()
         grown = storage_for(tmp_path / "grown.jsonl")
         ckpt = str(tmp_path / "cp.json")
-        ExperimentRunner(config.with_checkpoint(ckpt)).run(
-            use_cache=False, storage=grown
-        )
+        ExperimentRunner(dataclasses.replace(config, checkpoint_path=ckpt)).run(storage=grown)
         extended = ExperimentRunner(
             dataclasses.replace(config, recrawl_days=2, checkpoint_path=ckpt, resume=True)
-        ).run(use_cache=False, storage=grown)
+        ).run(storage=grown)
         expected = ExperimentRunner(
             dataclasses.replace(config, recrawl_days=2)
-        ).run(use_cache=False, storage=storage_for(tmp_path / "oneshot.jsonl"))
+        ).run(storage=storage_for(tmp_path / "oneshot.jsonl"))
 
         got = AnalysisContext.offline(extended.dataset)
         want = AnalysisContext.offline(expected.dataset)
@@ -133,17 +127,13 @@ class TestHorizonExtension:
                 lambda name, workers=None: FaultyBackend(real(name, workers=workers), 3),
             )
             with pytest.raises(SimulatedCrash):
-                ExperimentRunner(config.with_checkpoint(ckpt)).run(
-                    use_cache=False, storage=storage
-                )
+                ExperimentRunner(dataclasses.replace(config, checkpoint_path=ckpt)).run(storage=storage)
         ExperimentRunner(
             dataclasses.replace(config, recrawl_days=2, checkpoint_path=ckpt, resume=True)
-        ).run(use_cache=False, storage=storage)
+        ).run(storage=storage)
 
         oneshot = storage_for(tmp_path / "oneshot.jsonl")
-        ExperimentRunner(dataclasses.replace(config, recrawl_days=2)).run(
-            use_cache=False, storage=oneshot
-        )
+        ExperimentRunner(dataclasses.replace(config, recrawl_days=2)).run(storage=oneshot)
         assert storage.path.read_bytes() == oneshot.path.read_bytes()
 
 
@@ -152,9 +142,7 @@ class TestHorizonGuards:
         config = _config(**overrides)
         storage = storage_for(tmp_path / "grown.jsonl")
         ckpt = str(tmp_path / "cp.json")
-        ExperimentRunner(config.with_checkpoint(ckpt)).run(
-            use_cache=False, storage=storage
-        )
+        ExperimentRunner(dataclasses.replace(config, checkpoint_path=ckpt)).run(storage=storage)
         return config, ckpt, storage
 
     def test_shrinking_the_horizon_is_refused(self, tmp_path):
@@ -163,7 +151,7 @@ class TestHorizonGuards:
             config, recrawl_days=0, checkpoint_path=ckpt, resume=True
         )
         with pytest.raises(CheckpointError, match="immutable"):
-            ExperimentRunner(shrunk).run(use_cache=False, storage=storage)
+            ExperimentRunner(shrunk).run(storage=storage)
 
     def test_seed_change_is_still_refused(self, tmp_path):
         config, ckpt, storage = self._finished_campaign(tmp_path)
@@ -171,7 +159,7 @@ class TestHorizonGuards:
             config, seed=8, recrawl_days=2, checkpoint_path=ckpt, resume=True
         )
         with pytest.raises(CheckpointError, match="refusing to resume"):
-            ExperimentRunner(reseeded).run(use_cache=False, storage=storage)
+            ExperimentRunner(reseeded).run(storage=storage)
 
     def test_population_change_is_still_refused(self, tmp_path):
         config, ckpt, storage = self._finished_campaign(tmp_path)
@@ -179,7 +167,7 @@ class TestHorizonGuards:
             config, total_sites=500, recrawl_days=2, checkpoint_path=ckpt, resume=True
         )
         with pytest.raises(CheckpointError, match="refusing to resume"):
-            ExperimentRunner(bigger).run(use_cache=False, storage=storage)
+            ExperimentRunner(bigger).run(storage=storage)
 
     def test_detector_change_is_still_refused(self, tmp_path):
         config, ckpt, storage = self._finished_campaign(tmp_path)
@@ -191,7 +179,7 @@ class TestHorizonGuards:
             resume=True,
         )
         with pytest.raises(CheckpointError, match="refusing to resume"):
-            ExperimentRunner(retuned).run(use_cache=False, storage=storage)
+            ExperimentRunner(retuned).run(storage=storage)
 
     def test_old_checkpoints_with_frozen_horizon_still_resume(self, tmp_path):
         """A checkpoint recording recrawl_days resumes under a larger horizon.
@@ -204,10 +192,8 @@ class TestHorizonGuards:
         extended = dataclasses.replace(
             config, recrawl_days=2, checkpoint_path=ckpt, resume=True
         )
-        ExperimentRunner(extended).run(use_cache=False, storage=storage)
+        ExperimentRunner(extended).run(storage=storage)
 
         oneshot = storage_for(tmp_path / "oneshot.jsonl")
-        ExperimentRunner(dataclasses.replace(config, recrawl_days=2)).run(
-            use_cache=False, storage=oneshot
-        )
+        ExperimentRunner(dataclasses.replace(config, recrawl_days=2)).run(storage=oneshot)
         assert storage.path.read_bytes() == oneshot.path.read_bytes()

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.analysis.context import AnalysisContext
 from repro.analysis.dataset import CrawlDataset
+from repro.analysis.registry import compute_metric
 from repro.crawler.storage import CrawlStorage
-from repro.experiments import figures, tables
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.models import HBFacet
@@ -53,25 +54,25 @@ class TestEndToEnd:
             if detection.crawl_day > 0:
                 assert detection.domain in day_zero_hb
 
-    def test_headline_results_hold_together(self, experiment_artifacts):
+    def test_headline_results_hold_together(self, experiment_context):
         """The cross-cutting claims of the paper hold in one consistent run."""
-        adoption = tables.adoption_by_rank(experiment_artifacts)
+        adoption = compute_metric("adoption", experiment_context).data
         assert 0.08 <= adoption["overall"] <= 0.25
 
-        facet = figures.facet_breakdown_result(experiment_artifacts)["breakdown"]
+        facet = compute_metric("facet", experiment_context).data["breakdown"]
         assert facet[HBFacet.SERVER_SIDE] > facet[HBFacet.CLIENT_SIDE]
 
-        top_partners = figures.figure08_top_partners(experiment_artifacts)["rows"]
+        top_partners = compute_metric("fig08", experiment_context).data["rows"]
         assert top_partners[0].partner == "DFP"
 
-        latency = figures.figure12_latency_ecdf(experiment_artifacts)
-        waterfall = figures.waterfall_latency_comparison(experiment_artifacts)["comparison"]
+        latency = compute_metric("fig12", experiment_context).data
+        waterfall = compute_metric("waterfall", experiment_context).data["comparison"]
         assert latency["median_ms"] > waterfall.waterfall.median
 
     def test_smaller_experiment_runs_from_scratch(self):
         config = ExperimentConfig(total_sites=300, seed=77, recrawl_days=0, historical_sites=100,
                                   historical_years=(2019,))
-        artifacts = ExperimentRunner(config).run(use_cache=False)
+        artifacts = ExperimentRunner(config).run()
         assert artifacts.summary["websites_crawled"] == 300
-        accuracy = tables.detector_accuracy(artifacts)["metrics"]
+        accuracy = compute_metric("accuracy", AnalysisContext.from_artifacts(artifacts)).data["metrics"]
         assert accuracy["precision"] == 1.0

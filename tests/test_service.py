@@ -144,9 +144,7 @@ def reference_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def reference(reference_path):
     """The same campaign run directly, exported to a local JSONL file."""
-    artifacts = ExperimentRunner(CAMPAIGN_CONFIG).run(
-        use_cache=False, storage=CrawlStorage(reference_path)
-    )
+    artifacts = ExperimentRunner(CAMPAIGN_CONFIG).run(storage=CrawlStorage(reference_path))
     return reference_path.read_bytes(), artifacts.dataset
 
 
@@ -700,9 +698,9 @@ class TestCancellation:
         path = tmp_path / f"uninterrupted-{sink_name}"
         runner = ExperimentRunner(campaign_config_from_dict(body))
         if store_format == "jsonl":
-            CrawlStorage(path).save(runner.run(use_cache=False).longitudinal.all_detections)
+            CrawlStorage(path).save(runner.run().longitudinal.all_detections)
         else:
-            runner.run(use_cache=False, storage=ColumnarStorage(path))
+            runner.run(storage=ColumnarStorage(path))
         full = path.read_bytes()
         assert client.download(cid, sink_name) == full
         # What the cancelled run handed out is a non-empty proper prefix of
@@ -889,7 +887,7 @@ class TestTicks:
         from pathlib import Path
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "oneshot.jsonl"
-            ExperimentRunner(config).run(use_cache=False, storage=CrawlStorage(path))
+            ExperimentRunner(config).run(storage=CrawlStorage(path))
             assert path_free_bytes == path.read_bytes()
 
     def test_tick_while_running_is_409(self, client):

@@ -110,11 +110,20 @@ class TestFaultSpecParsing:
             "sink@shard=0",            # sink faults cannot key on shard
             "raise@when=now",          # unknown key
             "raise shard=0",           # malformed token
+            "crash@p=.",               # a lone dot is not a number
+            "hang@shard=1~.",
+            "raise@p=0.2.5",
         ],
     )
     def test_malformed_specs_raise(self, spec):
         with pytest.raises(ConfigurationError):
             parse_fault_plan(spec)
+
+    def test_run_reports_a_lone_dot_as_a_configuration_error(self, capsys):
+        from repro.cli import main as cli_main
+
+        assert cli_main(["run", "--sites", "400", "--inject-faults", "crash@p=."]) == 1
+        assert "error: malformed fault 'crash@p=.'" in capsys.readouterr().err
 
     def test_fault_needs_exactly_one_trigger(self):
         with pytest.raises(ConfigurationError, match="exactly one"):

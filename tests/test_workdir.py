@@ -114,6 +114,27 @@ class TestDamagedJsonFiles:
         assert report.snapshot_days == [0, 1, 2]
         assert (day0.read_bytes(), day1.read_bytes()) == recorded
 
+    def test_a_snapshot_without_day_or_metrics_is_re_derived(self, tmp_path):
+        config = _daemon_config()
+        with RecrawlDaemon(tmp_path / "work", config, target_days=2) as daemon:
+            assert [r.status for r in daemon.run()] == ["bootstrapped", "advanced", "advanced"]
+        day2 = daemon.metrics_dir / "day-00002.json"
+        recorded = day2.read_bytes()
+        day2.write_bytes(b"{}")
+
+        with RecrawlDaemon(tmp_path / "work", config, target_days=3) as again:
+            report = again.tick()
+        assert report.status == "advanced", report.error
+        assert report.snapshot_days == [2, 3]
+        assert day2.read_bytes() == recorded
+
+        day2.write_bytes(b'{"day": 5, "metrics": {}}')
+        with RecrawlDaemon(tmp_path / "work", config, target_days=4) as third:
+            report = third.tick()
+        assert report.status == "advanced", report.error
+        assert report.snapshot_days == [2, 4]
+        assert day2.read_bytes() == recorded
+
     def test_a_list_in_campaign_json_is_rewritten_when_the_campaign_ends(self, tmp_path):
         manager = CampaignManager(tmp_path / "service", max_parallel=1)
         try:
